@@ -20,10 +20,9 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .polyring import UniPoly
-from .sequences import S1, TRIPLE_COEFF, W1, W2, q_poly, r_poly
+from .sequences import S1, TRIPLE_COEFF, W1, W2, TwoTerm, q_poly, r_poly
 
 
 class ChebKind(enum.Enum):
@@ -33,41 +32,26 @@ class ChebKind(enum.Enum):
     SECOND = "U"
 
 
-@lru_cache(maxsize=None)
+_TWO_V = UniPoly((0, 2))
+_CHEBYSHEV = {
+    ChebKind.FIRST: TwoTerm(_TWO_V, 1, UniPoly.one(), UniPoly.x()),
+    ChebKind.SECOND: TwoTerm(_TWO_V, 1, UniPoly.one(), _TWO_V),
+}
+
+
 def chebyshev(kind: ChebKind, n: int) -> UniPoly:
     """T_n or U_n as an exact integer polynomial, by the shared recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return UniPoly.one()
-    if n == 1:
-        return UniPoly((0, 1)) if kind is ChebKind.FIRST else UniPoly((0, 2))
-    two_v = UniPoly((0, 2))
-    return two_v * chebyshev(kind, n - 1) - chebyshev(kind, n - 2)
+    return _CHEBYSHEV[kind][n]
 
 
 def dickson_E(n: int, a, b):
     """Second-kind companion E_n(a, b); works for any ring elements a, b."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    prev, cur = 1 * a**0, a   # (E_0, E_1) in the ring of a
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur - b * prev
-    return cur
+    return TwoTerm(a, b, 1 * a**0, a)[n]   # E_0 is the one of a's ring
 
 
 def dickson_D(n: int, a, b):
     """First-kind companion D_n(a, b); D_0 = 2."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    prev, cur = 2 * a**0, a
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur - b * prev
-    return cur
+    return TwoTerm(a, b, 2 * a**0, a)[n]
 
 
 @dataclass

@@ -36,19 +36,15 @@ EXIT_LIMIT = 3
 
 @dataclass
 class Config:
-    """Run-wide knobs shared by the subcommands."""
+    """Run-wide knobs: the list cap of enumerate, the tolerance and seed of zeros."""
 
     list_cap: int = 10_000
-    product_cap: int = 500
     zero_tol: float = 1e-13
-    fmt: str = "pretty"
     seed: int = 42
 
     def __post_init__(self):
-        if self.list_cap <= 0 or self.product_cap <= 0:
-            raise ValueError("caps must be positive")
-        if self.fmt not in ("pretty", "json", "csv"):
-            raise ValueError("format must be pretty, json or csv")
+        if self.list_cap <= 0:
+            raise ValueError("cap must be positive")
 
 
 class UsageError(Exception):
@@ -386,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         if family:
             p.add_argument("--family", default="q", choices=["q", "r"])
         p.add_argument("--format", default="pretty", choices=["pretty", "json", "csv"])
-        p.add_argument("--cap", type=int, default=None, help="enumeration list cap")
-        p.add_argument("--tol", type=float, default=None, help="zero-finder tolerance")
-        p.add_argument("--seed", type=int, default=None, help="root-finder jitter seed")
         p.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
 
     for name in ("s-poly", "q-poly", "r-poly"):
@@ -397,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count or list partitions of n")
     common(p, upto=False)
     p.add_argument("--list", action="store_true", help="list the partitions")
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"partition-list cap; overrides ${ENV_CAP} (default 10000)")
     common(sub.add_parser("spec", help="specialized single-variable family"),
            spec=True, family=True)
     p = sub.add_parser("profile", help="coefficient profile (combinatorial statistic counts)")
@@ -405,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, spec=True, family=True, upto=False)
     p.add_argument("--locus", action="store_true",
                    help="include the claimed locus parameters as a JSON header")
+    p.add_argument("--tol", type=float, default=None, help="zero-finder tolerance")
+    p.add_argument("--seed", type=int, default=None, help="root-finder jitter seed")
     p = sub.add_parser("verify", help="run the identity and locus verification battery")
     common(p, upto=False)
-    p.add_argument("--all", action="store_true", help="run every check (default)")
     p.add_argument("--quick", action="store_true", help="reduced parameter ranges")
     p.add_argument("--only", default=None, help="comma-separated check ids")
     common(sub.add_parser("tables", help="reproduce the four reference tables"), upto=False)
@@ -415,22 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args) -> Config:
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get(ENV_CAP)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
     kwargs = {}
-    if cap is not None:
-        kwargs["list_cap"] = cap
-    if args.tol is not None:
-        kwargs["zero_tol"] = args.tol
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    kwargs["fmt"] = args.format
+    if args.command == "enumerate":
+        cap = args.cap
+        if cap is None:
+            env = os.environ.get(ENV_CAP)
+            if env is not None:
+                try:
+                    cap = int(env)
+                except ValueError:
+                    raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
+        if cap is not None:
+            kwargs["list_cap"] = cap
+    elif args.command == "zeros":
+        if args.tol is not None:
+            kwargs["zero_tol"] = args.tol
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
     try:
         return Config(**kwargs)
     except ValueError as exc:

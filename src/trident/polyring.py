@@ -284,11 +284,6 @@ def _coerce_mp(value) -> MultiPoly:
     return NotImplemented
 
 
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Canonical product of two sparse 4-variable polynomials."""
-    return a * b
-
-
 def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Exact multivariate quotient over the integers.
 
@@ -559,14 +554,6 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     return UniPoly(quot)
 
 
-def up_eval_complex(p: UniPoly, point: complex) -> complex:
-    """Horner evaluation at a double-precision complex point."""
-    acc = 0 + 0j
-    for c in reversed(p.coeffs):
-        acc = acc * point + c
-    return acc
-
-
 def _primitive_from_fractions(coeffs: list[Fraction]) -> UniPoly:
     # Clear denominators, strip the integer content, make the leading term positive.
     while coeffs and coeffs[-1] == 0:
@@ -631,10 +618,6 @@ def up_square_free(p: UniPoly) -> UniPoly:
         raise AssertionError("gcd does not divide its polynomial")
     out.reverse()
     return _primitive_from_fractions(out)
-
-
-def is_palindromic(p: UniPoly) -> bool:
-    return p.is_palindromic()
 
 
 def binomial_power(constant: int, n: int) -> UniPoly:

@@ -166,33 +166,47 @@ def closed_form_k3n(k: int, n: int) -> MultiPoly:
     return s_poly(k - 1) * S2**n
 
 
-_Q_MEMO: list[MultiPoly] = [MultiPoly.zero(), MultiPoly.one()]
-_R_MEMO: list[MultiPoly] = [MultiPoly.one(), S1]
-_MEMO_LOCK = threading.Lock()
+class TwoTerm:
+    """The memoized sequence u_0, u_1, u_n = a*u_{n-1} - b*u_{n-2}; ``seq[n]`` is u_n.
+
+    Works over any ring whose elements support ``*`` and ``-`` (ints,
+    ``UniPoly``, ``MultiPoly``).  Every polynomial sequence of the package
+    is one of these: Q and R with the pair (W1, W2), their specializations
+    with its image, Chebyshev T/U with (2v, 1) and the Dickson companions
+    with (a, b).
+    """
+
+    def __init__(self, a, b, u0, u1):
+        self.a = a
+        self.b = b
+        self._memo = [u0, u1]
+        self._lock = threading.Lock()
+
+    def __getitem__(self, n: int):
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        memo = self._memo
+        # Appends are not idempotent, so extension is serialized; reads of
+        # already-present immutable entries need no lock.
+        if n >= len(memo):
+            with self._lock:
+                while len(memo) <= n:
+                    memo.append(self.a * memo[-1] - self.b * memo[-2])
+        return memo[n]
 
 
-def _extend_three_term(memo: list[MultiPoly], n: int) -> MultiPoly:
-    # Appends are not idempotent, so extension is serialized; reads of
-    # already-present immutable entries need no lock.
-    if n >= len(memo):
-        with _MEMO_LOCK:
-            while len(memo) <= n:
-                memo.append(W1 * memo[-1] - W2 * memo[-2])
-    return memo[n]
+_Q = TwoTerm(W1, W2, MultiPoly.zero(), MultiPoly.one())
+_R = TwoTerm(W1, W2, MultiPoly.one(), S1)
 
 
 def q_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 3)/2, via the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _extend_three_term(_Q_MEMO, n)
+    return _Q[n]
 
 
 def r_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 1)/2, via the three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _extend_three_term(_R_MEMO, n)
+    return _R[n]
 
 
 def scalar_qr(n: int) -> tuple[int, int]:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .oracle import DEFAULT_LIST_CAP, PartitionStats, enumerate_partitions
 from .polyring import NotDivisible, SpecMap, UniPoly, binomial_power, poly_substitute
-from .sequences import S1, W1, W2
+from .sequences import S1, W1, W2, TwoTerm
 
 _Z = UniPoly.x()
 _Z2 = UniPoly((0, 0, 1))
@@ -68,8 +67,7 @@ _SPEC_MAPS: dict[SpecId, SpecMap] = {
 
 PALINDROMIC_PRESETS = (SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6)
 
-_FAMILY_CACHE: dict[tuple[SpecId, str], list[UniPoly]] = {}
-_FAMILY_LOCK = threading.Lock()
+_FAMILIES: dict[tuple[SpecId, str], TwoTerm] = {}
 
 
 def _validate_family(family: str) -> str:
@@ -88,25 +86,16 @@ def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
     """The specialized q- or r-family member at index ``n``, by recurrence."""
     family = _validate_family(family)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    key = (spec, family)
-    memo = _FAMILY_CACHE.get(key)
-    if memo is None or n >= len(memo):
-        # list extension is not idempotent; serialize cache growth
-        with _FAMILY_LOCK:
-            memo = _FAMILY_CACHE.get(key)
-            if memo is None:
-                if family == "q":
-                    memo = [UniPoly.zero(), UniPoly.one()]
-                else:
-                    memo = [UniPoly.one(), poly_substitute(S1, spec.spec_map)]
-                _FAMILY_CACHE[key] = memo
-            if n >= len(memo):
-                w1, w2 = spec_images(spec)
-                while len(memo) <= n:
-                    memo.append(w1 * memo[-1] - w2 * memo[-2])
-    return memo[n]
+    seq = _FAMILIES.get((spec, family))
+    if seq is None:
+        w1, w2 = spec_images(spec)
+        if family == "q":
+            seq = TwoTerm(w1, w2, UniPoly.zero(), UniPoly.one())
+        else:
+            seq = TwoTerm(w1, w2, UniPoly.one(), poly_substitute(S1, spec.spec_map))
+        # setdefault is atomic: racing builders all get the first instance stored
+        seq = _FAMILIES.setdefault((spec, family), seq)
+    return seq[n]
 
 
 def _halved(p: UniPoly) -> UniPoly:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
-from .polyring import UniPoly, up_eval_complex, up_square_free
+from .polyring import UniPoly, up_square_free
 from .specialize import SpecId, reduced_q2, spec_family
 
 DEFAULT_ROOT_TOL = 1e-13
@@ -162,7 +162,7 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
         spec=spec,
         n=n,
         points=points,
-        residuals=[abs(up_eval_complex(poly, z)) for z in points],
+        residuals=[abs(poly.evaluate(z)) for z in points],
         locus_distances=[distance(z) for z in points],
         origin_multiplicity=origin,
     )
@@ -297,7 +297,7 @@ def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
         spec="general",
         n=p.degree(),
         points=points,
-        residuals=[abs(up_eval_complex(reduced, z)) for z in points],
+        residuals=[abs(reduced.evaluate(z)) for z in points],
         locus_distances=None,
         origin_multiplicity=origin,
     )
@@ -353,7 +353,7 @@ def backward_scale(poly: UniPoly, z: complex) -> float:
 def _residual_gate(report_points: list[complex], poly: UniPoly, tol: float,
                    failures: list[str]) -> None:
     for z in report_points:
-        res = abs(up_eval_complex(poly, z))
+        res = abs(poly.evaluate(z))
         scale = backward_scale(poly, z)
         if res >= tol * scale:
             failures.append(f"residual {res:.3e} at {z} exceeds {tol:.1e} * scale {scale:.3e}")

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
 from trident.polyring import MultiPoly, UniPoly, mp_divide_exact
 from trident.sequences import W1, W2
@@ -47,6 +49,18 @@ def test_recurrence_matches_generating_function():
         expected = chebyshev_from_generating_function(kind, 10)
         for n in range(11):
             assert chebyshev(kind, n) == expected[n], (kind, n)
+        with pytest.raises(ValueError):
+            chebyshev(kind, -1)
+    # a cold index far past the interpreter's recursion limit: degree n,
+    # leading 2^(n-1) for T and 2^n for U, T_n(1) = 1 and U_n(1) = n + 1
+    n = 1500
+    t = chebyshev(ChebKind.FIRST, n)
+    u = chebyshev(ChebKind.SECOND, n)
+    assert t.degree() == n and u.degree() == n
+    assert t.coeff(n) == 2 ** (n - 1)
+    assert u.coeff(n) == 2**n
+    assert t.evaluate(1) == 1
+    assert u.evaluate(1) == n + 1
 
 
 def test_dickson_small_values_symbolic():
@@ -57,6 +71,12 @@ def test_dickson_small_values_symbolic():
     assert dickson_E(2, a, b) == a * a - b
     assert dickson_D(0, a, b) == MultiPoly.constant(2)
     assert dickson_D(2, a, b) == a * a - 2 * b
+    # plain integers form a ring too: E_n(5, 3) = 1, 5, 22, 95; D_n(5, 3) = 2, 5, 19
+    assert [dickson_E(n, 5, 3) for n in range(4)] == [1, 5, 22, 95]
+    assert [dickson_D(n, 5, 3) for n in range(3)] == [2, 5, 19]
+    for companion in (dickson_E, dickson_D):
+        with pytest.raises(ValueError):
+            companion(-1, a, b)
 
 
 def test_dickson_chebyshev_link():

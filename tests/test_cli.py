@@ -137,7 +137,7 @@ def test_tables_golden_file(capsys):
 
 
 def test_verify_quick_exits_zero(capsys):
-    code, out, _ = run_capture(capsys, ["verify", "--all", "--quick"])
+    code, out, _ = run_capture(capsys, ["verify", "--quick"])
     assert code == 0
     assert "FAIL" not in out
 
@@ -182,6 +182,9 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("TRIDENT_CAP", "not-a-number")
     code, _, err = run_capture(capsys, ["enumerate", "--n", "3"])
     assert code == 2
+    # only enumerate reads the cap, so other subcommands ignore the variable
+    code, _, _ = run_capture(capsys, ["tables"])
+    assert code == 0
 
 
 def test_out_file(tmp_path, capsys):

@@ -2,32 +2,30 @@
 
 from concurrent.futures import ThreadPoolExecutor
 
-import trident.sequences as sequences
 import trident.specialize as specialize
 from trident.polyring import MultiPoly
-from trident.sequences import q_poly, s_poly
+from trident.sequences import W1, W2, TwoTerm, q_poly, s_poly
 from trident.specialize import SpecId, spec_family
 
 
 def test_concurrent_three_term_extension():
     # eight threads race to extend one fresh memo list; the lock must keep
     # exactly one appended entry per index
-    fresh = [MultiPoly.zero(), MultiPoly.one()]
+    fresh = TwoTerm(W1, W2, MultiPoly.zero(), MultiPoly.one())
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(
-            lambda _: sequences._extend_three_term(fresh, 16), range(8)))
-    assert len(fresh) == 17
+        results = list(pool.map(lambda _: fresh[16], range(8)))
+    assert len(fresh._memo) == 17
     assert all(value == q_poly(16) for value in results)
 
 
 def test_concurrent_spec_family_extension():
     key = (SpecId.Z2, "q")
     expected = spec_family(SpecId.Z2, "q", 30)
-    specialize._FAMILY_CACHE.pop(key, None)
+    specialize._FAMILIES.pop(key, None)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(
             lambda _: spec_family(SpecId.Z2, "q", 30), range(8)))
-    assert len(specialize._FAMILY_CACHE[key]) == 31
+    assert len(specialize._FAMILIES[key]._memo) == 31
     assert all(value == expected for value in results)
 
 

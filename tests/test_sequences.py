@@ -33,6 +33,11 @@ def test_base_cases():
     assert s_poly(0) == MultiPoly.one()
     assert s_poly(1) == S1
     assert s_poly(2) == S2
+    assert (q_poly(0), q_poly(1)) == (MultiPoly.zero(), MultiPoly.one())
+    assert (r_poly(0), r_poly(1)) == (MultiPoly.one(), S1)
+    for seq in (s_poly, q_poly, r_poly):
+        with pytest.raises(ValueError):
+            seq(-1)
 
 
 def test_product_path_small_values():
