@@ -12,19 +12,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .chebyshev import verify_prop35
 from .identities import (verify_divisibility, verify_prop61, verify_surprising,
                          verify_telescoping)
-from .oracle import CapExceeded, count_partitions, enumerate_partitions, oracle_poly
-from .polyring import MultiPoly, UniPoly, up_square_free
+from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
+                     enumerate_partitions, oracle_poly)
+from .polyring import MultiPoly, UniPoly
 from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
 from .specialize import (PALINDROMIC_PRESETS, SpecId, profile, spec_family,
                          structural_check)
-from .zeros import (NoConvergence, ZeroReport, verify_locus, zeros_explicit,
-                    zeros_general)
+from .zeros import (DEFAULT_ROOT_TOL, DEFAULT_SEED, LOCI, NoConvergence,
+                    verify_locus, zeros_of)
 
 ENV_CAP = "TRIDENT_CAP"
 
@@ -32,19 +32,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-
-@dataclass
-class Config:
-    """Run-wide knobs: the list cap of enumerate, the tolerance and seed of zeros."""
-
-    list_cap: int = 10_000
-    zero_tol: float = 1e-13
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.list_cap <= 0:
-            raise ValueError("cap must be positive")
 
 
 class UsageError(Exception):
@@ -103,13 +90,29 @@ def _emit_scalar(args, out) -> None:
             print(f"{n}\t{q}\t{r}", file=out)
 
 
-def _emit_enumerate(args, config: Config, out) -> None:
+def _list_cap(args) -> int:
+    """The partition-list cap: ``--cap``, then ``$TRIDENT_CAP``, then the default."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get(ENV_CAP)
+        if env is None:
+            return DEFAULT_LIST_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
+    if cap <= 0:
+        raise UsageError("cap must be positive")
+    return cap
+
+
+def _emit_enumerate(args, out) -> None:
     if args.n is None:
         raise UsageError("--n is required")
     count = count_partitions(args.n)
     partitions = None
     if args.list:
-        partitions = [p.render() for p in enumerate_partitions(args.n, cap=config.list_cap)]
+        partitions = [p.render() for p in enumerate_partitions(args.n, cap=args.cap)]
     if args.format == "json":
         payload = {"command": "enumerate", "n": args.n, "count": str(count)}
         if partitions is not None:
@@ -178,57 +181,13 @@ def _emit_profile(args, out) -> None:
             print(f"{k},{c}", file=out)
 
 
-_LOCUS_PARAMS = {
-    SpecId.Z1: {"type": "line", "re": -2.0},
-    SpecId.Z2: {"type": "circle", "center": [0.0, 0.0], "radius": 1.0,
-                "constraint": "|Im(z)| > 1/3"},
-    SpecId.Z3: {"type": "circle", "center": [0.375, 0.0], "radius": 0.875,
-                "constraint": "Re(z) < 1/2"},
-    SpecId.P3: {"type": "union", "components": [
-        {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        {"type": "segment", "axis": "negative-real"}]},
-    SpecId.P5: {"type": "union", "components": [
-        {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        {"type": "segment", "axis": "negative-real"}]},
-    SpecId.P6: {"type": "union", "components": [
-        {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
-        {"type": "segment", "axis": "negative-real"}]},
-}
-
-
-def _preset_locus_distance(z: complex) -> float:
-    circle = abs(abs(z) - 1.0)
-    axis = abs(z.imag) if z.real <= 0 else abs(z)
-    return min(circle, axis)
-
-
-def _zero_report(args, config: Config) -> tuple[ZeroReport, SpecId]:
-    spec = SpecId.from_string(args.spec)
-    family = args.family
+def _emit_zeros(args, out) -> None:
     if args.n is None:
         raise UsageError("--n is required")
-    n = args.n
-    if spec is SpecId.Z1:
-        return zeros_explicit("z1q" if family == "q" else "z1r", n), spec
-    if spec is SpecId.Z2 and family == "q":
-        return zeros_explicit("z2", n), spec
-    if spec is SpecId.Z3 and family == "q":
-        return zeros_explicit("z3", n), spec
-    poly = spec_family(spec, family, n)
-    if poly.degree() < 1:
-        raise UsageError(f"{args.spec}/{family} member {n} has no zeros")
-    report = zeros_general(up_square_free(poly), tol=config.zero_tol, seed=config.seed)
-    report.spec = spec.value
-    report.family = family
-    report.n = n
-    if spec in (SpecId.P3, SpecId.P5, SpecId.P6) and family == "q":
-        report.locus_distances = [_preset_locus_distance(z) for z in report.points]
-    return report, spec
-
-
-def _emit_zeros(args, config: Config, out) -> None:
-    report, spec = _zero_report(args, config)
-    locus = _LOCUS_PARAMS.get(spec) if args.family == "q" else None
+    spec = SpecId.from_string(args.spec)
+    report, _ = zeros_of(spec, args.family, args.n, tol=args.tol, seed=args.seed)
+    locus = LOCI.get((spec, args.family)) if args.locus else None
+    params = locus.params if locus is not None else None
     if args.format == "json":
         points = []
         for i, z in enumerate(report.points):
@@ -238,11 +197,11 @@ def _emit_zeros(args, config: Config, out) -> None:
                            "locus_distance": dist})
         payload = {"command": "zeros", "spec": report.spec, "family": report.family,
                    "n": report.n, "origin_multiplicity": report.origin_multiplicity,
-                   "locus": locus if args.locus else None, "points": points}
+                   "locus": params, "points": points}
         print(json.dumps(payload), file=out)
     else:
-        if args.locus and locus is not None:
-            print(f"# locus: {json.dumps(locus)}", file=out)
+        if params is not None:
+            print(f"# locus: {json.dumps(params)}", file=out)
         print("family,n,re,im,residual,locus_distance", file=out)
         for i, z in enumerate(report.points):
             dist = ""
@@ -272,79 +231,82 @@ def _emit_tables(args, out) -> None:
         print(f"{n}\t{spec_family(SpecId.Z3, 'q', n).pretty()}", file=out)
 
 
+def _entry(rep, suffix: str = ""):
+    # One entry from an identity report: its first failure, else its range.
+    return suffix, rep.ok, rep.first_failure() or rep.param_range
+
+
+def _failures_entry(failures: list[str], passed: str):
+    return [("", not failures, failures[0] if failures else passed)]
+
+
+def _check_prop35(top):
+    bad = [r.failures[0] for r in map(verify_prop35, range(top + 1)) if not r.ok]
+    return _failures_entry(bad, f"n <= {top}")
+
+
+def _check_structural(top):
+    failures = []
+    for n in range(1, top + 1):
+        for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS):
+            rep = structural_check(spec, n)
+            if not rep.ok:
+                failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
+    return _failures_entry(failures, f"n <= {top}")
+
+
+def _check_locus(nloc, npre):
+    failures = []
+    for spec, top in ((SpecId.Z1, nloc), (SpecId.Z2, nloc), (SpecId.Z3, nloc),
+                      (SpecId.P3, npre), (SpecId.P5, npre), (SpecId.P6, npre)):
+        for n in range(2, top + 1):
+            rep = verify_locus(spec, n)
+            if not rep.ok:
+                failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
+    return _failures_entry(failures, f"z-specs n <= {nloc}, presets n <= {npre}")
+
+
+def _check_oracle(nor, ncnt):
+    mismatch = None
+    for n in range(nor + 1):
+        if not (s_poly(n) == s_poly_product(n) == oracle_poly(n)):
+            mismatch = f"polynomial mismatch at n={n}"
+            break
+    if mismatch is None:
+        for n in range(ncnt + 1):
+            if s_poly(n).evaluate(1, 1, 1, 1) != count_partitions(n):
+                mismatch = f"count mismatch at n={n}"
+                break
+    return [("", mismatch is None, mismatch or f"terms n <= {nor}, counts n <= {ncnt}")]
+
+
+# The verification battery in report order: (group id, check, quick ranges,
+# full ranges).  A check returns (id suffix, ok, detail) entries; the suffix
+# tells apart the entries of one group.
+VERIFICATIONS = (
+    ("prop61", lambda n: [_entry(verify_prop61(n))], (6,), (12,)),
+    ("telescoping", lambda n: [_entry(verify_telescoping(n))], (6,), (12,)),
+    ("divisibility", lambda n: [_entry(verify_divisibility(spec, n), f"-{spec.value}")
+                                for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3)], (12,), (24,)),
+    ("surprising", lambda n: [_entry(verify_surprising(n))], (12,), (40,)),
+    ("gf", lambda n: [("", gf_check(n).ok, f"degree <= {n}")], (8,), (15,)),
+    ("prop35", _check_prop35, (6,), (12,)),
+    ("structural", _check_structural, (8,), (16,)),
+    ("locus", _check_locus, (8, 6), (20, 10)),
+    ("oracle", _check_oracle, (20, 60), (60, 200)),
+)
+
+VERIFICATION_GROUPS = tuple(group for group, *_ in VERIFICATIONS)
+
+
 def run_verification(quick: bool = False, only: list[str] | None = None) -> list[dict]:
     """The full cross-check battery; each entry is {id, ok, detail}."""
-    if quick:
-        n61, ntel, ndiv, nsur, ngf, n35, nstr, nloc, npre, nor, ncnt = \
-            6, 6, 12, 12, 8, 6, 8, 8, 6, 20, 60
-    else:
-        n61, ntel, ndiv, nsur, ngf, n35, nstr, nloc, npre, nor, ncnt = \
-            12, 12, 24, 40, 15, 12, 16, 20, 10, 60, 200
-
     checks: list[dict] = []
-
-    def add(check_id: str, ok: bool, detail: str) -> None:
-        checks.append({"id": check_id, "ok": ok, "detail": detail})
-
-    def wanted(check_id: str) -> bool:
-        return only is None or check_id in only
-
-    if wanted("prop61"):
-        rep = verify_prop61(n61)
-        add("prop61", rep.ok, rep.first_failure() or rep.param_range)
-    if wanted("telescoping"):
-        rep = verify_telescoping(ntel)
-        add("telescoping", rep.ok, rep.first_failure() or rep.param_range)
-    if wanted("divisibility"):
-        for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
-            rep = verify_divisibility(spec, ndiv)
-            add(f"divisibility-{spec.value}", rep.ok, rep.first_failure() or rep.param_range)
-    if wanted("surprising"):
-        rep = verify_surprising(nsur)
-        add("surprising", rep.ok, rep.first_failure() or rep.param_range)
-    if wanted("gf"):
-        rep = gf_check(ngf)
-        add("gf", rep.ok, f"degree <= {ngf}")
-    if wanted("prop35"):
-        reports = [verify_prop35(n) for n in range(n35 + 1)]
-        bad = [r for r in reports if not r.ok]
-        add("prop35", not bad, bad[0].failures[0] if bad else f"n <= {n35}")
-    if wanted("structural"):
-        failures = []
-        for n in range(1, nstr + 1):
-            for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS):
-                rep = structural_check(spec, n)
-                if not rep.ok:
-                    failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
-        add("structural", not failures, failures[0] if failures else f"n <= {nstr}")
-    if wanted("locus"):
-        failures = []
-        for spec, top in ((SpecId.Z1, nloc), (SpecId.Z2, nloc), (SpecId.Z3, nloc),
-                          (SpecId.P3, npre), (SpecId.P5, npre), (SpecId.P6, npre)):
-            for n in range(2, top + 1):
-                rep = verify_locus(spec, n)
-                if not rep.ok:
-                    failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
-        add("locus", not failures, failures[0] if failures else
-            f"z-specs n <= {nloc}, presets n <= {npre}")
-    if wanted("oracle"):
-        mismatch = None
-        for n in range(nor + 1):
-            if not (s_poly(n) == s_poly_product(n) == oracle_poly(n)):
-                mismatch = f"polynomial mismatch at n={n}"
-                break
-        if mismatch is None:
-            for n in range(ncnt + 1):
-                if s_poly(n).evaluate(1, 1, 1, 1) != count_partitions(n):
-                    mismatch = f"count mismatch at n={n}"
-                    break
-        add("oracle", mismatch is None, mismatch or
-            f"terms n <= {nor}, counts n <= {ncnt}")
+    for group, check, quick_ranges, full_ranges in VERIFICATIONS:
+        if only is None or group in only:
+            for suffix, ok, detail in check(*(quick_ranges if quick else full_ranges)):
+                checks.append({"id": group + suffix, "ok": ok, "detail": detail})
     return checks
-
-
-VERIFICATION_GROUPS = ("prop61", "telescoping", "divisibility", "surprising",
-                       "gf", "prop35", "structural", "locus", "oracle")
 
 
 def _emit_verify(args, out) -> int:
@@ -371,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=False, family=False, upto=True):
-        p.add_argument("--n", type=int, default=None, help="index to compute")
+    def common(p, spec=False, family=False, index=True, upto=True):
+        if index:
+            p.add_argument("--n", type=int, default=None, help="index to compute")
         if upto:
             p.add_argument("--upto", type=int, default=None, help="compute all indices 0..UPTO")
         if spec:
@@ -391,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, upto=False)
     p.add_argument("--list", action="store_true", help="list the partitions")
     p.add_argument("--cap", type=int, default=None,
-                   help=f"partition-list cap; overrides ${ENV_CAP} (default 10000)")
+                   help=f"partition-list cap; overrides ${ENV_CAP} (default {DEFAULT_LIST_CAP})")
     common(sub.add_parser("spec", help="specialized single-variable family"),
            spec=True, family=True)
     p = sub.add_parser("profile", help="coefficient profile (combinatorial statistic counts)")
@@ -400,38 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, spec=True, family=True, upto=False)
     p.add_argument("--locus", action="store_true",
                    help="include the claimed locus parameters as a JSON header")
-    p.add_argument("--tol", type=float, default=None, help="zero-finder tolerance")
-    p.add_argument("--seed", type=int, default=None, help="root-finder jitter seed")
+    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="zero-finder tolerance")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root-finder jitter seed")
     p = sub.add_parser("verify", help="run the identity and locus verification battery")
-    common(p, upto=False)
+    common(p, index=False, upto=False)
     p.add_argument("--quick", action="store_true", help="reduced parameter ranges")
     p.add_argument("--only", default=None, help="comma-separated check ids")
-    common(sub.add_parser("tables", help="reproduce the four reference tables"), upto=False)
+    common(sub.add_parser("tables", help="reproduce the four reference tables"),
+           index=False, upto=False)
     return parser
-
-
-def _build_config(args) -> Config:
-    kwargs = {}
-    if args.command == "enumerate":
-        cap = args.cap
-        if cap is None:
-            env = os.environ.get(ENV_CAP)
-            if env is not None:
-                try:
-                    cap = int(env)
-                except ValueError:
-                    raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
-        if cap is not None:
-            kwargs["list_cap"] = cap
-    elif args.command == "zeros":
-        if args.tol is not None:
-            kwargs["zero_tol"] = args.tol
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    try:
-        return Config(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def run(argv: list[str]) -> int:
@@ -442,7 +382,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _build_config(args)
+        if args.command == "enumerate":
+            args.cap = _list_cap(args)
         out = sys.stdout
         sink = None
         if args.out:
@@ -454,13 +395,13 @@ def run(argv: list[str]) -> int:
             elif args.command == "scalar":
                 _emit_scalar(args, out)
             elif args.command == "enumerate":
-                _emit_enumerate(args, config, out)
+                _emit_enumerate(args, out)
             elif args.command == "spec":
                 _emit_spec(args, out)
             elif args.command == "profile":
                 _emit_profile(args, out)
             elif args.command == "zeros":
-                _emit_zeros(args, config, out)
+                _emit_zeros(args, out)
             elif args.command == "verify":
                 return _emit_verify(args, out)
             elif args.command == "tables":

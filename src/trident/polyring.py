@@ -323,6 +323,18 @@ def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     return MultiPoly._from_dict(quot)
 
 
+def horner(coeffs, point):
+    """Horner evaluation of ``sum coeffs[k] * point**k``, lowest degree first.
+
+    Works in the arithmetic of its arguments: exact for int coefficients at
+    an int point, floating point for float or complex ones.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
 class UniPoly:
     """Dense single-variable polynomial with integer coefficients.
 
@@ -468,10 +480,7 @@ class UniPoly:
 
     def evaluate(self, point):
         """Horner evaluation at an int, float or complex point."""
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        return horner(self._coeffs, point)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """The composition self(inner(t)), exact."""

@@ -6,7 +6,8 @@ in closed form.  ``zeros_general`` is an Aberth-Ehrlich simultaneous
 root finder used both as the cross-check for the explicit maps and as the
 only path for the preset families, whose locus claims come with no map.
 
-Loci checked by ``verify_locus``:
+``zeros_of`` picks the route for one family member.  The claimed loci,
+one ``LOCI`` row per (spec, family), checked by ``verify_locus``:
 
   * (1, 1, z, 1): every zero on the vertical line Re = -2, nonreal except
     a single zero at -2 for even q-indices and odd r-indices;
@@ -25,14 +26,16 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
-from .polyring import UniPoly, up_square_free
+from .polyring import UniPoly, horner, up_square_free
 from .specialize import SpecId, reduced_q2, spec_family
 
 DEFAULT_ROOT_TOL = 1e-13
 DEFAULT_MAX_ITER = 500
 DEFAULT_SEED = 42
 
-EXPLICIT_SPECS = ("z1q", "z1r", "z2", "z3")
+# The families with an explicit zero map, by the tag ``zeros_explicit`` takes.
+EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
+                  "z2": (SpecId.Z2, "q"), "z3": (SpecId.Z3, "q")}
 
 
 class DomainError(ValueError):
@@ -71,6 +74,56 @@ class ZeroReport:
     origin_multiplicity: int = 0
 
 
+@dataclass(frozen=True)
+class Locus:
+    """One claimed zero locus.
+
+    ``params`` is the JSON description the CLI prints, ``name`` the phrase
+    failure messages use and ``distance(z)`` the distance of a point to the
+    locus.  ``margin``, when set, is a strict open condition on top of the
+    locus: (key in ``LocusReport.margins``, the claim as text, a function
+    that is positive exactly where the claim holds).
+    """
+
+    params: dict
+    name: str
+    distance: Callable[[complex], float]
+    margin: Optional[tuple[str, str, Callable[[complex], float]]] = None
+
+
+def _circle_or_negative_axis(z: complex) -> float:
+    circle = abs(abs(z) - 1.0)
+    axis = abs(z.imag) if z.real <= 0 else abs(z)
+    return min(circle, axis)
+
+
+_LINE = Locus({"type": "line", "re": -2.0}, "the line Re = -2",
+              lambda z: abs(z.real + 2.0))
+_CIRCLE_OR_AXIS = Locus(
+    {"type": "union", "components": [
+        {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
+        {"type": "segment", "axis": "negative-real"}]},
+    "the unit circle and negative real axis", _circle_or_negative_axis)
+
+LOCI: dict[tuple[SpecId, str], Locus] = {
+    (SpecId.Z1, "q"): _LINE,
+    (SpecId.Z1, "r"): _LINE,
+    (SpecId.Z2, "q"): Locus(
+        {"type": "circle", "center": [0.0, 0.0], "radius": 1.0,
+         "constraint": "|Im(z)| > 1/3"},
+        "the unit circle", lambda z: abs(abs(z) - 1.0),
+        ("im_above_third", "|Im| > 1/3", lambda z: abs(z.imag) - 1.0 / 3.0)),
+    (SpecId.Z3, "q"): Locus(
+        {"type": "circle", "center": [0.375, 0.0], "radius": 0.875,
+         "constraint": "Re(z) < 1/2"},
+        "the circle |z - 3/8| = 7/8", lambda z: abs(abs(z - complex(0.375, 0.0)) - 0.875),
+        ("re_below_half", "Re < 1/2", lambda z: 0.5 - z.real)),
+    (SpecId.P3, "q"): _CIRCLE_OR_AXIS,
+    (SpecId.P5, "q"): _CIRCLE_OR_AXIS,
+    (SpecId.P6, "q"): _CIRCLE_OR_AXIS,
+}
+
+
 def chebyshev_zeros(kind, n: int) -> list[float]:
     """The n real zeros of T_n or U_n, in descending order.
 
@@ -102,10 +155,6 @@ def _line_map(v: float) -> complex:
     return complex(-2.0, v / math.sqrt(1.0 - v * v))
 
 
-def _circle_distance(z: complex, center: complex, radius: float) -> float:
-    return abs(abs(z - center) - radius)
-
-
 def zeros_explicit(spec: str, n: int) -> ZeroReport:
     """All zeros of one explicit family, from the Chebyshev-zero maps.
 
@@ -114,49 +163,40 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
     zero at the origin is reported via ``origin_multiplicity``.
     """
     if spec not in EXPLICIT_SPECS:
-        raise ValueError(f"spec must be one of {EXPLICIT_SPECS}")
+        raise ValueError(f"spec must be one of {tuple(EXPLICIT_SPECS)}")
     if spec == "z1q":
         if n < 1:
             raise ValueError("n must be at least 1")
     elif n < 2:
         raise ValueError("n must be at least 2")
 
+    spec_id, family = EXPLICIT_SPECS[spec]
+    poly = reduced_q2(n) if spec == "z2" else spec_family(spec_id, family, n)
     points: list[complex] = []
     origin = 0
     if spec == "z1q":
-        poly = spec_family(SpecId.Z1, "q", n)
         vs = chebyshev_zeros(ChebKind.SECOND, n - 1) if n >= 2 else []
         points = [_line_map(v) for v in vs]
-        distance: Callable[[complex], float] = lambda z: abs(z.real + 2.0)
-        family = "q"
     elif spec == "z1r":
-        poly = spec_family(SpecId.Z1, "r", n)
         points = [_line_map(v) for v in chebyshev_zeros(ChebKind.FIRST, n)]
-        distance = lambda z: abs(z.real + 2.0)
-        family = "r"
     elif spec == "z2":
-        poly = reduced_q2(n)
         origin = n - 1
         for v in chebyshev_zeros(ChebKind.SECOND, n - 1):
             _require_open_interval(v)
             re = 2.0 * math.sqrt(2.0) / 3.0 * v
             im = math.sqrt(1.0 - 8.0 / 9.0 * v * v)
             points.extend([complex(re, im), complex(re, -im)])
-        distance = lambda z: _circle_distance(z, 0j, 1.0)
-        family = "q"
     else:  # z3
-        poly = spec_family(SpecId.Z3, "q", n)
         for v in chebyshev_zeros(ChebKind.SECOND, n - 1):
             _require_open_interval(v)
             u = v * v
             re = -(4.0 - 5.0 * u) / (8.0 - 6.0 * u)
             im = math.copysign(math.sqrt(28.0 * u - 25.0 * u * u), v) / (8.0 - 6.0 * u)
             points.append(complex(re, im))
-        distance = lambda z: _circle_distance(z, complex(0.375, 0.0), 0.875)
-        family = "q"
 
     if len(points) != poly.degree():
         raise AssertionError("explicit zero count disagrees with the polynomial degree")
+    distance = LOCI[spec_id, family].distance
     return ZeroReport(
         family=family,
         spec=spec,
@@ -178,19 +218,6 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list
     deriv = [k * coeffs[k] for k in range(1, d + 1)]
     abs_coeffs = [abs(c) for c in coeffs]
 
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    def noise_floor(az: float) -> float:
-        # Roundoff bound for Horner at |z|; residuals below it are numerically zero.
-        acc = 0.0
-        for c in reversed(abs_coeffs):
-            acc = acc * az + c
-        return 4.0 * d * _EPS * acc
-
     rng = random.Random(seed)
     radius = (1.0 + max(abs(c / coeffs[d]) for c in coeffs[:d])) ** (1.0 / d)
     zs = []
@@ -207,7 +234,8 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list
                 continue
             zk = zs[k]
             pv = horner(coeffs, zk)
-            if abs(pv) <= noise_floor(abs(zk)):
+            # Roundoff bound for Horner at |z|; residuals below it are numerically zero.
+            if abs(pv) <= 4.0 * d * _EPS * horner(abs_coeffs, abs(zk)):
                 frozen[k] = True
                 continue
             dv = horner(deriv, zk)
@@ -303,6 +331,34 @@ def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
     )
 
 
+def zeros_of(spec: SpecId, family: str, n: int, tol: float = DEFAULT_ROOT_TOL,
+             seed: int = DEFAULT_SEED) -> tuple[ZeroReport, UniPoly]:
+    """Zeros of one family member, and the polynomial they are zeros of.
+
+    Families with an explicit map take it (``tol`` and ``seed`` unused);
+    every other member goes through its exact square-free part, since
+    preset members can carry high-multiplicity factors such as powers of
+    z + 1, and the general root finder.  Locus distances come from
+    ``LOCI`` where the family claims a locus.  A constant member has no
+    zeros and raises ValueError.
+    """
+    member = spec_family(spec, family, n)
+    if member.degree() < 1:
+        raise ValueError(f"{spec.value}/{family} member {n} has no zeros")
+    tag = next((t for t, key in EXPLICIT_SPECS.items() if key == (spec, family)), None)
+    if tag is not None:
+        report = zeros_explicit(tag, n)
+        poly = reduced_q2(n) if spec is SpecId.Z2 else member
+    else:
+        poly = up_square_free(member)
+        report = zeros_general(poly, tol=tol, seed=seed)
+        locus = LOCI.get((spec, family))
+        if locus is not None:
+            report.locus_distances = [locus.distance(z) for z in report.points]
+    report.spec, report.family, report.n = spec.value, family, n
+    return report, poly
+
+
 def match_multisets(a: list[complex], b: list[complex]) -> float:
     """Largest matched-pair distance between two zero multisets.
 
@@ -343,87 +399,52 @@ def backward_scale(poly: UniPoly, z: complex) -> float:
     unattainably small even for the exact residual of a correctly rounded
     zero.
     """
-    az = abs(z)
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * az + abs(c)
-    return acc
-
-
-def _residual_gate(report_points: list[complex], poly: UniPoly, tol: float,
-                   failures: list[str]) -> None:
-    for z in report_points:
-        res = abs(poly.evaluate(z))
-        scale = backward_scale(poly, z)
-        if res >= tol * scale:
-            failures.append(f"residual {res:.3e} at {z} exceeds {tol:.1e} * scale {scale:.3e}")
+    return horner([abs(c) for c in poly.coeffs], abs(z))
 
 
 def verify_locus(spec: SpecId, n: int, tol: float = 1e-9) -> LocusReport:
     """Assert the claimed zero locus of one family at index ``n``.
 
+    Every ``LOCI`` row of ``spec`` is checked the same way: distance to the
+    locus, the strict margin where the row has one, and a residual gate.
     Strict open conditions (|Im| > 1/3, Re < 1/2) are checked with their
     actual margins recorded rather than widened by the tolerance.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    rows = [(family, locus) for (s, family), locus in LOCI.items() if s is spec]
+    if not rows:
+        raise ValueError(f"no locus claim for spec {spec.value}")
     report = LocusReport(spec, n)
     fail = report.failures.append
-
-    if spec is SpecId.Z1:
-        for tag, parity in (("z1q", 0), ("z1r", 1)):
-            zr = zeros_explicit(tag, n)
-            poly = spec_family(SpecId.Z1, zr.family, n)
-            for z in zr.points:
-                if abs(z.real + 2.0) >= tol:
-                    fail(f"{tag}: zero {z} off the line Re = -2")
+    for family, locus in rows:
+        zr, poly = zeros_of(spec, family, n)
+        # Messages name the family where the spec claims a locus for both.
+        tag = f"{spec.value}{family}: " if len(rows) > 1 else ""
+        for z, dist in zip(zr.points, zr.locus_distances):
+            if dist >= tol:
+                fail(f"{tag}zero {z} off {locus.name}")
+        if locus.margin is not None:
+            key, claim, measure = locus.margin
+            margin = min((measure(z) for z in zr.points), default=math.inf)
+            if margin <= 0:
+                fail(f"{claim} violated (margin {margin:.3e})")
+            report.margins[key] = margin
+        if spec is SpecId.Z1:
+            # A single real zero, at -2: q-family at even n, r-family at odd n.
+            parity = 0 if family == "q" else 1
             real_zeros = [z for z in zr.points if z.imag == 0.0]
             expected = 1 if n % 2 == parity else 0
             if len(real_zeros) != expected:
-                fail(f"{tag}: expected {expected} real zero(s), found {len(real_zeros)}")
-            elif expected and abs(real_zeros[0].real + 2.0) >= tol:
-                fail(f"{tag}: real zero not at -2")
-            _residual_gate(zr.points, poly, tol, report.failures)
-    elif spec is SpecId.Z2:
-        zr = zeros_explicit("z2", n)
-        poly = reduced_q2(n)
-        margin = math.inf
+                fail(f"{tag}expected {expected} real zero(s), found {len(real_zeros)}")
+        if locus is _CIRCLE_OR_AXIS:
+            reals = [z.real for z in zr.points
+                     if abs(z.imag) < tol and z.real < 0 and abs(abs(z) - 1.0) >= tol]
+            if reals:
+                report.real_zero_range = (min(reals), max(reals))
         for z in zr.points:
-            if abs(abs(z) - 1.0) >= tol:
-                fail(f"zero {z} off the unit circle")
-            margin = min(margin, abs(z.imag) - 1.0 / 3.0)
-        if margin <= 0:
-            fail(f"|Im| > 1/3 violated (margin {margin:.3e})")
-        report.margins["im_above_third"] = margin
-        _residual_gate(zr.points, poly, tol, report.failures)
-    elif spec is SpecId.Z3:
-        zr = zeros_explicit("z3", n)
-        poly = spec_family(SpecId.Z3, "q", n)
-        margin = math.inf
-        for z in zr.points:
-            if _circle_distance(z, complex(0.375, 0.0), 0.875) >= tol:
-                fail(f"zero {z} off the circle |z - 3/8| = 7/8")
-            margin = min(margin, 0.5 - z.real)
-        if margin <= 0:
-            fail(f"Re < 1/2 violated (margin {margin:.3e})")
-        report.margins["re_below_half"] = margin
-        _residual_gate(zr.points, poly, tol, report.failures)
-    elif spec in (SpecId.P3, SpecId.P5, SpecId.P6):
-        # Preset members can carry high-multiplicity factors (e.g. powers of
-        # z + 1); root-find the exact square-free part so every zero is simple.
-        poly = up_square_free(spec_family(spec, "q", n))
-        zr = zeros_general(poly)
-        reals = []
-        for z in zr.points:
-            on_circle = abs(abs(z) - 1.0) < tol
-            on_negative_axis = abs(z.imag) < tol and z.real < 0
-            if not (on_circle or on_negative_axis):
-                fail(f"zero {z} off the unit circle and negative real axis")
-            if on_negative_axis and not on_circle:
-                reals.append(z.real)
-        if reals:
-            report.real_zero_range = (min(reals), max(reals))
-        _residual_gate(zr.points, poly, tol, report.failures)
-    else:
-        raise ValueError(f"no locus claim for spec {spec.value}")
+            res = abs(poly.evaluate(z))
+            scale = backward_scale(poly, z)
+            if res >= tol * scale:
+                fail(f"residual {res:.3e} at {z} exceeds {tol:.1e} * scale {scale:.3e}")
     return report

@@ -92,6 +92,13 @@ def test_zeros_csv_with_locus_header(capsys):
     json.loads(lines[0][len("# locus: "):])
     assert lines[1] == "family,n,re,im,residual,locus_distance"
     assert len(lines) == 4
+    # the r-family of z1 claims the same line as its q-family
+    code, out, _ = run_capture(capsys, ["zeros", "--spec", "z1", "--family", "r",
+                                        "--n", "3", "--locus"])
+    assert code == 0
+    lines = out.splitlines()
+    assert json.loads(lines[0][len("# locus: "):]) == {"type": "line", "re": -2.0}
+    assert len(lines) == 5
 
 
 def test_zeros_json_schema(capsys):
@@ -100,12 +107,37 @@ def test_zeros_json_schema(capsys):
     assert payload["origin_multiplicity"] == 3
     assert len(payload["points"]) == 6
     assert payload["locus"]["type"] == "circle"
+    # spec echoes --spec on the explicit route too, whichever family
+    for family in ("q", "r"):
+        payload = run_json(capsys, ["zeros", "--spec", "z1", "--family", family,
+                                    "--n", "4", "--locus", "--format", "json"])
+        assert payload["spec"] == "z1"
+        assert payload["family"] == family
+        assert payload["locus"] == {"type": "line", "re": -2.0}
 
 
 def test_zeros_preset_route(capsys):
     payload = run_json(capsys, ["zeros", "--spec", "p5", "--n", "6", "--format", "json"])
     assert payload["points"]
     assert all(p["locus_distance"] is not None for p in payload["points"])
+
+
+ZEROS_GOLDEN_SPECS = (("z1", "q"), ("z1", "r"), ("z2", "q"), ("z3", "q"),
+                      ("p1", "q"), ("p3", "q"), ("p5", "q"))
+
+
+def test_zeros_golden_file(capsys):
+    # byte lock on the zero floats of both routes: the explicit maps (z1,
+    # z2, z3) and the general root finder (p1, p3, p5)
+    golden = (Path(__file__).parent / "data" / "zeros_golden.txt").read_text()
+    text = ""
+    for spec, family in ZEROS_GOLDEN_SPECS:
+        argv = ["zeros", "--spec", spec, "--family", family, "--n", "9",
+                "--locus", "--format", "csv"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        text += f"$ trident {' '.join(argv)}\n{out}"
+    assert text == golden
 
 
 def test_zeros_determinism(capsys):
@@ -162,6 +194,20 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_capture(capsys, ["spec", "--spec", "zz", "--n", "1"])
     assert code == 2
+    # verify and tables take no index
+    code, _, _ = run_capture(capsys, ["tables", "--n", "5"])
+    assert code == 2
+    code, _, _ = run_capture(capsys, ["verify", "--quick", "--only", "gf", "--n", "99"])
+    assert code == 2
+    code, _, err = run_capture(capsys, ["enumerate", "--n", "3", "--list", "--cap", "0"])
+    assert code == 2
+    assert "cap must be positive" in err
+    # a constant member has no zeros, on either route
+    for spec in ("z1", "p1"):
+        code, out, err = run_capture(capsys, ["zeros", "--spec", spec, "--n", "1"])
+        assert code == 2
+        assert out == ""
+        assert "has no zeros" in err
 
 
 def test_cap_exceeded_exit_code(capsys):
@@ -182,6 +228,10 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("TRIDENT_CAP", "not-a-number")
     code, _, err = run_capture(capsys, ["enumerate", "--n", "3"])
     assert code == 2
+    monkeypatch.setenv("TRIDENT_CAP", "0")
+    code, _, err = run_capture(capsys, ["enumerate", "--n", "3"])
+    assert code == 2
+    assert "cap must be positive" in err
     # only enumerate reads the cap, so other subcommands ignore the variable
     code, _, _ = run_capture(capsys, ["tables"])
     assert code == 0

@@ -6,11 +6,11 @@ import math
 import pytest
 
 from trident.chebyshev import ChebKind, chebyshev
-from trident.polyring import UniPoly
+from trident.polyring import UniPoly, up_square_free
 from trident.specialize import SpecId, reduced_q2, spec_family
-from trident.zeros import (NoConvergence, backward_scale, chebyshev_zeros,
+from trident.zeros import (LOCI, NoConvergence, backward_scale, chebyshev_zeros,
                            match_multisets, verify_locus, zeros_explicit,
-                           zeros_general)
+                           zeros_general, zeros_of)
 
 
 def quadratic_roots(c0: int, c1: int, c2: int) -> list[complex]:
@@ -192,6 +192,28 @@ def test_general_finder_recovers_z2_origin_multiplicity():
         explicit = zeros_explicit("z2", n)
         assert general.origin_multiplicity == explicit.origin_multiplicity == n - 1
         assert match_multisets(general.points, explicit.points) < 1e-8
+
+
+def test_zeros_of_routes():
+    # both routes label the report the same way and return the polynomial
+    # whose zeros the points are
+    for spec, family, poly in (
+            (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9)),
+            (SpecId.Z2, "q", reduced_q2(9)),
+            (SpecId.P3, "q", up_square_free(spec_family(SpecId.P3, "q", 9))),
+            (SpecId.P1, "q", up_square_free(spec_family(SpecId.P1, "q", 9)))):
+        report, got = zeros_of(spec, family, 9)
+        assert (report.spec, report.family, report.n) == (spec.value, family, 9)
+        assert got == poly
+        for z in report.points:
+            assert abs(poly.evaluate(z)) < 1e-7 * backward_scale(poly, z), (spec, z)
+        assert (report.locus_distances is None) == ((spec, family) not in LOCI)
+    # the general route takes the seed; the explicit one needs none
+    general = zeros_general(up_square_free(spec_family(SpecId.P1, "q", 9)), seed=7)
+    assert zeros_of(SpecId.P1, "q", 9, seed=7)[0].points == general.points
+    for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
+        with pytest.raises(ValueError, match="has no zeros"):
+            zeros_of(spec, family, n)
 
 
 # ------------------------------------------------------------------ loci
