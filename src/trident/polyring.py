@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 Exponents = tuple[int, int, int, int]
@@ -563,70 +562,61 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     return UniPoly(quot)
 
 
-def _primitive_from_fractions(coeffs: list[Fraction]) -> UniPoly:
-    # Clear denominators, strip the integer content, make the leading term positive.
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return UniPoly.zero()
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
+def _primitive(p: UniPoly) -> UniPoly:
+    # Divide out the integer content and make the leading coefficient positive.
+    cs = p.coeffs
+    if not cs:
+        return p
+    g = math.gcd(*cs)
+    if cs[-1] < 0:
         g = -g
-    return UniPoly(tuple(c // g for c in ints))
+    return p if g == 1 else UniPoly(c // g for c in cs)
 
 
-def _trim_zeros(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _pseudo_remainder(a: UniPoly, b: UniPoly) -> UniPoly:
+    # The remainder of c*a by b for some nonzero integer c, all in the integers:
+    # each step scales the remainder just enough to cancel its leading term.
+    r, bs = list(a.coeffs), b.coeffs
+    db, lead = len(bs) - 1, bs[-1]
+    while len(r) > db:
+        top = r.pop()
+        g = math.gcd(top, lead)
+        scale, factor = lead // g, top // g
+        if scale != 1:
+            r = [c * scale for c in r]
+        shift = len(r) - db
+        for i in range(db):
+            r[shift + i] -= factor * bs[i]
+        while r and not r[-1]:
+            r.pop()
+    return UniPoly(r)
 
 
 def up_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Greatest common divisor over the rationals, returned primitive over the integers."""
-    a = _trim_zeros([Fraction(c) for c in p.coeffs])
-    b = _trim_zeros([Fraction(c) for c in q.coeffs])
+    """Greatest common divisor over the rationals, returned primitive over the integers.
+
+    Primitive polynomial remainder sequence (Collins 1967; Brown and Traub
+    1971): every pseudo-remainder is divided by its integer content, so the
+    whole computation stays in the integers with controlled coefficient
+    growth.  The result has positive leading coefficient; it is the zero
+    polynomial only when both inputs are zero, and 1 for coprime inputs.
+    """
+    a, b = _primitive(p), _primitive(q)
     while b:
-        db = len(b) - 1
-        lead = b[-1]
-        while len(a) > db:
-            factor = a[-1] / lead
-            shift = len(a) - 1 - db
-            for i in range(db):
-                a[shift + i] -= factor * b[i]
-            a.pop()
-            _trim_zeros(a)
-        a, b = b, a
-    return _primitive_from_fractions(a)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
 def up_square_free(p: UniPoly) -> UniPoly:
     """The square-free part of ``p``: same zero set, every zero simple.
 
-    Divides out gcd(p, p'); the result is primitive with positive leading
-    coefficient.
+    Divides ``p`` exactly by the primitive gcd(p, p'); by Gauss's lemma the
+    quotient has integer coefficients.  The result is primitive with
+    positive leading coefficient.
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
-    g = up_gcd(p, p.derivative())
-    if g.degree() < 1:
-        return _primitive_from_fractions([Fraction(c) for c in p.coeffs])
-    quotient = [Fraction(c) for c in p.coeffs]
-    out: list[Fraction] = []
-    gb = g.coeffs
-    dg = len(gb) - 1
-    while len(quotient) - 1 >= dg:
-        factor = quotient[-1] / gb[-1]
-        out.append(factor)
-        shift = len(quotient) - 1 - dg
-        for i in range(dg + 1):
-            quotient[shift + i] -= factor * gb[i]
-        quotient.pop()
-    if any(quotient):
-        raise AssertionError("gcd does not divide its polynomial")
-    out.reverse()
-    return _primitive_from_fractions(out)
+    return _primitive(up_divide_exact(p, up_gcd(p, p.derivative())))
 
 
 def binomial_power(constant: int, n: int) -> UniPoly:

@@ -22,7 +22,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
@@ -164,7 +163,7 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
     """
     if spec not in EXPLICIT_SPECS:
         raise ValueError(f"spec must be one of {tuple(EXPLICIT_SPECS)}")
-    if spec == "z1q":
+    if spec in ("z1q", "z1r"):
         if n < 1:
             raise ValueError("n must be at least 1")
     elif n < 2:
@@ -255,44 +254,57 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list
     raise NoConvergence(len(trace), trace)
 
 
-def _exact_eval_pair(coeffs: list[int], z: complex) -> tuple[Fraction, Fraction]:
-    # Exact complex Horner over the rationals; the float point is taken verbatim.
-    re, im = Fraction(z.real), Fraction(z.imag)
-    acc_re, acc_im = Fraction(0), Fraction(0)
+def _dyadic(z: complex) -> tuple[int, int, int]:
+    # z = (a + ib) * 2**-k exactly; NaN and infinity raise as float.as_integer_ratio does.
+    (re_n, re_d), (im_n, im_d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    re_k, im_k = re_d.bit_length() - 1, im_d.bit_length() - 1
+    k = max(re_k, im_k)
+    return re_n << (k - re_k), im_n << (k - im_k), k
+
+
+def _dyadic_eval(coeffs: tuple[int, ...], a: int, b: int, k: int) -> tuple[int, int, int, int]:
+    # One Gaussian-integer Horner pass for P and P' at z = (a + ib) 2^-k:
+    # returns 2^(kd) P(z) and 2^(k(d-1)) P'(z) as (re, im, re, im), d = len(coeffs) - 1.
+    p_re = p_im = d_re = d_im = 0
+    shift = 0
     for c in reversed(coeffs):
-        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
-    return acc_re, acc_im
-
-
-def _abs2(pair: tuple[Fraction, Fraction]) -> Fraction:
-    return pair[0] * pair[0] + pair[1] * pair[1]
+        d_re, d_im = d_re * a - d_im * b + p_re, d_re * b + d_im * a + p_im
+        p_re, p_im = p_re * a - p_im * b + (c << shift), p_re * b + p_im * a
+        shift += k
+    return p_re, p_im, d_re, d_im
 
 
 def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
     """Refine one simple root by Newton steps with exact polynomial evaluation.
 
-    The iterate is rounded back to a complex double after every step, so the
-    rational arithmetic stays small; a step is kept only if it reduces the
-    exact residual.  This removes the double-precision evaluation noise that
+    Every double is a dyadic rational (a + ib) 2^-k, so P and P' are
+    evaluated exactly in integers and the Newton step is formed as one
+    exact quotient per coordinate, rounded once to the nearest double by
+    int/int division.  A step is kept only if it strictly reduces the exact
+    residual |P|^2.  This removes the double-precision evaluation noise that
     limits the simultaneous iteration on clustered roots.
     """
-    coeffs = list(poly.coeffs)
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    coeffs = poly.coeffs
+    scale = 2 * poly.degree()   # |P|^2 carries 2^(2kd)
     best = z
-    best_res = _abs2(_exact_eval_pair(coeffs, z))
+    a, b, k = _dyadic(z)
+    p_re, p_im, d_re, d_im = _dyadic_eval(coeffs, a, b, k)
+    best_res, best_exp = p_re * p_re + p_im * p_im, scale * k
     for _ in range(steps):
-        pv_re, pv_im = _exact_eval_pair(coeffs, best)
-        dv_re, dv_im = _exact_eval_pair(dcoeffs, best)
-        denom = dv_re * dv_re + dv_im * dv_im
+        denom = d_re * d_re + d_im * d_im
         if denom == 0:
             break
-        step_re = (pv_re * dv_re + pv_im * dv_im) / denom
-        step_im = (pv_im * dv_re - pv_re * dv_im) / denom
-        candidate = complex(float(Fraction(best.real) - step_re),
-                            float(Fraction(best.imag) - step_im))
-        res = _abs2(_exact_eval_pair(coeffs, candidate))
-        if res < best_res:
-            best, best_res = candidate, res
+        # z - P/P' = (z |P'|^2 - P conj(P')) / |P'|^2 with P/P' carrying 2^-k.
+        den = denom << k
+        candidate = complex((a * denom - (p_re * d_re + p_im * d_im)) / den,
+                            (b * denom - (p_im * d_re - p_re * d_im)) / den)
+        ca, cb, ck = _dyadic(candidate)
+        c_re, c_im, cd_re, cd_im = _dyadic_eval(coeffs, ca, cb, ck)
+        res, exp = c_re * c_re + c_im * c_im, scale * ck
+        top = max(exp, best_exp)
+        if res << (top - exp) < best_res << (top - best_exp):
+            best, best_res, best_exp = candidate, res, exp
+            a, b, k, p_re, p_im, d_re, d_im = ca, cb, ck, c_re, c_im, cd_re, cd_im
         else:
             break
     return best
@@ -308,8 +320,8 @@ def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
     seeded angular jitter; iteration stops when every root either reaches
     the floating-point noise floor of the evaluation or moves less than
     ``tol`` relatively, and raises NoConvergence (with the correction
-    trace) otherwise.  Simple roots are then polished by exact-arithmetic
-    Newton steps to remove evaluation noise.
+    trace) otherwise.  Simple roots are then polished by Newton steps with
+    exact dyadic integer evaluation to remove evaluation noise.
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")

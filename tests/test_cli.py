@@ -1,6 +1,8 @@
 """CLI behavior: formats, schema validity, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -122,22 +124,43 @@ def test_zeros_preset_route(capsys):
     assert all(p["locus_distance"] is not None for p in payload["points"])
 
 
-ZEROS_GOLDEN_SPECS = (("z1", "q"), ("z1", "r"), ("z2", "q"), ("z3", "q"),
-                      ("p1", "q"), ("p3", "q"), ("p5", "q"))
+ZEROS_GOLDEN_SPECS = (("z1", "q", 9), ("z1", "r", 9), ("z2", "q", 9), ("z3", "q", 9),
+                      ("p1", "q", 9), ("p3", "q", 9), ("p5", "q", 9))
+# General-route members of degree 39, 47 and 59.  p3 q is left out at these
+# indices: its double-precision zeros drift off the claimed locus (n >= 20).
+ZEROS_GOLDEN_HIGH_SPECS = (("p5", "q", 20), ("p4", "q", 24), ("p2", "q", 30))
+
+
+def zeros_golden_text(capsys, members) -> str:
+    text = ""
+    for spec, family, n in members:
+        argv = ["zeros", "--spec", spec, "--family", family, "--n", str(n),
+                "--locus", "--format", "csv"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        text += f"$ trident {' '.join(argv)}\n{out}"
+    return text
 
 
 def test_zeros_golden_file(capsys):
     # byte lock on the zero floats of both routes: the explicit maps (z1,
     # z2, z3) and the general root finder (p1, p3, p5)
     golden = (Path(__file__).parent / "data" / "zeros_golden.txt").read_text()
-    text = ""
-    for spec, family in ZEROS_GOLDEN_SPECS:
-        argv = ["zeros", "--spec", spec, "--family", family, "--n", "9",
-                "--locus", "--format", "csv"]
-        code, out, _ = run_capture(capsys, argv)
-        assert code == 0
-        text += f"$ trident {' '.join(argv)}\n{out}"
-    assert text == golden
+    assert zeros_golden_text(capsys, ZEROS_GOLDEN_SPECS) == golden
+
+
+def test_zeros_golden_high_degree_file(capsys):
+    # byte lock at higher degree, where the exact polishing does most work;
+    # the bytes were produced by the earlier rational-arithmetic polishing
+    golden = (Path(__file__).parent / "data" / "zeros_golden_high.txt").read_text()
+    assert zeros_golden_text(capsys, ZEROS_GOLDEN_HIGH_SPECS) == golden
+
+
+def test_zeros_z1_r_first_member(capsys):
+    # z + 2: the one zero of T_1, 0, maps to -2 on the line Re = -2
+    code, out, _ = run_capture(capsys, ["zeros", "--spec", "z1", "--family", "r", "--n", "1"])
+    assert code == 0
+    assert out == "family,n,re,im,residual,locus_distance\nr,1,-2,0,0,0\n"
 
 
 def test_zeros_determinism(capsys):
@@ -252,3 +275,15 @@ def test_version_flag(capsys):
     code, out, _ = run_capture(capsys, ["--version"])
     assert code == 0
     assert out.startswith("trident ")
+
+
+def test_import_leaves_rational_modules_unloaded():
+    # the runtime computes in plain integers: importing the package pulls in
+    # neither fractions nor decimal (-S keeps site hooks out of the picture)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import trident; "
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

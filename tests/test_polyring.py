@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from trident.polyring import (DivisionByZeroPolynomial, MultiPoly, NotDivisible,
                               SpecMap, UniPoly, mp_divide_exact, poly_substitute,
                               up_divide_exact, up_gcd, up_square_free)
@@ -244,6 +245,30 @@ def test_gcd_of_shared_factor():
 
 def test_gcd_coprime_is_constant():
     assert up_gcd(UniPoly((1, 1)), UniPoly((3, 1))).degree() == 0
+
+
+def test_gcd_edge_cases_match_fraction_reference():
+    # zero, constant and coprime inputs; none reaches math.gcd() with nothing to divide
+    zero, one = UniPoly.zero(), UniPoly.one()
+    q = UniPoly((-4, 0, -2))          # -2(z^2 + 2)
+    cases = {
+        (zero, q): UniPoly((2, 0, 1)),
+        (q, zero): UniPoly((2, 0, 1)),
+        (zero, zero): zero,
+        (UniPoly((5,)), UniPoly((3,))): one,
+        (UniPoly((-5,)), zero): one,
+        (zero, UniPoly((-7,))): one,
+        (UniPoly((6,)), q): one,
+        (q, UniPoly((6,))): one,
+        (UniPoly((1, 1)), UniPoly((3, 1))): one,
+        (UniPoly((2, 3)), UniPoly((1, 0, -5)) * UniPoly((3, 1))): one,
+        # the gcd over the rationals: content and a negative leading sign go
+        (UniPoly((-6, -6)), UniPoly((4, 6, 2))): UniPoly((1, 1)),
+        (UniPoly((4, 8)), UniPoly((-6, -12))): UniPoly((1, 2)),
+    }
+    for (a, b), expected in cases.items():
+        assert up_gcd(a, b) == expected, (a, b)
+        assert up_gcd(a, b) == ref.up_gcd(a, b), (a, b)
 
 
 def test_square_free_strips_multiplicity():

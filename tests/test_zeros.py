@@ -94,8 +94,10 @@ def test_explicit_point_counts_match_degree():
 
 def test_explicit_degenerate_and_bounds():
     assert zeros_explicit("z1q", 1).points == []
+    # z + 2: the one zero of T_1 maps to -2
+    assert zeros_explicit("z1r", 1).points == [-2 + 0j]
     with pytest.raises(ValueError):
-        zeros_explicit("z1r", 1)
+        zeros_explicit("z1r", 0)
     with pytest.raises(ValueError):
         zeros_explicit("z2", 1)
     with pytest.raises(ValueError):
