@@ -3,11 +3,19 @@
 Two representations, chosen for how the polynomials in this package behave:
 
 * ``MultiPoly`` -- sparse polynomials in the four fixed variables
-  ``w, x, y, z``.  Terms are stored in a dict keyed by the exponent
-  quadruple ``(exp_w, exp_x, exp_y, exp_z)``; zero coefficients are never
-  stored, so two polynomials are mathematically equal iff their dicts are
-  equal.  The canonical term *order* (used for serialization and display)
-  is graded lexicographic with priority ``w > x > y > z``.
+  ``w, x, y, z``.  Terms are stored in a dict keyed by a *packed exponent
+  key*, one int per monomial ``w^i x^j y^k z^l``::
+
+      (i + j + k + l) << 64 | i << 48 | j << 32 | k << 16 | l
+
+  (the packed exponent vectors of Monagan and Pearce, 2007).  Each
+  exponent has a 16-bit field, so no exponent may exceed ``EXP_LIMIT`` =
+  65535; larger ones raise ValueError instead of wrapping into the
+  neighbouring field.  The total degree sits in the top field, so integer
+  order of the keys is exactly the canonical term order, graded
+  lexicographic with priority ``w > x > y > z``, and the product of two
+  monomials is the sum of their keys.  Zero coefficients are never stored,
+  so two polynomials are mathematically equal iff their dicts are equal.
 
 * ``UniPoly`` -- dense single-variable polynomials, a coefficient tuple
   indexed by degree with a nonzero leading coefficient (the zero
@@ -26,6 +34,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 Exponents = tuple[int, int, int, int]
 
 VARIABLE_NAMES = ("w", "x", "y", "z")
+
+EXP_LIMIT = 0xFFFF       # largest exponent of one variable; also the field mask
+_DEGREE_SHIFT = 64       # the total degree sits above the four 16-bit fields
+_FIELD_SHIFTS = (48, 32, 16, 0)
 
 
 class NotDivisible(Exception):
@@ -54,9 +66,18 @@ class Monomial4(NamedTuple):
         return (self.exp_w, self.exp_x, self.exp_y, self.exp_z)
 
 
-def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    # Graded lexicographic: compare total degree first, then lex on (w, x, y, z).
-    return (exps[0] + exps[1] + exps[2] + exps[3], exps)
+def _pack(i: int, j: int, k: int, l: int) -> int:
+    # Callers guarantee 0 <= each exponent <= EXP_LIMIT.
+    return (i + j + k + l) << _DEGREE_SHIFT | i << 48 | j << 32 | k << 16 | l
+
+
+def _unpack(key: int) -> Exponents:
+    return (key >> 48 & EXP_LIMIT, key >> 32 & EXP_LIMIT, key >> 16 & EXP_LIMIT,
+            key & EXP_LIMIT)
+
+
+def _too_large(exponent: int) -> ValueError:
+    return ValueError(f"exponent {exponent} exceeds the limit {EXP_LIMIT}")
 
 
 class MultiPoly:
@@ -64,14 +85,14 @@ class MultiPoly:
 
     Construct from a mapping ``{(i, j, k, l): coeff}`` or an iterable of
     ``(i, j, k, l, coeff)`` records; zero coefficients are dropped and
-    exponents must be non-negative.  Supports ``+ - * **`` with other
-    ``MultiPoly`` values and with plain ints.
+    exponents must lie in ``0..EXP_LIMIT``.  Supports ``+ - * **`` with
+    other ``MultiPoly`` values and with plain ints.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Exponents, int], Iterable[tuple], None] = None):
-        data: dict[Exponents, int] = {}
+        data: dict[int, int] = {}
         if terms is not None:
             items: Iterable[tuple]
             if isinstance(terms, Mapping):
@@ -81,10 +102,13 @@ class MultiPoly:
             for i, j, k, l, c in items:
                 if i < 0 or j < 0 or k < 0 or l < 0:
                     raise ValueError("negative exponent in monomial")
+                top = max(i, j, k, l)
+                if top > EXP_LIMIT:
+                    raise _too_large(top)
                 c = int(c)
                 if c == 0:
                     continue
-                key = (i, j, k, l)
+                key = _pack(i, j, k, l)
                 new = data.get(key, 0) + c
                 if new:
                     data[key] = new
@@ -104,22 +128,17 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: int) -> "MultiPoly":
-        p = cls.__new__(cls)
-        p._terms = {(0, 0, 0, 0): int(c)} if c else {}
-        return p
+        return cls._from_dict({0: int(c)} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         """The polynomial consisting of the single variable ``w``, ``x``, ``y`` or ``z``."""
-        idx = VARIABLE_NAMES.index(name)
         exps = [0, 0, 0, 0]
-        exps[idx] = 1
-        p = cls.__new__(cls)
-        p._terms = {tuple(exps): 1}
-        return p
+        exps[VARIABLE_NAMES.index(name)] = 1
+        return cls._from_dict({_pack(*exps): 1})
 
     @classmethod
-    def _from_dict(cls, data: dict[Exponents, int]) -> "MultiPoly":
+    def _from_dict(cls, data: dict[int, int]) -> "MultiPoly":
         p = cls.__new__(cls)
         p._terms = data
         return p
@@ -139,17 +158,19 @@ class MultiPoly:
         """Maximal total degree of a term; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(i + j + k + l for (i, j, k, l) in self._terms)
+        return max(self._terms) >> _DEGREE_SHIFT
 
     def coefficient(self, exponents: Exponents) -> int:
-        return self._terms.get(tuple(exponents), 0)
+        i, j, k, l = exponents
+        if not (0 <= i <= EXP_LIMIT and 0 <= j <= EXP_LIMIT
+                and 0 <= k <= EXP_LIMIT and 0 <= l <= EXP_LIMIT):
+            return 0
+        return self._terms.get(_pack(i, j, k, l), 0)
 
     def terms(self) -> tuple[Monomial4, ...]:
         """All terms in increasing graded-lex order."""
-        return tuple(
-            Monomial4(*exps, self._terms[exps])
-            for exps in sorted(self._terms, key=_grlex_key)
-        )
+        terms = self._terms
+        return tuple(Monomial4(*_unpack(key), terms[key]) for key in sorted(terms))
 
     def __iter__(self) -> Iterator[Monomial4]:
         return iter(self.terms())
@@ -160,8 +181,11 @@ class MultiPoly:
         other = _coerce_mp(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for key, c in small.items():
             new = out.get(key, 0) + c
             if new:
                 out[key] = new
@@ -178,10 +202,17 @@ class MultiPoly:
         other = _coerce_mp(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            new = out.get(key, 0) - c
+            if new:
+                out[key] = new
+            elif key in out:
+                del out[key]
+        return MultiPoly._from_dict(out)
 
     def __rsub__(self, other: Union["MultiPoly", int]) -> "MultiPoly":
-        return _coerce_mp(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: Union["MultiPoly", int]) -> "MultiPoly":
         if isinstance(other, int):
@@ -190,11 +221,18 @@ class MultiPoly:
             return MultiPoly._from_dict({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[Exponents, int] = {}
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return MultiPoly.zero()
+        _check_product_range(small, big)
+        out: dict[int, int] = {}
         get = out.get
-        for (a0, a1, a2, a3), ca in self._terms.items():
-            for (b0, b1, b2, b3), cb in other._terms.items():
-                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        big_items = big.items()
+        for ka, ca in small.items():
+            for kb, cb in big_items:
+                key = ka + kb
                 new = get(key, 0) + ca * cb
                 if new:
                     out[key] = new
@@ -230,10 +268,16 @@ class MultiPoly:
     # -- maps out of the ring ----------------------------------------------
 
     def evaluate(self, w, x, y, z):
-        """Evaluate at numeric arguments (int, float or complex)."""
+        """Evaluate at numeric arguments (int, float or complex); exact at ints."""
+        terms = self._terms
+        if not terms:
+            return 0
+        degree = self.total_degree()
+        pw, px, py, pz = (_powers(v, degree) for v in (w, x, y, z))
         total = 0
-        for (i, j, k, l), c in self._terms.items():
-            total += c * w**i * x**j * y**k * z**l
+        for key, c in terms.items():
+            total += (c * pw[key >> 48 & EXP_LIMIT] * px[key >> 32 & EXP_LIMIT]
+                      * py[key >> 16 & EXP_LIMIT] * pz[key & EXP_LIMIT])
         return total
 
     def substitute(self, spec: "SpecMap") -> "UniPoly":
@@ -283,6 +327,27 @@ def _coerce_mp(value) -> MultiPoly:
     return NotImplemented
 
 
+def _check_product_range(a: dict[int, int], b: dict[int, int]) -> None:
+    # Adding two keys is a monomial product only while no field overflows.
+    # Total degrees bound every exponent, so one comparison clears almost
+    # every product; only past it are the four fields checked one by one.
+    if (max(a) >> _DEGREE_SHIFT) + (max(b) >> _DEGREE_SHIFT) <= EXP_LIMIT:
+        return
+    for shift in _FIELD_SHIFTS:
+        top = (max(k >> shift & EXP_LIMIT for k in a)
+               + max(k >> shift & EXP_LIMIT for k in b))
+        if top > EXP_LIMIT:
+            raise _too_large(top)
+
+
+def _powers(value, degree: int) -> list:
+    # value**0 .. value**degree; value**0 keeps the type (1, 1.0 or 1+0j).
+    table = [value**0]
+    for _ in range(degree):
+        table.append(table[-1] * value)
+    return table
+
+
 def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Exact multivariate quotient over the integers.
 
@@ -294,27 +359,32 @@ def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """
     if den.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
-    den_terms = den.terms()
-    lead = den_terms[-1]
-    le = lead.exponents
-    quot: dict[Exponents, int] = {}
+    den_terms = den._terms
+    lead = max(den_terms)
+    lead_coeff = den_terms[lead]
+    low = _unpack(lead)
+    # A quotient monomial with an exponent above ``high`` would push some
+    # term of its product with den past EXP_LIMIT.
+    high = tuple(EXP_LIMIT + l - max(k >> s & EXP_LIMIT for k in den_terms)
+                 for s, l in zip(_FIELD_SHIFTS, low))
+    quot: dict[int, int] = {}
     rem = dict(num._terms)
     while rem:
-        re = max(rem, key=_grlex_key)
+        re = max(rem)
         rc = rem[re]
-        diff = (re[0] - le[0], re[1] - le[1], re[2] - le[2], re[3] - le[3])
-        if min(diff) < 0 or rc % lead.coeff != 0:
-            raise NotDivisible(sum(re))
-        qc = rc // lead.coeff
-        quot[diff] = qc
-        for mono in den_terms:
-            key = (
-                diff[0] + mono.exp_w,
-                diff[1] + mono.exp_x,
-                diff[2] + mono.exp_y,
-                diff[3] + mono.exp_z,
-            )
-            new = rem.get(key, 0) - qc * mono.coeff
+        exps = _unpack(re)
+        # Field by field: the sign of the whole difference re - lead cannot
+        # tell whether the leading monomial divides re.
+        if any(map(int.__lt__, exps, low)) or rc % lead_coeff:
+            raise NotDivisible(re >> _DEGREE_SHIFT)
+        if any(map(int.__gt__, exps, high)):
+            raise _too_large(max(e - h for e, h in zip(exps, high)) + EXP_LIMIT)
+        qc = rc // lead_coeff
+        shift = re - lead
+        quot[shift] = qc
+        for key, c in den_terms.items():
+            key += shift
+            new = rem.get(key, 0) - qc * c
             if new:
                 rem[key] = new
             elif key in rem:

@@ -191,6 +191,27 @@ def test_tables_golden_file(capsys):
     assert out == golden
 
 
+# The four commands of tests/data/multipoly_golden.txt, whose bytes were
+# produced when MultiPoly still keyed its terms by exponent tuples.
+MULTIPOLY_GOLDEN_COMMANDS = (
+    "q-poly --n 8 --format json",
+    "r-poly --upto 5 --format csv",
+    "s-poly --n 3000 --format pretty",
+    "s-poly --upto 40 --format json",
+)
+
+
+def test_multipoly_golden_file(capsys):
+    # byte lock on term order and serialization of 4-variable output
+    golden = (Path(__file__).parent / "data" / "multipoly_golden.txt").read_text()
+    text = ""
+    for command in MULTIPOLY_GOLDEN_COMMANDS:
+        code, out, _ = run_capture(capsys, command.split())
+        assert code == 0
+        text += f"$ trident {command}\n{out}"
+    assert text == golden
+
+
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--quick"])
     assert code == 0

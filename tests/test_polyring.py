@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from trident.polyring import (DivisionByZeroPolynomial, MultiPoly, NotDivisible,
-                              SpecMap, UniPoly, mp_divide_exact, poly_substitute,
-                              up_divide_exact, up_gcd, up_square_free)
+from trident.polyring import (EXP_LIMIT, DivisionByZeroPolynomial, MultiPoly,
+                              NotDivisible, SpecMap, UniPoly, mp_divide_exact,
+                              poly_substitute, up_divide_exact, up_gcd, up_square_free)
 from trident.specialize import SpecId
 
 
@@ -52,6 +52,9 @@ multi_polys = st.lists(
     st.tuples(exponents, exponents, exponents, exponents, coeffs),
     min_size=0, max_size=6,
 ).map(MultiPoly)
+
+# small exponents and exponents at the top of the representable range
+wide_exponents = st.one_of(exponents, st.integers(min_value=EXP_LIMIT - 4, max_value=EXP_LIMIT))
 
 uni_polys = st.lists(coeffs, min_size=0, max_size=7).map(UniPoly)
 
@@ -108,6 +111,74 @@ class TestMultiPolyBasics:
         assert p**3 == p * p * p
 
 
+class TestExponentRange:
+    def test_constructor_limit(self):
+        top = MultiPoly([(0, EXP_LIMIT, 0, 0, 3)])
+        assert top.terms()[0].exponents == (0, 65535, 0, 0)
+        assert top.total_degree() == 65535
+        for exps in ((65536, 0, 0, 0), (0, 0, 0, 65536)):
+            with pytest.raises(ValueError, match="65535"):
+                MultiPoly([(*exps, 1)])
+        with pytest.raises(ValueError, match="65535"):
+            MultiPoly({(0, 0, 70000, 0): 1})
+
+    def test_power_and_product_limit(self):
+        assert (V["w"] ** 65535).terms()[0].exponents == (65535, 0, 0, 0)
+        for name in "wxyz":
+            with pytest.raises(ValueError, match="65535"):
+                V[name] ** 65536
+        with pytest.raises(ValueError, match="65535"):
+            V["w"] ** 70000
+        with pytest.raises(ValueError, match="65535"):
+            V["z"] ** 40000 * (V["z"] ** 30000 + 1)
+        # total degree past the limit is fine while every exponent stays in range
+        big = V["w"] ** 40000 * (V["x"] ** 40000 + V["y"])
+        assert big.terms()[-1].exponents == (40000, 40000, 0, 0)
+        assert big.total_degree() == 80000
+
+    def test_out_of_range_coefficient_is_zero(self):
+        p = (1 + V["w"] + V["x"] + V["y"] + V["z"]) ** 3 + V["y"] ** EXP_LIMIT
+        assert p.coefficient((0, 0, EXP_LIMIT, 0)) == 1
+        # (1, -65536, 0, 65536) has the total degree and the weighted field
+        # sum of y: packed by addition instead of by fields it would alias y
+        for exps in ((0, 0, 0, -1), (-1, 0, 0, 0), (0, 0, EXP_LIMIT + 1, 0),
+                     (1, -65536, 0, 65536), (0, 0, 0, 65536)):
+            assert p.coefficient(exps) == 0, exps
+
+    def test_division_never_wraps(self):
+        # x^3 leads x^3 + w^2, so the first quotient step multiplies w^2 by
+        # w^65535: a w exponent past the limit, refused rather than wrapped
+        num = V["w"] ** EXP_LIMIT * V["x"] ** 3
+        with pytest.raises(ValueError, match="65537"):
+            mp_divide_exact(num, V["x"] ** 3 + V["w"] ** 2)
+        assert mp_divide_exact(num * (V["x"] + 1), V["x"] + 1) == num
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(wide_exponents, wide_exponents, wide_exponents, wide_exponents,
+                          coeffs), min_size=0, max_size=8))
+def test_terms_graded_lex_round_trip(records):
+    p = MultiPoly(records)
+    keys = [(sum(m.exponents), m.exponents) for m in p.terms()]
+    assert keys == sorted(set(keys))
+    assert MultiPoly([(*r[:4], int(r[4])) for r in p.to_records()]) == p
+    for m in p.terms():
+        assert p.coefficient(m.exponents) == m.coeff
+    assert p.total_degree() == max((k[0] for k in keys), default=-1)
+
+
+@settings(max_examples=100)
+@given(multi_polys, st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4))
+def test_evaluate_matches_termwise_sum(p, point):
+    w, x, y, z = point
+    expected = sum(m.coeff * w**m.exp_w * x**m.exp_x * y**m.exp_y * z**m.exp_z
+                   for m in p.terms())
+    assert p.evaluate(w, x, y, z) == expected
+    value = p.evaluate(0.5, -1.5, 2.0, 1j)
+    assert value == pytest.approx(sum(m.coeff * 0.5**m.exp_w * (-1.5)**m.exp_x * 2.0**m.exp_y
+                                      * 1j**m.exp_z for m in p.terms()), abs=1e-9)
+
+
 @settings(max_examples=150)
 @given(multi_polys, multi_polys)
 def test_mul_matches_naive_oracle(a, b):
@@ -159,6 +230,35 @@ def test_mp_divide_exact_round_trip():
         mp_divide_exact(a * b + V["w"], b)
     with pytest.raises(DivisionByZeroPolynomial):
         mp_divide_exact(a, MultiPoly.zero())
+
+
+def test_mp_divide_exact_compares_fields():
+    # the packed key of y^5 exceeds that of x (higher total degree), yet x
+    # does not divide y^5
+    with pytest.raises(NotDivisible) as err:
+        mp_divide_exact(V["y"] ** 5, V["x"])
+    assert err.value.remainder_degree == 5
+    with pytest.raises(NotDivisible):
+        mp_divide_exact(V["w"] * V["z"] ** 3, V["x"] * V["z"])
+
+
+@settings(max_examples=150)
+@given(multi_polys, multi_polys, st.tuples(*[exponents] * 4), st.integers(0, 3))
+def test_mp_divide_exact_property(a, b, extra, field):
+    if b.is_zero():
+        return
+    assert (a * b).divide_exact(b) == a
+    lead = b.terms()[-1]
+    if lead.exponents[field] > 0:
+        # a monomial the leading monomial of b does not divide
+        exps = list(extra)
+        exps[field] = lead.exponents[field] - 1
+        with pytest.raises(NotDivisible):
+            mp_divide_exact(a * b + MultiPoly([(*exps, 1)]), b)
+    if abs(lead.coeff) > 1:
+        # the leading monomial itself, with a coefficient lead.coeff does not divide
+        with pytest.raises(NotDivisible):
+            mp_divide_exact(a * b + MultiPoly([(*lead.exponents, 1)]), b)
 
 
 # -------------------------------------------------------------- UniPoly
