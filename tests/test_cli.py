@@ -1,6 +1,7 @@
 """CLI behavior: formats, schema validity, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -209,6 +210,18 @@ def test_multipoly_golden_file(capsys):
         code, out, _ = run_capture(capsys, command.split())
         assert code == 0
         text += f"$ trident {command}\n{out}"
+    assert text == golden
+
+
+def test_cli_golden_file(capsys):
+    # byte lock on stdout and exit code of every subcommand in each of its
+    # formats; the argv list is the file's own "$ trident" lines, which the
+    # CI step replays through the installed entry point
+    golden = (Path(__file__).parent / "data" / "cli_golden.txt").read_text()
+    text = ""
+    for command in re.findall(r"^\$ trident (.*)$", golden, flags=re.M):
+        code, out, _ = run_capture(capsys, command.split())
+        text += f"$ trident {command}\n{out}[exit {code}]\n"
     assert text == golden
 
 
