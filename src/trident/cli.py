@@ -3,7 +3,9 @@
 Every subcommand emits deterministic output (identical argv and
 configuration produce byte-identical bytes, including the seeded jitter of
 the root finder).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 cap or convergence error.
+error, 3 cap or convergence error, 141 stdout closed by its reader.
+``COMMANDS`` is the one table of subcommands; ``run`` writes the lines an
+emitter returns to stdout, or to ``--out`` once the command has completed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .chebyshev import verify_prop35
@@ -19,12 +23,10 @@ from .identities import (verify_divisibility, verify_prop61, verify_surprising,
                          verify_telescoping)
 from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
                      enumerate_partitions, oracle_poly)
-from .polyring import MultiPoly, UniPoly
 from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
 from .specialize import (PALINDROMIC_PRESETS, SpecId, profile, spec_family,
                          structural_check)
-from .zeros import (DEFAULT_ROOT_TOL, DEFAULT_SEED, LOCI, NoConvergence,
-                    verify_locus, zeros_of)
+from .zeros import LOCI, NoConvergence, verify_locus, zeros_of
 
 ENV_CAP = "TRIDENT_CAP"
 
@@ -32,203 +34,141 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 class UsageError(Exception):
     pass
 
 
-def _fmt_float(value: float) -> str:
-    return format(value, ".17g")
+class VerificationFailed(Exception):
+    """A verify run with a failing check; its one argument is the report lines."""
 
 
-def _poly_rows(name: str, args) -> list[tuple[int, MultiPoly]]:
-    compute = {"s-poly": s_poly, "q-poly": q_poly, "r-poly": r_poly}[name]
-    if args.upto is not None:
-        return [(n, compute(n)) for n in range(args.upto + 1)]
+def _indices(args) -> list[int]:
+    """The indices a command covers: 0..``--upto`` if given, else ``--n``."""
+    if getattr(args, "upto", None) is not None:
+        return list(range(args.upto + 1))
     if args.n is None:
-        raise UsageError("one of --n or --upto is required")
-    return [(args.n, compute(args.n))]
+        raise UsageError("one of --n or --upto is required" if "upto" in args
+                         else "--n is required")
+    return [args.n]
 
 
-def _emit_poly(name: str, args, out) -> None:
-    rows = _poly_rows(name, args)
+def _emit_members(args, head: dict, member, field: str, encode, csv_header: str,
+                  csv_cells) -> list[str]:
+    """One polynomial per index: JSON ``field`` = ``encode(p)``, CSV cells, or pretty rows."""
+    rows = [(n, member(n)) for n in _indices(args)]
     if args.format == "json":
-        if args.upto is None:
-            n, p = rows[0]
-            payload = {"command": name, "n": n, "terms": p.to_records()}
-        else:
-            payload = {"command": name,
-                       "rows": [{"n": n, "terms": p.to_records()} for n, p in rows]}
-        print(json.dumps(payload), file=out)
-    elif args.format == "csv":
-        print("n,exp_w,exp_x,exp_y,exp_z,coeff", file=out)
-        for n, p in rows:
-            for rec in p.to_records():
-                print(f"{n},{rec[0]},{rec[1]},{rec[2]},{rec[3]},{rec[4]}", file=out)
-    else:
-        for n, p in rows:
-            print(f"{n}\t{p.pretty()}", file=out)
+        objs = [{"n": n, field: encode(p)} for n, p in rows]
+        body = objs[0] if args.upto is None else {"rows": objs}
+        return [json.dumps({**head, **body})]
+    if args.format == "csv":
+        return [csv_header] + [",".join(map(str, (n, *cells)))
+                               for n, p in rows for cells in csv_cells(p)]
+    return [f"{n}\t{p.pretty()}" for n, p in rows]
 
 
-def _emit_scalar(args, out) -> None:
-    upto = args.upto if args.upto is not None else args.n
-    if upto is None:
-        raise UsageError("one of --n or --upto is required")
-    ns = range(upto + 1) if args.upto is not None else [args.n]
-    pairs = [(n, *scalar_qr(n)) for n in ns]
+def _emit_poly(args) -> list[str]:
+    # Resolved per call rather than bound in COMMANDS, so that a profiler
+    # wrapping the module-level names sees these calls.
+    member = {"s-poly": s_poly, "q-poly": q_poly, "r-poly": r_poly}[args.command]
+    return _emit_members(args, {"command": args.command}, member, "terms",
+                         lambda p: p.to_records(), "n,exp_w,exp_x,exp_y,exp_z,coeff",
+                         lambda p: p.to_records())
+
+
+def _emit_spec(args) -> list[str]:
+    spec = SpecId.from_string(args.spec)
+    return _emit_members(args, {"command": "spec", "spec": args.spec, "family": args.family},
+                         lambda n: spec_family(spec, args.family, n), "coeffs",
+                         lambda p: p.to_strings(), "n,degree,coeff",
+                         lambda p: enumerate(p.coeffs))
+
+
+def _emit_scalar(args) -> list[str]:
+    rows = [(n, *scalar_qr(n)) for n in _indices(args)]
     if args.format == "json":
-        payload = {"command": "scalar",
-                   "rows": [{"n": n, "q": str(q), "r": str(r)} for n, q, r in pairs]}
-        print(json.dumps(payload), file=out)
-    elif args.format == "csv":
-        print("n,q,r", file=out)
-        for n, q, r in pairs:
-            print(f"{n},{q},{r}", file=out)
-    else:
-        for n, q, r in pairs:
-            print(f"{n}\t{q}\t{r}", file=out)
+        return [json.dumps({"command": "scalar",
+                            "rows": [{"n": n, "q": str(q), "r": str(r)} for n, q, r in rows]})]
+    if args.format == "csv":
+        return ["n,q,r"] + [f"{n},{q},{r}" for n, q, r in rows]
+    return [f"{n}\t{q}\t{r}" for n, q, r in rows]
 
 
 def _list_cap(args) -> int:
     """The partition-list cap: ``--cap``, then ``$TRIDENT_CAP``, then the default."""
     cap = args.cap
     if cap is None:
-        env = os.environ.get(ENV_CAP)
-        if env is None:
-            return DEFAULT_LIST_CAP
         try:
-            cap = int(env)
+            cap = int(os.environ.get(ENV_CAP, DEFAULT_LIST_CAP))
         except ValueError:
-            raise UsageError(f"{ENV_CAP} must be an integer, got {env!r}")
+            raise UsageError(f"{ENV_CAP} must be an integer, got {os.environ[ENV_CAP]!r}")
     if cap <= 0:
         raise UsageError("cap must be positive")
     return cap
 
 
-def _emit_enumerate(args, out) -> None:
-    if args.n is None:
-        raise UsageError("--n is required")
-    count = count_partitions(args.n)
+def _emit_enumerate(args) -> list[str]:
+    cap = _list_cap(args)
+    n, = _indices(args)
+    count = count_partitions(n)
     partitions = None
     if args.list:
-        partitions = [p.render() for p in enumerate_partitions(args.n, cap=args.cap)]
+        partitions = [p.render() for p in enumerate_partitions(n, cap=cap)]
     if args.format == "json":
-        payload = {"command": "enumerate", "n": args.n, "count": str(count)}
+        payload = {"command": "enumerate", "n": n, "count": str(count)}
         if partitions is not None:
             payload["partitions"] = partitions
-        print(json.dumps(payload), file=out)
-    elif args.format == "csv":
-        if partitions is None:
-            print("n,count", file=out)
-            print(f"{args.n},{count}", file=out)
-        else:
-            print("partition", file=out)
-            for line in partitions:
-                print(line, file=out)
-    else:
-        print(f"n={args.n} count={count}", file=out)
-        if partitions is not None:
-            for line in partitions:
-                print(line, file=out)
+        return [json.dumps(payload)]
+    if args.format == "csv":
+        return ["n,count", f"{n},{count}"] if partitions is None else ["partition", *partitions]
+    return [f"n={n} count={count}", *(partitions or ())]
 
 
-def _spec_rows(args) -> list[tuple[int, UniPoly]]:
-    spec = SpecId.from_string(args.spec)
-    family = args.family
-    if args.upto is not None:
-        return [(n, spec_family(spec, family, n)) for n in range(args.upto + 1)]
-    if args.n is None:
-        raise UsageError("one of --n or --upto is required")
-    return [(args.n, spec_family(spec, family, args.n))]
-
-
-def _emit_spec(args, out) -> None:
-    rows = _spec_rows(args)
-    if args.format == "json":
-        if args.upto is None:
-            n, p = rows[0]
-            payload = {"command": "spec", "spec": args.spec, "family": args.family,
-                       "n": n, "coeffs": p.to_strings()}
-        else:
-            payload = {"command": "spec", "spec": args.spec, "family": args.family,
-                       "rows": [{"n": n, "coeffs": p.to_strings()} for n, p in rows]}
-        print(json.dumps(payload), file=out)
-    elif args.format == "csv":
-        print("n,degree,coeff", file=out)
-        for n, p in rows:
-            for d, c in enumerate(p.coeffs):
-                print(f"{n},{d},{c}", file=out)
-    else:
-        for n, p in rows:
-            print(f"{n}\t{p.pretty()}", file=out)
-
-
-def _emit_profile(args, out) -> None:
-    if args.n is None:
-        raise UsageError("--n is required")
-    spec = SpecId.from_string(args.spec)
-    prof = profile(spec, args.family, args.n)
+def _emit_profile(args) -> list[str]:
+    n, = _indices(args)
+    prof = profile(SpecId.from_string(args.spec), args.family, n)
     items = sorted(prof.coeffs.items())
     if args.format == "json":
-        payload = {"command": "profile", "spec": args.spec, "family": args.family,
-                   "n": args.n,
-                   "profile": [{"k": k, "count": str(c)} for k, c in items]}
-        print(json.dumps(payload), file=out)
-    else:
-        print("k,count", file=out)
-        for k, c in items:
-            print(f"{k},{c}", file=out)
+        return [json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
+                            "n": n, "profile": [{"k": k, "count": str(c)} for k, c in items]})]
+    return ["k,count"] + [f"{k},{c}" for k, c in items]
 
 
-def _emit_zeros(args, out) -> None:
-    if args.n is None:
-        raise UsageError("--n is required")
+def _emit_zeros(args) -> list[str]:
+    n, = _indices(args)
     spec = SpecId.from_string(args.spec)
-    report, _ = zeros_of(spec, args.family, args.n, tol=args.tol, seed=args.seed)
+    report, _ = zeros_of(spec, args.family, n)
     locus = LOCI.get((spec, args.family)) if args.locus else None
     params = locus.params if locus is not None else None
+    rows = list(zip(report.points, report.residuals,
+                    report.locus_distances or [None] * len(report.points)))
     if args.format == "json":
-        points = []
-        for i, z in enumerate(report.points):
-            dist = report.locus_distances[i] if report.locus_distances else None
-            points.append({"re": z.real, "im": z.imag,
-                           "residual": report.residuals[i],
-                           "locus_distance": dist})
-        payload = {"command": "zeros", "spec": report.spec, "family": report.family,
-                   "n": report.n, "origin_multiplicity": report.origin_multiplicity,
-                   "locus": params, "points": points}
-        print(json.dumps(payload), file=out)
-    else:
-        if params is not None:
-            print(f"# locus: {json.dumps(params)}", file=out)
-        print("family,n,re,im,residual,locus_distance", file=out)
-        for i, z in enumerate(report.points):
-            dist = ""
-            if report.locus_distances:
-                dist = _fmt_float(report.locus_distances[i])
-            print(f"{report.family},{report.n},{_fmt_float(z.real)},"
-                  f"{_fmt_float(z.imag)},{_fmt_float(report.residuals[i])},{dist}",
-                  file=out)
-        for _ in range(report.origin_multiplicity):
-            print(f"{report.family},{report.n},0,0,0,", file=out)
+        points = [{"re": z.real, "im": z.imag, "residual": res, "locus_distance": dist}
+                  for z, res, dist in rows]
+        return [json.dumps({"command": "zeros", "spec": report.spec, "family": report.family,
+                            "n": report.n, "origin_multiplicity": report.origin_multiplicity,
+                            "locus": params, "points": points})]
+    lines = [] if params is None else [f"# locus: {json.dumps(params)}"]
+    lines.append("family,n,re,im,residual,locus_distance")
+    for z, res, dist in rows:
+        lines.append(f"{report.family},{report.n},{z.real:.17g},{z.imag:.17g},{res:.17g},"
+                     f"{'' if dist is None else format(dist, '.17g')}")
+    return lines + [f"{report.family},{report.n},0,0,0,"] * report.origin_multiplicity
 
 
-def _emit_tables(args, out) -> None:
-    print("# table 1: four-variable polynomials, n = 0..6", file=out)
-    for n in range(7):
-        print(f"{n}\t{s_poly(n).pretty()}", file=out)
-    print("# table 2: spec z1 families q and r, n = 0..5", file=out)
-    for n in range(6):
-        q = spec_family(SpecId.Z1, "q", n)
-        r = spec_family(SpecId.Z1, "r", n)
-        print(f"{n}\t{q.pretty()}\t{r.pretty()}", file=out)
-    print("# table 3: spec z2 family q, n = 1..7", file=out)
-    for n in range(1, 8):
-        print(f"{n}\t{spec_family(SpecId.Z2, 'q', n).pretty()}", file=out)
-    print("# table 4: spec z3 family q, n = 1..7", file=out)
-    for n in range(1, 8):
-        print(f"{n}\t{spec_family(SpecId.Z3, 'q', n).pretty()}", file=out)
+def _emit_tables(args) -> list[str]:
+    lines = ["# table 1: four-variable polynomials, n = 0..6"]
+    lines += [f"{n}\t{s_poly(n).pretty()}" for n in range(7)]
+    lines.append("# table 2: spec z1 families q and r, n = 0..5")
+    lines += [f"{n}\t{spec_family(SpecId.Z1, 'q', n).pretty()}"
+              f"\t{spec_family(SpecId.Z1, 'r', n).pretty()}" for n in range(6)]
+    lines.append("# table 3: spec z2 family q, n = 1..7")
+    lines += [f"{n}\t{spec_family(SpecId.Z2, 'q', n).pretty()}" for n in range(1, 8)]
+    lines.append("# table 4: spec z3 family q, n = 1..7")
+    lines += [f"{n}\t{spec_family(SpecId.Z3, 'q', n).pretty()}" for n in range(1, 8)]
+    return lines
 
 
 def _entry(rep, suffix: str = ""):
@@ -309,21 +249,68 @@ def run_verification(quick: bool = False, only: list[str] | None = None) -> list
     return checks
 
 
-def _emit_verify(args, out) -> int:
+def _emit_verify(args) -> list[str]:
     only = args.only.split(",") if args.only else None
-    if only is not None:
-        unknown = [o for o in only if o not in VERIFICATION_GROUPS]
-        if unknown:
-            raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
+    unknown = [o for o in only or () if o not in VERIFICATION_GROUPS]
+    if unknown:
+        raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
     checks = run_verification(quick=args.quick, only=only)
     ok = all(c["ok"] for c in checks) and bool(checks)
     if args.format == "json":
-        print(json.dumps({"command": "verify", "ok": ok, "checks": checks}), file=out)
+        lines = [json.dumps({"command": "verify", "ok": ok, "checks": checks})]
     else:
-        for c in checks:
-            print(f"{'PASS' if c['ok'] else 'FAIL'}  {c['id']}  ({c['detail']})", file=out)
-        print(f"{'all checks passed' if ok else 'FAILURES PRESENT'}", file=out)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['id']}  ({c['detail']})" for c in checks]
+        lines.append("all checks passed" if ok else "FAILURES PRESENT")
+    if not ok:
+        raise VerificationFailed(lines)
+    return lines
+
+
+class Command(NamedTuple):
+    help: str
+    options: tuple[str, ...]  # keys of OPTIONS
+    formats: tuple[str, ...]  # --format choices, the first the default; () for none
+    emit: Callable[[argparse.Namespace], list[str]]
+
+
+# Each option once, as add_argument keywords; a command names those it takes.
+OPTIONS = {
+    "--n": dict(type=int, help="index to compute"),
+    "--upto": dict(type=int, help="compute all indices 0..UPTO"),
+    "--spec": dict(default="z1", choices=[s.value for s in SpecId],
+                   help="variable substitution"),
+    "--family": dict(default="q", choices=["q", "r"]),
+    "--list": dict(action="store_true", help="list the partitions"),
+    "--cap": dict(type=int,
+                  help=f"partition-list cap; overrides ${ENV_CAP} (default {DEFAULT_LIST_CAP})"),
+    "--locus": dict(action="store_true",
+                    help="include the claimed locus parameters as a JSON header"),
+    "--quick": dict(action="store_true", help="reduced parameter ranges"),
+    "--only": dict(help="comma-separated check ids"),
+}
+
+INDEX = ("--n", "--upto")
+MEMBER = ("--spec", "--family")
+ALL_FORMATS = ("pretty", "json", "csv")
+DATA_FORMATS = ("csv", "json")
+
+COMMANDS = {
+    "s-poly": Command("compute the s-poly polynomials", INDEX, ALL_FORMATS, _emit_poly),
+    "q-poly": Command("compute the q-poly polynomials", INDEX, ALL_FORMATS, _emit_poly),
+    "r-poly": Command("compute the r-poly polynomials", INDEX, ALL_FORMATS, _emit_poly),
+    "scalar": Command("the all-ones scalar pair per index", INDEX, ALL_FORMATS, _emit_scalar),
+    "enumerate": Command("count or list partitions of n", ("--n", "--list", "--cap"),
+                         ALL_FORMATS, _emit_enumerate),
+    "spec": Command("specialized single-variable family", INDEX + MEMBER, ALL_FORMATS,
+                    _emit_spec),
+    "profile": Command("coefficient profile (combinatorial statistic counts)",
+                       ("--n", *MEMBER), DATA_FORMATS, _emit_profile),
+    "zeros": Command("zeros of a specialized family member", ("--n", *MEMBER, "--locus"),
+                     DATA_FORMATS, _emit_zeros),
+    "verify": Command("run the identity and locus verification battery",
+                      ("--quick", "--only"), ("pretty", "json"), _emit_verify),
+    "tables": Command("reproduce the four reference tables", (), (), _emit_tables),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,45 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Restricted colored base-3 partitions: polynomials, identities, zeros.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, spec=False, family=False, index=True, upto=True):
-        if index:
-            p.add_argument("--n", type=int, default=None, help="index to compute")
-        if upto:
-            p.add_argument("--upto", type=int, default=None, help="compute all indices 0..UPTO")
-        if spec:
-            p.add_argument("--spec", default="z1",
-                           choices=[s.value for s in SpecId],
-                           help="variable substitution")
-        if family:
-            p.add_argument("--family", default="q", choices=["q", "r"])
-        p.add_argument("--format", default="pretty", choices=["pretty", "json", "csv"])
-        p.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
-
-    for name in ("s-poly", "q-poly", "r-poly"):
-        common(sub.add_parser(name, help=f"compute the {name} polynomials"))
-    common(sub.add_parser("scalar", help="the all-ones scalar pair per index"))
-    p = sub.add_parser("enumerate", help="count or list partitions of n")
-    common(p, upto=False)
-    p.add_argument("--list", action="store_true", help="list the partitions")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"partition-list cap; overrides ${ENV_CAP} (default {DEFAULT_LIST_CAP})")
-    common(sub.add_parser("spec", help="specialized single-variable family"),
-           spec=True, family=True)
-    p = sub.add_parser("profile", help="coefficient profile (combinatorial statistic counts)")
-    common(p, spec=True, family=True, upto=False)
-    p = sub.add_parser("zeros", help="zeros of a specialized family member (CSV)")
-    common(p, spec=True, family=True, upto=False)
-    p.add_argument("--locus", action="store_true",
-                   help="include the claimed locus parameters as a JSON header")
-    p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="zero-finder tolerance")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root-finder jitter seed")
-    p = sub.add_parser("verify", help="run the identity and locus verification battery")
-    common(p, index=False, upto=False)
-    p.add_argument("--quick", action="store_true", help="reduced parameter ranges")
-    p.add_argument("--only", default=None, help="comma-separated check ids")
-    common(sub.add_parser("tables", help="reproduce the four reference tables"),
-           index=False, upto=False)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.options:
+            p.add_argument(flag, **OPTIONS[flag])
+        if command.formats:
+            p.add_argument("--format", default=command.formats[0], choices=command.formats)
+        p.add_argument("--out", metavar="FILE", help="write output to FILE")
     return parser
 
 
@@ -382,51 +337,34 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "enumerate":
-            args.cap = _list_cap(args)
-        out = sys.stdout
-        sink = None
-        if args.out:
-            sink = open(args.out, "w")
-            out = sink
-        try:
-            if args.command in ("s-poly", "q-poly", "r-poly"):
-                _emit_poly(args.command, args, out)
-            elif args.command == "scalar":
-                _emit_scalar(args, out)
-            elif args.command == "enumerate":
-                _emit_enumerate(args, out)
-            elif args.command == "spec":
-                _emit_spec(args, out)
-            elif args.command == "profile":
-                _emit_profile(args, out)
-            elif args.command == "zeros":
-                _emit_zeros(args, out)
-            elif args.command == "verify":
-                return _emit_verify(args, out)
-            elif args.command == "tables":
-                _emit_tables(args, out)
-            return EXIT_OK
-        finally:
-            if sink is not None:
-                sink.close()
+        lines, code = COMMANDS[args.command].emit(args), EXIT_OK
+    except VerificationFailed as exc:
+        lines, code = exc.args[0], EXIT_VERIFY_FAILED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapExceeded as exc:
+    except (CapExceeded, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
+        sink.writelines(line + "\n" for line in lines)
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``trident ... | head``).  Point stdout at
+        # the null device so that the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -343,14 +343,13 @@ def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
     )
 
 
-def zeros_of(spec: SpecId, family: str, n: int, tol: float = DEFAULT_ROOT_TOL,
-             seed: int = DEFAULT_SEED) -> tuple[ZeroReport, UniPoly]:
+def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     """Zeros of one family member, and the polynomial they are zeros of.
 
-    Families with an explicit map take it (``tol`` and ``seed`` unused);
-    every other member goes through its exact square-free part, since
-    preset members can carry high-multiplicity factors such as powers of
-    z + 1, and the general root finder.  Locus distances come from
+    Families with an explicit map take it; every other member goes through
+    its exact square-free part, since preset members can carry
+    high-multiplicity factors such as powers of z + 1, and the general root
+    finder at its default tolerance and seed.  Locus distances come from
     ``LOCI`` where the family claims a locus.  A constant member has no
     zeros and raises ValueError.
     """
@@ -363,7 +362,7 @@ def zeros_of(spec: SpecId, family: str, n: int, tol: float = DEFAULT_ROOT_TOL,
         poly = reduced_q2(n) if spec is SpecId.Z2 else member
     else:
         poly = up_square_free(member)
-        report = zeros_general(poly, tol=tol, seed=seed)
+        report = zeros_general(poly)
         locus = LOCI.get((spec, family))
         if locus is not None:
             report.locus_distances = [locus.distance(z) for z in report.points]

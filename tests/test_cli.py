@@ -1,6 +1,7 @@
 """CLI behavior: formats, schema validity, determinism, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -165,9 +166,11 @@ def test_zeros_z1_r_first_member(capsys):
 
 
 def test_zeros_determinism(capsys):
-    argv = ["zeros", "--spec", "p1", "--n", "8", "--seed", "7"]
-    _, first, _ = run_capture(capsys, argv)
-    _, second, _ = run_capture(capsys, argv)
+    argv = ["zeros", "--spec", "p1", "--n", "8"]
+    first = run_capture(capsys, argv)
+    second = run_capture(capsys, argv)
+    assert first[0] == 0
+    assert first[1]
     assert first == second
 
 
@@ -215,8 +218,8 @@ def test_multipoly_golden_file(capsys):
 
 def test_cli_golden_file(capsys):
     # byte lock on stdout and exit code of every subcommand in each of its
-    # formats; the argv list is the file's own "$ trident" lines, which the
-    # CI step replays through the installed entry point
+    # formats; the argv list is the file's own "$ trident" lines, which a CI
+    # step also replays through python -m trident.cli
     golden = (Path(__file__).parent / "data" / "cli_golden.txt").read_text()
     text = ""
     for command in re.findall(r"^\$ trident (.*)$", golden, flags=re.M):
@@ -259,6 +262,15 @@ def test_usage_errors(capsys):
     code, _, err = run_capture(capsys, ["enumerate", "--n", "3", "--list", "--cap", "0"])
     assert code == 2
     assert "cap must be positive" in err
+    # option values that used to be accepted and then ignored
+    for argv in (["tables", "--format", "pretty"], ["tables", "--format", "json"],
+                 ["tables", "--format", "csv"], ["verify", "--quick", "--format", "csv"],
+                 ["profile", "--n", "2", "--format", "pretty"],
+                 ["zeros", "--n", "3", "--format", "pretty"],
+                 ["zeros", "--spec", "p1", "--n", "3", "--tol", "1e-10"],
+                 ["zeros", "--spec", "p1", "--n", "3", "--seed", "7"]):
+        code, out, _ = run_capture(capsys, argv)
+        assert (code, out) == (2, ""), argv
     # a constant member has no zeros, on either route
     for spec in ("z1", "p1"):
         code, out, err = run_capture(capsys, ["zeros", "--spec", spec, "--n", "1"])
@@ -303,6 +315,36 @@ def test_out_file(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "family,n,re,im,residual,locus_distance"
     assert len(lines) == 4
+
+
+def test_out_file_kept_when_refused(tmp_path, capsys):
+    # --out is written only once the command has completed: a refusal, by
+    # the parser, the command or a cap, leaves an existing file as it was
+    target = tmp_path / "y.csv"
+    target.write_text("kept\n")
+    for argv, expect in ((["zeros", "--spec", "z0", "--n", "3"], 2),
+                         (["zeros", "--spec", "z1"], 2),
+                         (["scalar", "--n", "3", "--format", "xml"], 2),
+                         (["enumerate", "--n", "50", "--list", "--cap", "5"], 3)):
+        code, out, _ = run_capture(capsys, argv + ["--out", str(target)])
+        assert (code, out) == (expect, ""), argv
+        assert target.read_text() == "kept\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that leaves early (trident ... | head -1) ends the run with
+    # 128 + SIGPIPE and no traceback; the output far exceeds a pipe buffer,
+    # so the writer is still writing when the reader closes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "trident.cli", "q-poly", "--upto", "16",
+                             "--format", "csv"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,exp_w,exp_x,exp_y,exp_z,coeff\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_version_flag(capsys):

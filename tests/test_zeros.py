@@ -210,9 +210,9 @@ def test_zeros_of_routes():
         for z in report.points:
             assert abs(poly.evaluate(z)) < 1e-7 * backward_scale(poly, z), (spec, z)
         assert (report.locus_distances is None) == ((spec, family) not in LOCI)
-    # the general route takes the seed; the explicit one needs none
-    general = zeros_general(up_square_free(spec_family(SpecId.P1, "q", 9)), seed=7)
-    assert zeros_of(SpecId.P1, "q", 9, seed=7)[0].points == general.points
+    # the general route is the root finder at its default tolerance and seed
+    general = zeros_general(up_square_free(spec_family(SpecId.P1, "q", 9)))
+    assert zeros_of(SpecId.P1, "q", 9)[0].points == general.points
     for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
         with pytest.raises(ValueError, match="has no zeros"):
             zeros_of(spec, family, n)
