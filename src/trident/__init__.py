@@ -14,8 +14,8 @@ from .identities import (IdentityReport, verify_divisibility, verify_prop61,
 from .oracle import (CapExceeded, ColoredPartition, PartitionStats,
                      count_partitions, enumerate_partitions, oracle_poly)
 from .polyring import (DivisionByZeroPolynomial, Monomial4, MultiPoly,
-                       NotDivisible, SpecMap, UniPoly, mp_divide_exact,
-                       poly_substitute, up_divide_exact, up_gcd, up_square_free)
+                       NotDivisible, UniPoly, mp_divide_exact, poly_substitute,
+                       up_divide_exact, up_gcd, up_square_free)
 from .sequences import (W1, W2, closed_form_k3n, gf_check, q_poly, r_poly,
                         s_poly, s_poly_product, scalar_qr)
 from .specialize import (CoefficientProfile, SpecId, partition_statistic,
@@ -34,7 +34,7 @@ __all__ = [
     "CapExceeded", "ColoredPartition", "PartitionStats",
     "count_partitions", "enumerate_partitions", "oracle_poly",
     "DivisionByZeroPolynomial", "Monomial4", "MultiPoly", "NotDivisible",
-    "SpecMap", "UniPoly", "mp_divide_exact", "poly_substitute",
+    "UniPoly", "mp_divide_exact", "poly_substitute",
     "up_divide_exact", "up_gcd", "up_square_free",
     "W1", "W2", "closed_form_k3n", "gf_check", "q_poly", "r_poly",
     "s_poly", "s_poly_product", "scalar_qr",

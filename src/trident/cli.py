@@ -48,6 +48,8 @@ class VerificationFailed(Exception):
 def _indices(args) -> list[int]:
     """The indices a command covers: 0..``--upto`` if given, else ``--n``."""
     if getattr(args, "upto", None) is not None:
+        if args.upto < 0:
+            raise UsageError("upto must be non-negative")
         return list(range(args.upto + 1))
     if args.n is None:
         raise UsageError("one of --n or --upto is required" if "upto" in args
@@ -350,7 +352,12 @@ def run(argv: list[str]) -> int:
     except (CapExceeded, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
+    try:
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with out as sink:
         sink.writelines(line + "\n" for line in lines)
     return code
 

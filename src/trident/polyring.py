@@ -28,7 +28,6 @@ function, so shared instances are safe to use concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 Exponents = tuple[int, int, int, int]
@@ -279,10 +278,6 @@ class MultiPoly:
             total += (c * pw[key >> 48 & EXP_LIMIT] * px[key >> 32 & EXP_LIMIT]
                       * py[key >> 16 & EXP_LIMIT] * pz[key & EXP_LIMIT])
         return total
-
-    def substitute(self, spec: "SpecMap") -> "UniPoly":
-        """Image under the ring homomorphism sending each variable to a ``UniPoly``."""
-        return poly_substitute(self, spec)
 
     def divide_exact(self, den: "MultiPoly") -> "MultiPoly":
         """Exact quotient in the integer ring; raises NotDivisible otherwise."""
@@ -696,52 +691,16 @@ def binomial_power(constant: int, n: int) -> UniPoly:
     return UniPoly(tuple(math.comb(n, j) * constant ** (n - j) for j in range(n + 1)))
 
 
-@dataclass(frozen=True)
-class SpecMap:
-    """Assignment of each of w, x, y, z to a nonzero ``UniPoly`` in one fresh variable."""
+def poly_substitute(p: MultiPoly, weights: tuple[int, int, int, int]) -> UniPoly:
+    """Image of ``p`` under w, x, y, z -> t^a, t^b, t^c, t^d, for ``weights`` (a, b, c, d).
 
-    w: UniPoly
-    x: UniPoly
-    y: UniPoly
-    z: UniPoly
-
-    def __post_init__(self):
-        for name, image in zip(VARIABLE_NAMES, self.images):
-            if image.is_zero():
-                raise ValueError(f"image of {name} must be a nonzero polynomial")
-
-    @property
-    def images(self) -> tuple[UniPoly, UniPoly, UniPoly, UniPoly]:
-        return (self.w, self.x, self.y, self.z)
-
-    @classmethod
-    def from_shorthand(cls, spec: Iterable) -> "SpecMap":
-        """Build from four entries that are each an int or a ``UniPoly``."""
-        images = []
-        for entry in spec:
-            images.append(entry if isinstance(entry, UniPoly) else UniPoly.constant(entry))
-        return cls(*images)
-
-
-def poly_substitute(p: MultiPoly, s: SpecMap) -> UniPoly:
-    """Image of ``p`` under the substitution homomorphism given by ``s``.
-
-    Powers of the four images are cached across terms, so repeated exponents
-    cost one multiplication each.
+    One pass over the packed keys: the coefficient of ``w^i x^j y^k z^l``
+    is added at degree ``a*i + b*j + c*k + d*l``.
     """
-    pows: list[list[UniPoly]] = [[UniPoly.one()] for _ in range(4)]
-
-    def power(var: int, e: int) -> UniPoly:
-        cache = pows[var]
-        while len(cache) <= e:
-            cache.append(cache[-1] * s.images[var])
-        return cache[e]
-
-    total = UniPoly.zero()
-    for mono in p.terms():
-        term = UniPoly.constant(mono.coeff)
-        for var, e in enumerate(mono.exponents):
-            if e:
-                term = term * power(var, e)
-        total = total + term
-    return total
+    if len(weights) != 4 or min(weights) < 0:
+        raise ValueError("substitution weights must be four non-negative integers")
+    out: dict[int, int] = {}
+    for key, coeff in p._terms.items():
+        deg = sum(map(int.__mul__, weights, _unpack(key)))
+        out[deg] = out.get(deg, 0) + coeff
+    return UniPoly(out.get(d, 0) for d in range(max(out, default=-1) + 1))

@@ -1,11 +1,13 @@
 """Single-variable specializations of the 4-variable polynomial sequences.
 
 Each ``SpecId`` fixes a substitution sending (w, x, y, z) to powers of one
-fresh variable (or to 1).  The recurrence coefficient pair is always
+fresh variable (or to 1), stored as its weight vector: the exponents of
+the four images.  The recurrence coefficient pair is always
 recomputed by substituting into W1 and W2, never transcribed, and the
 coefficients of the specialized polynomials count partitions by the
-statistic induced by the substitution (the z-degree of each monomial's
-image).
+statistic the weights induce: the weighted sum of a partition's
+(overlined, tilde, singles, pairs) counts, which is the z-degree of its
+monomial's image.
 
 The ``(1, 1, z, 1)`` family additionally has closed binomial forms, which
 double as an independent oracle for the recurrence path.
@@ -18,11 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .oracle import DEFAULT_LIST_CAP, PartitionStats, enumerate_partitions
-from .polyring import NotDivisible, SpecMap, UniPoly, binomial_power, poly_substitute
+from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute
 from .sequences import S1, W1, W2, TwoTerm
-
-_Z = UniPoly.x()
-_Z2 = UniPoly((0, 0, 1))
 
 
 class SpecId(enum.Enum):
@@ -40,8 +39,9 @@ class SpecId(enum.Enum):
     P6 = "p6"
 
     @property
-    def spec_map(self) -> SpecMap:
-        return _SPEC_MAPS[self]
+    def weights(self) -> tuple[int, int, int, int]:
+        """The exponents of the images of w, x, y and z."""
+        return _WEIGHTS[self]
 
     @classmethod
     def from_string(cls, name: str) -> "SpecId":
@@ -52,17 +52,18 @@ class SpecId(enum.Enum):
                              + ", ".join(s.value for s in cls)) from None
 
 
-_SPEC_MAPS: dict[SpecId, SpecMap] = {
-    SpecId.Z0: SpecMap.from_shorthand((1, 1, 1, 1)),
-    SpecId.Z1: SpecMap.from_shorthand((1, 1, _Z, 1)),
-    SpecId.Z2: SpecMap.from_shorthand((_Z, _Z, _Z, _Z2)),
-    SpecId.Z3: SpecMap.from_shorthand((1, 1, _Z, _Z)),
-    SpecId.P1: SpecMap.from_shorthand((_Z, _Z, 1, 1)),
-    SpecId.P2: SpecMap.from_shorthand((_Z, _Z, _Z, _Z)),
-    SpecId.P3: SpecMap.from_shorthand((1, 1, _Z, _Z2)),
-    SpecId.P4: SpecMap.from_shorthand((_Z, _Z, _Z, 1)),
-    SpecId.P5: SpecMap.from_shorthand((1, _Z, _Z, _Z2)),
-    SpecId.P6: SpecMap.from_shorthand((_Z, 1, _Z, _Z2)),
+# (w, x, y, z) -> (1, 1, z, z^2) is the weight vector (0, 0, 1, 2).
+_WEIGHTS: dict[SpecId, tuple[int, int, int, int]] = {
+    SpecId.Z0: (0, 0, 0, 0),
+    SpecId.Z1: (0, 0, 1, 0),
+    SpecId.Z2: (1, 1, 1, 2),
+    SpecId.Z3: (0, 0, 1, 1),
+    SpecId.P1: (1, 1, 0, 0),
+    SpecId.P2: (1, 1, 1, 1),
+    SpecId.P3: (0, 0, 1, 2),
+    SpecId.P4: (1, 1, 1, 0),
+    SpecId.P5: (0, 1, 1, 2),
+    SpecId.P6: (1, 0, 1, 2),
 }
 
 PALINDROMIC_PRESETS = (SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6)
@@ -79,8 +80,7 @@ def _validate_family(family: str) -> str:
 
 def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
     """The recurrence coefficient pair (W1, W2) under the substitution."""
-    s = spec.spec_map
-    return poly_substitute(W1, s), poly_substitute(W2, s)
+    return poly_substitute(W1, spec.weights), poly_substitute(W2, spec.weights)
 
 
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
@@ -92,7 +92,7 @@ def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
         if family == "q":
             seq = TwoTerm(w1, w2, UniPoly.zero(), UniPoly.one())
         else:
-            seq = TwoTerm(w1, w2, UniPoly.one(), poly_substitute(S1, spec.spec_map))
+            seq = TwoTerm(w1, w2, UniPoly.one(), poly_substitute(S1, spec.weights))
         # setdefault is atomic: racing builders all get the first instance stored
         seq = _FAMILIES.setdefault((spec, family), seq)
     return seq[n]
@@ -153,28 +153,9 @@ def reduced_q2(n: int) -> UniPoly:
     return UniPoly(p.coeffs[shift:])
 
 
-def statistic_weights(spec: SpecId) -> tuple[int, int, int, int]:
-    """Per-statistic weights induced by the substitution.
-
-    Each variable image must be 1, z or z^2; the weight vector applied to a
-    partition's (overlined, tilde, singles, pairs) counts gives the degree
-    its monomial lands on, which is the combinatorial statistic the
-    specialized coefficients count.
-    """
-    weights = []
-    for image in spec.spec_map.images:
-        d = image.degree()
-        if image.coeffs != (0,) * d + (1,):
-            raise ValueError(f"spec {spec.value} image {image!r} is not a power of z")
-        weights.append(d)
-    return tuple(weights)
-
-
 def partition_statistic(spec: SpecId, stats: PartitionStats) -> int:
     """The statistic value of one partition under the given substitution."""
-    weights = statistic_weights(spec)
-    exps = stats.exponents()
-    return sum(v * e for v, e in zip(weights, exps))
+    return sum(v * e for v, e in zip(spec.weights, stats.exponents()))
 
 
 @dataclass(frozen=True)
@@ -203,17 +184,15 @@ def profile_from_oracle(spec: SpecId, family: str, n: int,
 
     Counts partitions of (3^n - 3)/2 (q-side) or (3^n - 1)/2 (r-side) by the
     statistic induced by the substitution; shares nothing with the
-    recurrence path.
+    recurrence path but the spec's weights.
     """
     family = _validate_family(family)
     if n < 1:
         raise ValueError("n must be at least 1 for the oracle path")
     index = (3**n - 3) // 2 if family == "q" else (3**n - 1) // 2
-    weights = statistic_weights(spec)
     counts: dict[int, int] = {}
     for partition in enumerate_partitions(index, cap=cap):
-        exps = partition.stats().exponents()
-        k = sum(v * e for v, e in zip(weights, exps))
+        k = partition_statistic(spec, partition.stats())
         counts[k] = counts.get(k, 0) + 1
     return CoefficientProfile(family=family, spec=spec, n=n, coeffs=counts)
 

@@ -262,6 +262,11 @@ def test_usage_errors(capsys):
     code, _, err = run_capture(capsys, ["enumerate", "--n", "3", "--list", "--cap", "0"])
     assert code == 2
     assert "cap must be positive" in err
+    # a negative --upto is refused like a negative --n, not read as no indices
+    for command in ("q-poly", "spec", "scalar"):
+        code, out, err = run_capture(capsys, [command, "--upto", "-1"])
+        assert (code, out) == (2, ""), command
+        assert "upto must be non-negative" in err
     # option values that used to be accepted and then ignored
     for argv in (["tables", "--format", "pretty"], ["tables", "--format", "json"],
                  ["tables", "--format", "csv"], ["verify", "--quick", "--format", "csv"],
@@ -329,6 +334,12 @@ def test_out_file_kept_when_refused(tmp_path, capsys):
         code, out, _ = run_capture(capsys, argv + ["--out", str(target)])
         assert (code, out) == (expect, ""), argv
         assert target.read_text() == "kept\n"
+    # an --out path that cannot be opened is a usage error, not a traceback
+    missing = tmp_path / "no-such-dir" / "x.txt"
+    code, out, err = run_capture(capsys, ["scalar", "--n", "3", "--out", str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not missing.parent.exists()
 
 
 def test_closed_stdout_exits_quietly():

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from trident.polyring import (EXP_LIMIT, DivisionByZeroPolynomial, MultiPoly,
-                              NotDivisible, SpecMap, UniPoly, mp_divide_exact,
-                              poly_substitute, up_divide_exact, up_gcd, up_square_free)
-from trident.specialize import SpecId
+                              NotDivisible, UniPoly, mp_divide_exact, poly_substitute,
+                              up_divide_exact, up_gcd, up_square_free)
 
 
 # ---------------------------------------------------------------- oracles
@@ -31,12 +30,13 @@ def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(acc)
 
 
-def naive_substitute(p: MultiPoly, s: SpecMap) -> UniPoly:
-    """Term-wise substitution without shared power caches."""
+def naive_substitute(p: MultiPoly, weights) -> UniPoly:
+    """Term-wise substitution by repeated multiplication with the images t^weight."""
+    images = [UniPoly.monomial(a) for a in weights]
     total = UniPoly.zero()
     for t in p.terms():
         term = UniPoly.constant(t.coeff)
-        for image, e in zip(s.images, (t.exp_w, t.exp_x, t.exp_y, t.exp_z)):
+        for image, e in zip(images, (t.exp_w, t.exp_x, t.exp_y, t.exp_z)):
             for _ in range(e):
                 term = term * image
         total = total + term
@@ -57,6 +57,8 @@ multi_polys = st.lists(
 wide_exponents = st.one_of(exponents, st.integers(min_value=EXP_LIMIT - 4, max_value=EXP_LIMIT))
 
 uni_polys = st.lists(coeffs, min_size=0, max_size=7).map(UniPoly)
+
+weight_vectors = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
 
 V = {name: MultiPoly.variable(name) for name in "wxyz"}
 
@@ -202,24 +204,42 @@ def test_additive_cancellation_is_canonical(p):
 
 
 @settings(max_examples=60)
-@given(multi_polys, multi_polys, st.sampled_from(list(SpecId)))
-def test_substitution_is_ring_homomorphism(a, b, spec_id):
-    s = spec_id.spec_map
+@given(multi_polys, multi_polys, weight_vectors)
+def test_substitution_is_ring_homomorphism(a, b, s):
     assert poly_substitute(a * b, s) == poly_substitute(a, s) * poly_substitute(b, s)
     assert poly_substitute(a + b, s) == poly_substitute(a, s) + poly_substitute(b, s)
 
 
 @settings(max_examples=60)
-@given(multi_polys, st.sampled_from([SpecId.Z1, SpecId.Z2, SpecId.P6]))
-def test_substitution_matches_naive(p, spec_id):
-    s = spec_id.spec_map
-    assert poly_substitute(p, s) == naive_substitute(p, s)
+@given(multi_polys, weight_vectors)
+def test_substitution_matches_naive(p, weights):
+    assert poly_substitute(p, weights) == naive_substitute(p, weights)
 
 
 def test_substitute_all_ones_is_evaluation():
     p = MultiPoly([(1, 1, 0, 0, 2), (0, 0, 1, 2, 5)])
-    image = poly_substitute(p, SpecId.Z0.spec_map)
+    image = poly_substitute(p, (0, 0, 0, 0))
     assert image == UniPoly.constant(p.evaluate(1, 1, 1, 1))
+
+
+def test_substitute_zero_and_cancelling_images():
+    assert poly_substitute(MultiPoly.zero(), (1, 2, 3, 0)) == UniPoly.zero()
+    assert poly_substitute(V["w"] - V["x"], (0, 0, 0, 0)) == UniPoly.zero()
+    assert poly_substitute(V["w"] - V["x"], (1, 1, 2, 2)) == UniPoly.zero()
+    # cancellation at one degree leaves the terms at the others
+    assert poly_substitute(V["w"] - V["x"] + V["z"] ** 2, (1, 1, 0, 1)) == UniPoly((0, 0, 1))
+
+
+def test_substitute_refuses_negative_weights():
+    for weights in ((-1, 0, 0, 0), (0, 0, 0, -2)):
+        with pytest.raises(ValueError):
+            poly_substitute(V["z"], weights)
+    # a negative weight is refused even where its variable does not occur
+    with pytest.raises(ValueError):
+        poly_substitute(MultiPoly.constant(5), (0, -1, 0, 0))
+    # one weight per variable
+    with pytest.raises(ValueError):
+        poly_substitute(V["z"], (1, 1, 1))
 
 
 def test_mp_divide_exact_round_trip():

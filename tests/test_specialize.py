@@ -10,7 +10,7 @@ from trident.sequences import q_poly, r_poly
 from trident.specialize import (PALINDROMIC_PRESETS, SpecId, partition_statistic,
                                 profile, profile_from_oracle, q1_r1_closed,
                                 q1_r1_shifted, reduced_q2, spec_family,
-                                spec_images, statistic_weights, structural_check)
+                                spec_images, structural_check)
 
 ALL_SPECS = list(SpecId)
 
@@ -28,8 +28,8 @@ def test_reference_tables():
 
 def test_substitution_of_small_rows():
     from trident.sequences import s_poly
-    assert poly_substitute(s_poly(1), SpecId.Z0.spec_map) == UniPoly.constant(3)
-    assert poly_substitute(s_poly(2), SpecId.Z1.spec_map) == UniPoly((2, 2))
+    assert poly_substitute(s_poly(1), SpecId.Z0.weights) == UniPoly.constant(3)
+    assert poly_substitute(s_poly(2), SpecId.Z1.weights) == UniPoly((2, 2))
 
 
 def test_recurrence_coefficients_derived_by_substitution():
@@ -47,7 +47,7 @@ def test_recurrence_coefficients_derived_by_substitution():
 
 def test_spec_family_equals_substitution_path():
     for spec in ALL_SPECS:
-        s = spec.spec_map
+        s = spec.weights
         for n in range(11):
             assert spec_family(spec, "q", n) == poly_substitute(q_poly(n), s), (spec, n)
             assert spec_family(spec, "r", n) == poly_substitute(r_poly(n), s), (spec, n)
@@ -106,16 +106,16 @@ def test_reduced_q2_palindromic_symmetry():
             assert full.coeff(n - 1 + j) == full.coeff(3 * n - 3 - j)
 
 
-def test_statistic_weights_derived_from_maps():
-    assert statistic_weights(SpecId.Z1) == (0, 0, 1, 0)
-    assert statistic_weights(SpecId.Z2) == (1, 1, 1, 2)
-    assert statistic_weights(SpecId.Z3) == (0, 0, 1, 1)
-    assert statistic_weights(SpecId.P1) == (1, 1, 0, 0)
-    assert statistic_weights(SpecId.P2) == (1, 1, 1, 1)
-    assert statistic_weights(SpecId.P3) == (0, 0, 1, 2)
-    assert statistic_weights(SpecId.P4) == (1, 1, 1, 0)
-    assert statistic_weights(SpecId.P5) == (0, 1, 1, 2)
-    assert statistic_weights(SpecId.P6) == (1, 0, 1, 2)
+def test_spec_weights():
+    assert SpecId.Z1.weights == (0, 0, 1, 0)
+    assert SpecId.Z2.weights == (1, 1, 1, 2)
+    assert SpecId.Z3.weights == (0, 0, 1, 1)
+    assert SpecId.P1.weights == (1, 1, 0, 0)
+    assert SpecId.P2.weights == (1, 1, 1, 1)
+    assert SpecId.P3.weights == (0, 0, 1, 2)
+    assert SpecId.P4.weights == (1, 1, 1, 0)
+    assert SpecId.P5.weights == (0, 1, 1, 2)
+    assert SpecId.P6.weights == (1, 0, 1, 2)
 
 
 def test_partition_statistic_worked_example():
