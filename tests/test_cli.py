@@ -11,7 +11,9 @@ from pathlib import Path
 import jsonschema
 
 from fixtures import PARTITIONS_OF_3
+from trident import identities
 from trident.cli import run
+from trident.specialize import SpecId, spec_family
 
 with resources.files("trident.schemas").joinpath("cli-output.schema.json").open() as fh:
     SCHEMA = json.load(fh)
@@ -239,6 +241,31 @@ def test_verify_json_schema(capsys):
                                 "--format", "json"])
     assert payload["ok"] is True
     assert {c["id"] for c in payload["checks"]} == {"prop61", "gf"}
+
+
+def test_verify_failure_path(tmp_path, capsys, monkeypatch):
+    # a failing check ends the run with exit 1 and its report still printed,
+    # or written to --out; here the z1 q member at n = 3 is off by one
+    def mutant(n):
+        member = spec_family(SpecId.Z1, "q", n)
+        return member + 1 if n == 3 else member
+
+    monkeypatch.setattr("trident.cli.verify_surprising",
+                        lambda n: identities.verify_surprising(n, q_provider=mutant))
+    argv = ["verify", "--quick", "--only", "surprising"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 1
+    assert out.splitlines() == ["FAIL  surprising  (difference n=3)", "FAILURES PRESENT"]
+    code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["ok"] is False
+    assert payload["checks"] == [{"id": "surprising", "ok": False, "detail": "difference n=3"}]
+    target = tmp_path / "verify.txt"
+    code, out, _ = run_capture(capsys, argv + ["--out", str(target)])
+    assert (code, out) == (1, "")
+    assert target.read_text() == "FAIL  surprising  (difference n=3)\nFAILURES PRESENT\n"
 
 
 def test_verify_unknown_check_is_usage_error(capsys):
