@@ -9,13 +9,14 @@ complex zero loci of the specialized families.
 """
 
 from .chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
-from .identities import (IdentityReport, verify_divisibility, verify_prop61,
-                         verify_surprising, verify_telescoping)
+from .identities import (verify_divisibility, verify_prop61, verify_surprising,
+                         verify_telescoping)
 from .oracle import (CapExceeded, ColoredPartition, PartitionStats,
                      count_partitions, enumerate_partitions, oracle_poly)
 from .polyring import (DivisionByZeroPolynomial, Monomial4, MultiPoly,
                        NotDivisible, UniPoly, mp_divide_exact, poly_substitute,
                        up_divide_exact, up_gcd, up_square_free)
+from .report import Report
 from .sequences import (W1, W2, closed_form_k3n, gf_check, q_poly, r_poly,
                         s_poly, s_poly_product, scalar_qr)
 from .specialize import (CoefficientProfile, SpecId, partition_statistic,
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChebKind", "chebyshev", "dickson_D", "dickson_E", "verify_prop35",
-    "IdentityReport", "verify_divisibility", "verify_prop61",
+    "Report", "verify_divisibility", "verify_prop61",
     "verify_surprising", "verify_telescoping",
     "CapExceeded", "ColoredPartition", "PartitionStats",
     "count_partitions", "enumerate_partitions", "oracle_poly",

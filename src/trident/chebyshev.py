@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
 
 from .polyring import UniPoly
+from .report import Report
 from .sequences import S1, TRIPLE_COEFF, W1, W2, TwoTerm, q_poly, r_poly
 
 
@@ -54,24 +54,18 @@ def dickson_D(n: int, a, b):
     return TwoTerm(a, b, 2 * a**0, a)[n]
 
 
-@dataclass
-class Prop35Report:
-    """Outcome of the bridge identities at one index."""
-
-    n: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# The analytic spot check: how many random points, from which seed, and the
+# relative tolerance of each comparison.
+SPOT_POINTS = 20
+SPOT_SEED = 42
+SPOT_REL_TOL = 1e-9
 
 
 def _cheb_value(kind: ChebKind, n: int, v: float) -> float:
     return float(chebyshev(kind, n).evaluate(v))
 
 
-def verify_prop35(n: int, spot_points: int = 20, seed: int = 42,
-                  rel_tol: float = 1e-9) -> Prop35Report:
+def verify_prop35(n: int) -> Report:
     """Check the Chebyshev bridge at index ``n``.
 
     Exact checks in the 4-variable ring:
@@ -80,35 +74,36 @@ def verify_prop35(n: int, spot_points: int = 20, seed: int = 42,
         (w + x + y - wxy - wz - xz) times the q-sequence at n.
 
     Then the analytic forms with explicit square roots are sampled at
-    ``spot_points`` random points with all variables in (0.5, 2.0), where
-    W2 is positive, and compared at relative tolerance ``rel_tol``.
+    ``SPOT_POINTS`` random points with all variables in (0.5, 2.0), where
+    W2 is positive, and compared at relative tolerance ``SPOT_REL_TOL``.
+    Each failure is recorded under its message.
     """
-    report = Prop35Report(n)
+    report = Report(f"n={n}")
     if q_poly(n + 1) != dickson_E(n, W1, W2):
-        report.failures.append(f"E_{n}(W1, W2) != q-sequence at {n + 1}")
+        report.record(f"E_{n}(W1, W2) != q-sequence at {n + 1}", False)
     correction = S1 - TRIPLE_COEFF
     if 2 * r_poly(n) != dickson_D(n, W1, W2) + correction * q_poly(n):
-        report.failures.append(f"D_{n}(W1, W2) correction identity fails at {n}")
+        report.record(f"D_{n}(W1, W2) correction identity fails at {n}", False)
 
-    rng = random.Random(seed)
-    for trial in range(spot_points):
+    rng = random.Random(SPOT_SEED)
+    for trial in range(SPOT_POINTS):
         point = tuple(rng.uniform(0.5, 2.0) for _ in range(4))
         w1 = float(W1.evaluate(*point))
         w2 = float(W2.evaluate(*point))
         if w2 <= 0:
-            report.failures.append(f"spot point {trial}: nonpositive W2")
+            report.record(f"spot point {trial}: nonpositive W2", False)
             continue
         arg = w1 / (2.0 * math.sqrt(w2))
         q_exact = float(q_poly(n + 1).evaluate(*point))
         q_analytic = w2 ** (n / 2.0) * _cheb_value(ChebKind.SECOND, n, arg)
-        if abs(q_exact - q_analytic) > rel_tol * max(1.0, abs(q_exact), abs(q_analytic)):
-            report.failures.append(
-                f"spot point {trial}: U-form mismatch {q_exact} vs {q_analytic}")
+        if abs(q_exact - q_analytic) > SPOT_REL_TOL * max(1.0, abs(q_exact), abs(q_analytic)):
+            report.record(f"spot point {trial}: U-form mismatch {q_exact} vs {q_analytic}",
+                          False)
         r_exact = float(r_poly(n).evaluate(*point))
         corr = float(correction.evaluate(*point))
         r_analytic = (w2 ** (n / 2.0) * _cheb_value(ChebKind.FIRST, n, arg)
                       + 0.5 * corr * float(q_poly(n).evaluate(*point)))
-        if abs(r_exact - r_analytic) > rel_tol * max(1.0, abs(r_exact), abs(r_analytic)):
-            report.failures.append(
-                f"spot point {trial}: T-form mismatch {r_exact} vs {r_analytic}")
+        if abs(r_exact - r_analytic) > SPOT_REL_TOL * max(1.0, abs(r_exact), abs(r_analytic)):
+            report.record(f"spot point {trial}: T-form mismatch {r_exact} vs {r_analytic}",
+                          False)
     return report

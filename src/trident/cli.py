@@ -23,6 +23,7 @@ from .identities import (verify_divisibility, verify_prop61, verify_surprising,
                          verify_telescoping)
 from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
                      enumerate_partitions, oracle_poly)
+from .report import Report
 from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
 from .specialize import (PALINDROMIC_PRESETS, SpecId, profile, spec_family,
                          structural_check)
@@ -173,65 +174,53 @@ def _emit_tables(args) -> list[str]:
     return lines
 
 
-def _entry(rep, suffix: str = ""):
-    # One entry from an identity report: its first failure, else its range.
-    return suffix, rep.ok, rep.first_failure() or rep.param_range
-
-
-def _failures_entry(failures: list[str], passed: str):
-    return [("", not failures, failures[0] if failures else passed)]
+def _merged(param_range: str, parts) -> Report:
+    """One Report of the (label prefix, Report) pairs ``parts``, in order."""
+    report = Report(param_range)
+    for prefix, part in parts:
+        report.witness = report.witness or part.witness
+        report.status.update((prefix + label, passed) for label, passed in part.status.items())
+    return report
 
 
 def _check_prop35(top):
-    bad = [r.failures[0] for r in map(verify_prop35, range(top + 1)) if not r.ok]
-    return _failures_entry(bad, f"n <= {top}")
+    return {"": _merged(f"n <= {top}", (("", verify_prop35(n)) for n in range(top + 1)))}
 
 
 def _check_structural(top):
-    failures = []
-    for n in range(1, top + 1):
-        for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS):
-            rep = structural_check(spec, n)
-            if not rep.ok:
-                failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
-    return _failures_entry(failures, f"n <= {top}")
+    specs = (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS)
+    return {"": _merged(f"n <= {top}", ((f"{spec.value} n={n}: ", structural_check(spec, n))
+                                        for n in range(1, top + 1) for spec in specs))}
 
 
 def _check_locus(nloc, npre):
-    failures = []
-    for spec, top in ((SpecId.Z1, nloc), (SpecId.Z2, nloc), (SpecId.Z3, nloc),
-                      (SpecId.P3, npre), (SpecId.P5, npre), (SpecId.P6, npre)):
-        for n in range(2, top + 1):
-            rep = verify_locus(spec, n)
-            if not rep.ok:
-                failures.append(f"{spec.value} n={n}: {rep.failures[0]}")
-    return _failures_entry(failures, f"z-specs n <= {nloc}, presets n <= {npre}")
+    specs = dict.fromkeys(spec for spec, _ in LOCI)
+    return {"": _merged(f"z-specs n <= {nloc}, presets n <= {npre}",
+                        ((f"{spec.value} n={n}: ", verify_locus(spec, n)) for spec in specs
+                         for n in range(2, (npre if spec in PALINDROMIC_PRESETS else nloc) + 1)))}
 
 
 def _check_oracle(nor, ncnt):
-    mismatch = None
+    report = Report(f"terms n <= {nor}, counts n <= {ncnt}")
     for n in range(nor + 1):
         if not (s_poly(n) == s_poly_product(n) == oracle_poly(n)):
-            mismatch = f"polynomial mismatch at n={n}"
-            break
-    if mismatch is None:
-        for n in range(ncnt + 1):
-            if s_poly(n).evaluate(1, 1, 1, 1) != count_partitions(n):
-                mismatch = f"count mismatch at n={n}"
-                break
-    return [("", mismatch is None, mismatch or f"terms n <= {nor}, counts n <= {ncnt}")]
+            report.record(f"polynomial mismatch at n={n}", False)
+    for n in range(ncnt + 1):
+        if s_poly(n).evaluate(1, 1, 1, 1) != count_partitions(n):
+            report.record(f"count mismatch at n={n}", False)
+    return {"": report}
 
 
 # The verification battery in report order: (group id, check, quick ranges,
-# full ranges).  A check returns (id suffix, ok, detail) entries; the suffix
-# tells apart the entries of one group.
+# full ranges).  A check returns its Reports by id suffix, which tells apart
+# the entries of one group.
 VERIFICATIONS = (
-    ("prop61", lambda n: [_entry(verify_prop61(n))], (6,), (12,)),
-    ("telescoping", lambda n: [_entry(verify_telescoping(n))], (6,), (12,)),
-    ("divisibility", lambda n: [_entry(verify_divisibility(spec, n), f"-{spec.value}")
-                                for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3)], (12,), (24,)),
-    ("surprising", lambda n: [_entry(verify_surprising(n))], (12,), (40,)),
-    ("gf", lambda n: [("", gf_check(n).ok, f"degree <= {n}")], (8,), (15,)),
+    ("prop61", lambda n: {"": verify_prop61(n)}, (6,), (12,)),
+    ("telescoping", lambda n: {"": verify_telescoping(n)}, (6,), (12,)),
+    ("divisibility", lambda n: {f"-{spec.value}": verify_divisibility(spec, n)
+                                for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3)}, (12,), (24,)),
+    ("surprising", lambda n: {"": verify_surprising(n)}, (12,), (40,)),
+    ("gf", lambda n: {"": gf_check(n)}, (8,), (15,)),
     ("prop35", _check_prop35, (6,), (12,)),
     ("structural", _check_structural, (8,), (16,)),
     ("locus", _check_locus, (8, 6), (20, 10)),
@@ -242,20 +231,24 @@ VERIFICATION_GROUPS = tuple(group for group, *_ in VERIFICATIONS)
 
 
 def run_verification(quick: bool = False, only: list[str] | None = None) -> list[dict]:
-    """The full cross-check battery; each entry is {id, ok, detail}."""
+    """The full cross-check battery; each entry is {id, ok, detail}.
+
+    The detail is a failing entry's first failure, else its parameter range.
+    """
     checks: list[dict] = []
     for group, check, quick_ranges, full_ranges in VERIFICATIONS:
         if only is None or group in only:
-            for suffix, ok, detail in check(*(quick_ranges if quick else full_ranges)):
-                checks.append({"id": group + suffix, "ok": ok, "detail": detail})
+            for suffix, report in check(*(quick_ranges if quick else full_ranges)).items():
+                checks.append({"id": group + suffix, "ok": report.ok,
+                               "detail": report.param_range if report.ok else report.failures[0]})
     return checks
 
 
 def _emit_verify(args) -> list[str]:
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     unknown = [o for o in only or () if o not in VERIFICATION_GROUPS]
     if unknown:
-        raise UsageError(f"unknown check id(s): {', '.join(unknown)}")
+        raise UsageError(f"unknown check id(s): {', '.join(map(repr, unknown))}")
     checks = run_verification(quick=args.quick, only=only)
     ok = all(c["ok"] for c in checks) and bool(checks)
     if args.format == "json":
@@ -328,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command.formats:
             p.add_argument("--format", default=command.formats[0], choices=command.formats)
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
+        p.set_defaults(print_usage=p.print_usage)
     return parser
 
 
@@ -344,7 +338,7 @@ def run(argv: list[str]) -> int:
         lines, code = exc.args[0], EXIT_VERIFY_FAILED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        args.print_usage(sys.stderr)   # the usage of the subcommand at fault
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,10 @@ as a failure with a serialized witness.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
+from .report import Report
 from .sequences import S1, TRIPLE_COEFF, WXZ, q_poly, r_poly
 from .specialize import SpecId, q1_r1_closed, spec_family
 
@@ -21,46 +20,8 @@ MultiProvider = Callable[[int], MultiPoly]
 UniProvider = Callable[[int], UniPoly]
 
 
-@dataclass
-class IdentityReport:
-    """Pass/fail evidence for one identity over a parameter range."""
-
-    identity: str
-    param_range: str
-    status: dict[str, bool] = field(default_factory=dict)
-    witness: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return all(self.status.values())
-
-    def first_failure(self) -> Optional[str]:
-        for label, passed in self.status.items():
-            if not passed:
-                return label
-        return None
-
-    def _record(self, label: str, passed: bool, lhs=None, rhs=None) -> None:
-        self.status[label] = passed
-        if not passed and self.witness is None:
-            payload = {"check": label}
-            if lhs is not None:
-                payload["lhs"] = _serialize(lhs)
-            if rhs is not None:
-                payload["rhs"] = _serialize(rhs)
-            self.witness = json.dumps(payload)
-
-
-def _serialize(p) -> list:
-    if isinstance(p, MultiPoly):
-        return p.to_records()
-    if isinstance(p, UniPoly):
-        return p.to_strings()
-    return p
-
-
 def verify_prop61(n_max: int, q_provider: MultiProvider = q_poly,
-                  r_provider: MultiProvider = r_poly) -> IdentityReport:
+                  r_provider: MultiProvider = r_poly) -> Report:
     """The two first-order couplings between the q- and r-sequences.
 
     For 1 <= n <= n_max:  wxz * Q_n = R_{n+1} - (w+x+y) R_n  and
@@ -68,19 +29,19 @@ def verify_prop61(n_max: int, q_provider: MultiProvider = q_poly,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    report = IdentityReport("prop61", f"1..{n_max}")
+    report = Report(f"1..{n_max}")
     for n in range(1, n_max + 1):
         lhs = WXZ * q_provider(n)
         rhs = r_provider(n + 1) - S1 * r_provider(n)
-        report._record(f"qr-coupling n={n}", lhs == rhs, lhs, rhs)
+        report.record(f"qr-coupling n={n}", lhs == rhs, lhs, rhs)
         lhs2 = r_provider(n)
         rhs2 = q_provider(n + 1) - TRIPLE_COEFF * q_provider(n)
-        report._record(f"rq-coupling n={n}", lhs2 == rhs2, lhs2, rhs2)
+        report.record(f"rq-coupling n={n}", lhs2 == rhs2, lhs2, rhs2)
     return report
 
 
 def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
-                       r_provider: MultiProvider = r_poly) -> IdentityReport:
+                       r_provider: MultiProvider = r_poly) -> Report:
     """The telescoped closed forms of both sequences.
 
     For 1 <= N <= n_max:
@@ -89,7 +50,7 @@ def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    report = IdentityReport("telescoping", f"1..{n_max}")
+    report = Report(f"1..{n_max}")
     s1_pows = [MultiPoly.one()]
     a_pows = [MultiPoly.one()]
     for _ in range(n_max):
@@ -101,17 +62,17 @@ def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
             acc = acc + s1_pows[N - n] * q_provider(n - 1)
         rhs = s1_pows[N] + WXZ * acc
         lhs = r_provider(N)
-        report._record(f"r-telescope N={N}", lhs == rhs, lhs, rhs)
+        report.record(f"r-telescope N={N}", lhs == rhs, lhs, rhs)
         acc = MultiPoly.zero()
         for n in range(1, N + 1):
             acc = acc + a_pows[N - n] * r_provider(n - 1)
         lhs2 = q_provider(N)
-        report._record(f"q-telescope N={N}", lhs2 == acc, lhs2, acc)
+        report.record(f"q-telescope N={N}", lhs2 == acc, lhs2, acc)
     return report
 
 
 def verify_divisibility(spec: SpecId, n_max: int,
-                        family_provider: Optional[UniProvider] = None) -> IdentityReport:
+                        family_provider: Optional[UniProvider] = None) -> Report:
     """Divisibility of the specialized q-family along divisor pairs.
 
     Checks Q_m | Q_n (exact integer quotient) for every 2 <= m < n <= n_max
@@ -124,35 +85,35 @@ def verify_divisibility(spec: SpecId, n_max: int,
     if spec not in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
         raise ValueError("divisibility is claimed for the z1, z2, z3 substitutions")
     provider = family_provider or (lambda n: spec_family(spec, "q", n))
-    report = IdentityReport(f"divisibility-{spec.value}", f"m|n, n<=2..{n_max}")
+    report = Report(f"m|n, n<=2..{n_max}")
     for n in range(2, n_max + 1):
         for m in range(1, n):
             if n % m:
                 continue
             try:
                 up_divide_exact(provider(n), provider(m))
-                report._record(f"q[{m}] | q[{n}]", True)
+                report.record(f"q[{m}] | q[{n}]", True)
             except NotDivisible:
-                report._record(f"q[{m}] | q[{n}]", False, provider(n), provider(m))
+                report.record(f"q[{m}] | q[{n}]", False, provider(n), provider(m))
     if spec is SpecId.Z1:
         r6 = spec_family(spec, "r", 6)
         try:
             up_divide_exact(r6, spec_family(spec, "r", 2))
-            report._record("r[2] | r[6]", True)
+            report.record("r[2] | r[6]", True)
         except NotDivisible:
-            report._record("r[2] | r[6]", False, r6, spec_family(spec, "r", 2))
+            report.record("r[2] | r[6]", False, r6, spec_family(spec, "r", 2))
         for m in (1, 3):
             try:
                 up_divide_exact(r6, spec_family(spec, "r", m))
-                report._record(f"r[{m}] does not divide r[6]", False, r6,
+                report.record(f"r[{m}] does not divide r[6]", False, r6,
                                spec_family(spec, "r", m))
             except NotDivisible:
-                report._record(f"r[{m}] does not divide r[6]", True)
+                report.record(f"r[{m}] does not divide r[6]", True)
     return report
 
 
 def verify_surprising(n_max: int, q_provider: Optional[UniProvider] = None,
-                      r_provider: Optional[UniProvider] = None) -> IdentityReport:
+                      r_provider: Optional[UniProvider] = None) -> Report:
     """The binomial sum/difference relations of the (1, 1, z, 1) families.
 
     For 0 <= n <= n_max, exactly:  R - Q = (z+1)^n, R + Q = (z+3)^n,
@@ -162,18 +123,18 @@ def verify_surprising(n_max: int, q_provider: Optional[UniProvider] = None,
         raise ValueError("n_max must be non-negative")
     qp = q_provider or (lambda n: spec_family(SpecId.Z1, "q", n))
     rp = r_provider or (lambda n: spec_family(SpecId.Z1, "r", n))
-    report = IdentityReport("surprising", f"0..{n_max}")
+    report = Report(f"0..{n_max}")
     z_plus_1 = UniPoly((1, 1))
     z_plus_3 = UniPoly((3, 1))
     for n in range(n_max + 1):
         q, r = qp(n), rp(n)
         diff, total = r - q, r + q
-        report._record(f"difference n={n}", diff == z_plus_1**n, diff, z_plus_1**n)
-        report._record(f"sum n={n}", total == z_plus_3**n, total, z_plus_3**n)
+        report.record(f"difference n={n}", diff == z_plus_1**n, diff, z_plus_1**n)
+        report.record(f"sum n={n}", total == z_plus_3**n, total, z_plus_3**n)
         square = r * r - q * q
         expected = (z_plus_1 * z_plus_3) ** n
-        report._record(f"square-difference n={n}", square == expected, square, expected)
-        report._record(f"product-consistency n={n}", square == diff * total)
+        report.record(f"square-difference n={n}", square == expected, square, expected)
+        report.record(f"product-consistency n={n}", square == diff * total)
         closed_q, closed_r = q1_r1_closed(n)
-        report._record(f"closed-form n={n}", (q, r) == (closed_q, closed_r))
+        report.record(f"closed-form n={n}", (q, r) == (closed_q, closed_r))
     return report

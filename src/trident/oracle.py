@@ -165,15 +165,16 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPar
     return results
 
 
-def oracle_poly(n: int, cap: int = DEFAULT_LIST_CAP) -> MultiPoly:
+def oracle_poly(n: int) -> MultiPoly:
     """The 4-variable counting polynomial of ``n`` assembled term-by-term.
 
     Each enumerated partition contributes one monomial ``w^i x^j y^k z^l``
     from its statistics; the sum is the same polynomial the sequence engine
-    computes by recurrence, but derived from nothing except the enumeration.
+    computes by recurrence, but derived from nothing except the enumeration,
+    under the default list cap.
     """
     counts: dict[tuple[int, int, int, int], int] = {}
-    for partition in enumerate_partitions(n, cap=cap):
+    for partition in enumerate_partitions(n):
         exps = partition.stats().exponents()
         counts[exps] = counts.get(exps, 0) + 1
     return MultiPoly(counts)

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .polyring import MultiPoly
+from .report import Report
 
 PRODUCT_CAP = 500
 
@@ -136,17 +137,18 @@ class TruncatedSeries:
             coeffs[i] = acc
 
 
-def s_poly_product(n: int, cap: int = PRODUCT_CAP) -> MultiPoly:
+def s_poly_product(n: int) -> MultiPoly:
     """The coefficient of ``q**n`` in the truncated generating product.
 
     Expands prod_j (1 + w q^(3^j)) (1 + x q^(3^j)) (1 + y q^(3^j) + z q^(2*3^j))
     over the powers 3^j <= n.  Independent of the recurrence path; capped
-    because it costs O(n * terms) rather than O(log n).
+    at degree ``PRODUCT_CAP`` because it costs O(n * terms) rather than
+    O(log n).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > cap:
-        raise ValueError(f"product expansion capped at degree {cap}")
+    if n > PRODUCT_CAP:
+        raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
     series = TruncatedSeries(n)
     power = 1
     while power <= n:
@@ -218,19 +220,7 @@ def scalar_qr(n: int) -> tuple[int, int]:
     return (2 ** (n - 1) * (2**n - 1), 2 ** (n - 1) * (2**n + 1))
 
 
-@dataclass
-class GfReport:
-    """Result of clearing the claimed rational generating functions."""
-
-    truncation: int
-    mismatches: list[tuple[str, int, MultiPoly]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def gf_check(truncation: int) -> GfReport:
+def gf_check(truncation: int) -> Report:
     """Verify the rational generating functions of both subsequences.
 
     Multiplies the truncated series of q_poly / r_poly by the shared
@@ -239,7 +229,7 @@ def gf_check(truncation: int) -> GfReport:
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    report = GfReport(truncation)
+    report = Report(f"degree <= {truncation}")
     qs = [q_poly(i) for i in range(truncation + 1)]
     rs = [r_poly(i) for i in range(truncation + 1)]
     q_expect = [MultiPoly.zero()] * (truncation + 1)
@@ -254,6 +244,5 @@ def gf_check(truncation: int) -> GfReport:
                 acc = acc - W1 * series[i - 1]
             if i >= 2:
                 acc = acc + W2 * series[i - 2]
-            if acc != expected[i]:
-                report.mismatches.append((label, i, acc - expected[i]))
+            report.record(f"{label}-series degree {i}", acc == expected[i], acc, expected[i])
     return report

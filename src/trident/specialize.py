@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .oracle import DEFAULT_LIST_CAP, PartitionStats, enumerate_partitions
+from .oracle import PartitionStats, enumerate_partitions
 from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute
+from .report import Report
 from .sequences import S1, W1, W2, TwoTerm
 
 
@@ -178,8 +179,7 @@ def profile(spec: SpecId, family: str, n: int) -> CoefficientProfile:
     )
 
 
-def profile_from_oracle(spec: SpecId, family: str, n: int,
-                        cap: int = DEFAULT_LIST_CAP) -> CoefficientProfile:
+def profile_from_oracle(spec: SpecId, family: str, n: int) -> CoefficientProfile:
     """The same profile recomputed by filtering the brute-force enumeration.
 
     Counts partitions of (3^n - 3)/2 (q-side) or (3^n - 1)/2 (r-side) by the
@@ -191,31 +191,23 @@ def profile_from_oracle(spec: SpecId, family: str, n: int,
         raise ValueError("n must be at least 1 for the oracle path")
     index = (3**n - 3) // 2 if family == "q" else (3**n - 1) // 2
     counts: dict[int, int] = {}
-    for partition in enumerate_partitions(index, cap=cap):
+    for partition in enumerate_partitions(index):
         k = partition_statistic(spec, partition.stats())
         counts[k] = counts.get(k, 0) + 1
     return CoefficientProfile(family=family, spec=spec, n=n, coeffs=counts)
 
 
-@dataclass
-class StructuralReport:
-    """Structural assertions about one specialized polynomial."""
+def structural_check(spec: SpecId, n: int) -> Report:
+    """Check the claimed degree/coefficient/palindromy structure at index ``n``.
 
-    spec: SpecId
-    n: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def structural_check(spec: SpecId, n: int) -> StructuralReport:
-    """Check the claimed degree/coefficient/palindromy structure at index ``n``."""
+    Each violated claim is recorded under its message.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    report = StructuralReport(spec, n)
-    fail = report.failures.append
+    report = Report(f"{spec.value} n={n}")
+
+    def fail(message: str) -> None:
+        report.record(message, False)
 
     if spec is SpecId.Z1:
         q = spec_family(spec, "q", n)

@@ -21,16 +21,20 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
 from .polyring import UniPoly, horner, up_square_free
+from .report import Report
 from .specialize import SpecId, reduced_q2, spec_family
 
-DEFAULT_ROOT_TOL = 1e-13
 DEFAULT_MAX_ITER = 500
-DEFAULT_SEED = 42
+# The root finder's relative stopping tolerance and the seed of its start
+# jitter; the tolerance of the locus and residual checks.
+ROOT_TOL = 1e-13
+ROOT_SEED = 42
+LOCUS_TOL = 1e-9
 
 # The families with an explicit zero map, by the tag ``zeros_explicit`` takes.
 EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
@@ -80,7 +84,7 @@ class Locus:
     ``params`` is the JSON description the CLI prints, ``name`` the phrase
     failure messages use and ``distance(z)`` the distance of a point to the
     locus.  ``margin``, when set, is a strict open condition on top of the
-    locus: (key in ``LocusReport.margins``, the claim as text, a function
+    locus: (key in ``Report.margins``, the claim as text, a function
     that is positive exactly where the claim holds).
     """
 
@@ -310,18 +314,18 @@ def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
     return best
 
 
-def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_SEED) -> ZeroReport:
+def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
     """All complex zeros of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Exact zeros at the origin (trailing zero coefficients) are split off
     first and reported via ``origin_multiplicity``.  Starting points sit on
-    a circle of radius (1 + max |c_i / c_d|)^(1/d) with deterministic,
-    seeded angular jitter; iteration stops when every root either reaches
+    a circle of radius (1 + max |c_i / c_d|)^(1/d) with angular jitter
+    seeded by ``ROOT_SEED``; iteration stops when every root either reaches
     the floating-point noise floor of the evaluation or moves less than
-    ``tol`` relatively, and raises NoConvergence (with the correction
-    trace) otherwise.  Simple roots are then polished by Newton steps with
-    exact dyadic integer evaluation to remove evaluation noise.
+    ``ROOT_TOL`` relatively, and raises NoConvergence (with the correction
+    trace) after ``max_iter`` iterations otherwise.  Simple roots are then
+    polished by Newton steps with exact dyadic integer evaluation to remove
+    evaluation noise.
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
@@ -330,7 +334,8 @@ def zeros_general(p: UniPoly, tol: float = DEFAULT_ROOT_TOL,
     points: list[complex] = []
     if reduced.degree() >= 1:
         coeffs = [complex(c) for c in reduced.coeffs]
-        points = [_newton_polish(reduced, z) for z in _aberth(coeffs, tol, max_iter, seed)]
+        points = [_newton_polish(reduced, z)
+                  for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
     points.sort(key=lambda z: (z.real, z.imag))
     return ZeroReport(
         family="",
@@ -349,9 +354,8 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     Families with an explicit map take it; every other member goes through
     its exact square-free part, since preset members can carry
     high-multiplicity factors such as powers of z + 1, and the general root
-    finder at its default tolerance and seed.  Locus distances come from
-    ``LOCI`` where the family claims a locus.  A constant member has no
-    zeros and raises ValueError.
+    finder.  Locus distances come from ``LOCI`` where the family claims a
+    locus.  A constant member has no zeros and raises ValueError.
     """
     member = spec_family(spec, family, n)
     if member.degree() < 1:
@@ -386,21 +390,6 @@ def match_multisets(a: list[complex], b: list[complex]) -> float:
     return worst
 
 
-@dataclass
-class LocusReport:
-    """Locus verification outcome for one family index."""
-
-    spec: SpecId
-    n: int
-    failures: list[str] = field(default_factory=list)
-    margins: dict[str, float] = field(default_factory=dict)
-    real_zero_range: Optional[tuple[float, float]] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def backward_scale(poly: UniPoly, z: complex) -> float:
     """Natural residual scale at ``z``: sum of |c_i| |z|^i.
 
@@ -413,33 +402,36 @@ def backward_scale(poly: UniPoly, z: complex) -> float:
     return horner([abs(c) for c in poly.coeffs], abs(z))
 
 
-def verify_locus(spec: SpecId, n: int, tol: float = 1e-9) -> LocusReport:
+def verify_locus(spec: SpecId, n: int) -> Report:
     """Assert the claimed zero locus of one family at index ``n``.
 
     Every ``LOCI`` row of ``spec`` is checked the same way: distance to the
-    locus, the strict margin where the row has one, and a residual gate.
-    Strict open conditions (|Im| > 1/3, Re < 1/2) are checked with their
-    actual margins recorded rather than widened by the tolerance.
+    locus, the strict margin where the row has one, and a residual gate,
+    each within ``LOCUS_TOL``.  Strict open conditions (|Im| > 1/3,
+    Re < 1/2) are checked with their actual margins recorded rather than
+    widened by the tolerance; on the unit-circle-or-negative-axis locus the
+    range of the real zeros off the circle is recorded as
+    ``real_zero_min``/``real_zero_max``.  Each violation is recorded under
+    its message.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     rows = [(family, locus) for (s, family), locus in LOCI.items() if s is spec]
     if not rows:
         raise ValueError(f"no locus claim for spec {spec.value}")
-    report = LocusReport(spec, n)
-    fail = report.failures.append
+    report = Report(f"{spec.value} n={n}")
     for family, locus in rows:
         zr, poly = zeros_of(spec, family, n)
         # Messages name the family where the spec claims a locus for both.
         tag = f"{spec.value}{family}: " if len(rows) > 1 else ""
         for z, dist in zip(zr.points, zr.locus_distances):
-            if dist >= tol:
-                fail(f"{tag}zero {z} off {locus.name}")
+            if dist >= LOCUS_TOL:
+                report.record(f"{tag}zero {z} off {locus.name}", False)
         if locus.margin is not None:
             key, claim, measure = locus.margin
             margin = min((measure(z) for z in zr.points), default=math.inf)
             if margin <= 0:
-                fail(f"{claim} violated (margin {margin:.3e})")
+                report.record(f"{claim} violated (margin {margin:.3e})", False)
             report.margins[key] = margin
         if spec is SpecId.Z1:
             # A single real zero, at -2: q-family at even n, r-family at odd n.
@@ -447,15 +439,18 @@ def verify_locus(spec: SpecId, n: int, tol: float = 1e-9) -> LocusReport:
             real_zeros = [z for z in zr.points if z.imag == 0.0]
             expected = 1 if n % 2 == parity else 0
             if len(real_zeros) != expected:
-                fail(f"{tag}expected {expected} real zero(s), found {len(real_zeros)}")
+                report.record(f"{tag}expected {expected} real zero(s), found {len(real_zeros)}",
+                              False)
         if locus is _CIRCLE_OR_AXIS:
-            reals = [z.real for z in zr.points
-                     if abs(z.imag) < tol and z.real < 0 and abs(abs(z) - 1.0) >= tol]
+            reals = [z.real for z in zr.points if abs(z.imag) < LOCUS_TOL and z.real < 0
+                     and abs(abs(z) - 1.0) >= LOCUS_TOL]
             if reals:
-                report.real_zero_range = (min(reals), max(reals))
+                report.margins["real_zero_min"] = min(reals)
+                report.margins["real_zero_max"] = max(reals)
         for z in zr.points:
             res = abs(poly.evaluate(z))
             scale = backward_scale(poly, z)
-            if res >= tol * scale:
-                fail(f"residual {res:.3e} at {z} exceeds {tol:.1e} * scale {scale:.3e}")
+            if res >= LOCUS_TOL * scale:
+                report.record(f"residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} * scale "
+                              f"{scale:.3e}", False)
     return report

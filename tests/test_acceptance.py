@@ -95,7 +95,7 @@ def test_criterion_4_perfect_number_subsequence():
 def test_criterion_5_chebyshev_bridge():
     with Budget("5 chebyshev bridge", 10.0):
         for n in range(13):
-            report = verify_prop35(n, spot_points=20, rel_tol=1e-9)
+            report = verify_prop35(n)
             assert report.ok, (n, report.failures)
         two_v = UniPoly((0, 2))
         one = UniPoly.one()
@@ -136,7 +136,7 @@ def test_criterion_8_zero_loci():
     with Budget("8 zero loci", 30.0):
         for n in range(2, 21):
             for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
-                report = verify_locus(spec, n, tol=1e-9)
+                report = verify_locus(spec, n)
                 assert report.ok, (spec.value, n, report.failures)
         for tag, spec, family in (("z1q", SpecId.Z1, "q"), ("z1r", SpecId.Z1, "r"),
                                   ("z2", SpecId.Z2, "q"), ("z3", SpecId.Z3, "q")):

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 
 from fixtures import PARTITIONS_OF_3
-from trident import identities
+from trident import identities, specialize
 from trident.cli import run
 from trident.specialize import SpecId, spec_family
 
@@ -268,10 +268,31 @@ def test_verify_failure_path(tmp_path, capsys, monkeypatch):
     assert target.read_text() == "FAIL  surprising  (difference n=3)\nFAILURES PRESENT\n"
 
 
+def test_verify_merged_group_names_index(capsys, monkeypatch):
+    # a group over several specs and indices reports its first failure
+    # under the "<spec> n=<n>: " of the index that failed
+    def mutant(spec, n):
+        report = specialize.structural_check(spec, n)
+        if (spec, n) == (SpecId.Z2, 3):
+            report.record("not palindromic after reduction", False)
+        return report
+
+    monkeypatch.setattr("trident.cli.structural_check", mutant)
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "structural"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL  structural  (z2 n=3: not palindromic after reduction)",
+                                "FAILURES PRESENT"]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run_capture(capsys, ["verify", "--only", "bogus"])
     assert code == 2
     assert "unknown check" in err
+    # an empty id, as a trailing comma or an empty list leaves, is named too
+    for only in ("gf,", ""):
+        code, out, err = run_capture(capsys, ["verify", "--quick", "--only", only])
+        assert (code, out) == (2, ""), only
+        assert "unknown check id(s): ''\n" in err
 
 
 def test_usage_errors(capsys):
@@ -294,6 +315,8 @@ def test_usage_errors(capsys):
         code, out, err = run_capture(capsys, [command, "--upto", "-1"])
         assert (code, out) == (2, ""), command
         assert "upto must be non-negative" in err
+        # the usage printed is that of the subcommand whose options were wrong
+        assert f"\nusage: trident {command} " in err
     # option values that used to be accepted and then ignored
     for argv in (["tables", "--format", "pretty"], ["tables", "--format", "json"],
                  ["tables", "--format", "csv"], ["verify", "--quick", "--format", "csv"],

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from trident.polyring import UniPoly, up_gcd, up_square_free
 from trident.specialize import SpecId, spec_family
-from trident.zeros import (DEFAULT_MAX_ITER, DEFAULT_ROOT_TOL, DEFAULT_SEED,
-                           EXPLICIT_SPECS, _aberth, _newton_polish)
+from trident.zeros import (DEFAULT_MAX_ITER, EXPLICIT_SPECS, ROOT_SEED, ROOT_TOL,
+                           _aberth, _newton_polish)
 
 GENERAL_ROUTE = [(spec, family) for spec in SpecId for family in ("q", "r")
                  if (spec, family) not in EXPLICIT_SPECS.values()]
@@ -40,8 +40,8 @@ def test_polish_matches_fraction_reference():
             reduced = UniPoly(sf.coeffs[origin:])
             if reduced.degree() < 1:
                 continue
-            zs = _aberth([complex(c) for c in reduced.coeffs], DEFAULT_ROOT_TOL,
-                         DEFAULT_MAX_ITER, DEFAULT_SEED)
+            zs = _aberth([complex(c) for c in reduced.coeffs], ROOT_TOL,
+                         DEFAULT_MAX_ITER, ROOT_SEED)
             if n > 6:
                 zs = [zs[n % len(zs)]]
             for z in zs:

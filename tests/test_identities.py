@@ -45,7 +45,7 @@ def test_telescoping_range():
 def test_divisibility_all_specs():
     for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
         report = verify_divisibility(spec, 24)
-        assert report.ok, (spec, report.first_failure())
+        assert report.ok, (spec, report.failures)
         assert report.status["q[1] | q[24]"]
 
 
@@ -124,7 +124,7 @@ def test_mutation_breaks_divisibility():
         return p
     report = verify_divisibility(SpecId.Z3, 4, family_provider=mutant)
     assert not report.ok
-    assert report.first_failure() == "q[2] | q[4]"
+    assert report.failures[0] == "q[2] | q[4]"
 
 
 def test_mutation_breaks_surprising():

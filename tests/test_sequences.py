@@ -1,13 +1,16 @@
 """Recurrence engine against the generating product and the enumeration oracle."""
 
+import json
+
 import pytest
 
 from fixtures import TABLE1
+from trident import sequences
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import MultiPoly
-from trident.sequences import (S1, S2, W1, W2, WPair, TRIPLE_COEFF, closed_form_k3n,
-                               gf_check, q_poly, r_poly, s_poly, s_poly_product,
-                               scalar_qr)
+from trident.sequences import (PRODUCT_CAP, S1, S2, W1, W2, WPair, TRIPLE_COEFF,
+                               closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
+                               s_poly_product, scalar_qr)
 
 
 def proper_divisor_sum(n: int) -> int:
@@ -52,7 +55,7 @@ def test_product_path_power_index():
 
 def test_product_cap():
     with pytest.raises(ValueError):
-        s_poly_product(10, cap=5)
+        s_poly_product(PRODUCT_CAP + 1)
 
 
 def test_three_paths_agree():
@@ -149,4 +152,12 @@ def test_generating_functions():
     assert gf_check(1).ok
     assert gf_check(10).ok
     report = gf_check(15)
-    assert report.ok and report.mismatches == []
+    assert report.ok and report.failures == []
+
+
+def test_generating_function_failure_names_degree(monkeypatch):
+    # a stray constant in Q_3 breaks the cleared series at degrees 3, 4, 5
+    monkeypatch.setattr(sequences, "q_poly", lambda n: q_poly(n) + 1 if n == 3 else q_poly(n))
+    report = gf_check(8)
+    assert report.failures == ["q-series degree 3", "q-series degree 4", "q-series degree 5"]
+    assert json.loads(report.witness)["check"] == "q-series degree 3"

@@ -246,7 +246,8 @@ def test_locus_presets():
             report = verify_locus(spec, n)
             assert report.ok, (spec, n, report.failures)
     # the negative-real segment is recorded, not asserted against endpoints
-    assert verify_locus(SpecId.P5, 5).real_zero_range is not None
+    margins = verify_locus(SpecId.P5, 5).margins
+    assert margins["real_zero_min"] <= margins["real_zero_max"] < 0
 
 
 def test_locus_rejects_unclaimed():
