@@ -8,7 +8,7 @@ against a brute-force enumeration oracle, and computes the explicit
 complex zero loci of the specialized families.
 """
 
-from .chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
+from .chebyshev import ChebKind, dickson_D, dickson_E, verify_prop35
 from .identities import (verify_divisibility, verify_prop61, verify_surprising,
                          verify_telescoping)
 from .oracle import (CapExceeded, ColoredPartition, PartitionStats,
@@ -29,7 +29,7 @@ from .zeros import (DomainError, NoConvergence, ZeroReport, chebyshev_zeros,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebKind", "chebyshev", "dickson_D", "dickson_E", "verify_prop35",
+    "ChebKind", "dickson_D", "dickson_E", "verify_prop35",
     "Report", "verify_divisibility", "verify_prop61",
     "verify_surprising", "verify_telescoping",
     "CapExceeded", "ColoredPartition", "PartitionStats",

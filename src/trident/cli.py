@@ -184,7 +184,7 @@ def _merged(param_range: str, parts) -> Report:
 
 
 def _check_prop35(top):
-    return {"": _merged(f"n <= {top}", (("", verify_prop35(n)) for n in range(top + 1)))}
+    return {"": _merged(f"n <= {top}", ((f"n={n}: ", verify_prop35(n)) for n in range(top + 1)))}
 
 
 def _check_structural(top):

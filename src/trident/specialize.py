@@ -72,11 +72,9 @@ PALINDROMIC_PRESETS = (SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6)
 _FAMILIES: dict[tuple[SpecId, str], TwoTerm] = {}
 
 
-def _validate_family(family: str) -> str:
-    family = family.lower()
+def _validate_family(family: str) -> None:
     if family not in ("q", "r"):
         raise ValueError("family must be 'q' or 'r'")
-    return family
 
 
 def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
@@ -86,7 +84,7 @@ def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
 
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
     """The specialized q- or r-family member at index ``n``, by recurrence."""
-    family = _validate_family(family)
+    _validate_family(family)
     seq = _FAMILIES.get((spec, family))
     if seq is None:
         w1, w2 = spec_images(spec)
@@ -171,7 +169,6 @@ class CoefficientProfile:
 
 def profile(spec: SpecId, family: str, n: int) -> CoefficientProfile:
     """Coefficient profile of the specialized polynomial (recurrence path)."""
-    family = _validate_family(family)
     p = spec_family(spec, family, n)
     return CoefficientProfile(
         family=family, spec=spec, n=n,
@@ -186,7 +183,7 @@ def profile_from_oracle(spec: SpecId, family: str, n: int) -> CoefficientProfile
     statistic induced by the substitution; shares nothing with the
     recurrence path but the spec's weights.
     """
-    family = _validate_family(family)
+    _validate_family(family)
     if n < 1:
         raise ValueError("n must be at least 1 for the oracle path")
     index = (3**n - 3) // 2 if family == "q" else (3**n - 1) // 2

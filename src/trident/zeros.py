@@ -1,13 +1,13 @@
 """Zero computation and locus verification for the specialized families.
 
-Three of the single-variable families inherit their zeros from Chebyshev
-zeros through explicit algebraic maps, so ``zeros_explicit`` produces them
-in closed form.  ``zeros_general`` is an Aberth-Ehrlich simultaneous
-root finder used both as the cross-check for the explicit maps and as the
-only path for the preset families, whose locus claims come with no map.
-
-``zeros_of`` picks the route for one family member.  The claimed loci,
-one ``LOCI`` row per (spec, family), checked by ``verify_locus``:
+``LOCI`` is the one table of zero facts, one row per (spec, family) that
+claims a locus: its JSON parameters, distance, strict margin and, for the
+z1, z2 and z3 families, whose zeros come from Chebyshev zeros, the
+explicit map.  ``zeros_of`` is the one route from a family member to its
+zeros: the row's map where it has one, else the exact square-free part
+through the Aberth-Ehrlich simultaneous root finder, which
+``zeros_general`` runs on any polynomial and which also cross-checks the
+maps.  The claimed loci, checked by ``verify_locus``:
 
   * (1, 1, z, 1): every zero on the vertical line Re = -2, nonreal except
     a single zero at -2 for even q-indices and odd r-indices;
@@ -21,13 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
 from .polyring import UniPoly, horner, up_square_free
 from .report import Report
-from .specialize import SpecId, reduced_q2, spec_family
+from .specialize import SpecId, spec_family
 
 DEFAULT_MAX_ITER = 500
 # The root finder's relative stopping tolerance and the seed of its start
@@ -35,11 +35,6 @@ DEFAULT_MAX_ITER = 500
 ROOT_TOL = 1e-13
 ROOT_SEED = 42
 LOCUS_TOL = 1e-9
-
-# The families with an explicit zero map, by the tag ``zeros_explicit`` takes.
-EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
-                  "z2": (SpecId.Z2, "q"), "z3": (SpecId.Z3, "q")}
-
 
 class DomainError(ValueError):
     """A Chebyshev zero fell outside the open interval (-1, 1)."""
@@ -61,9 +56,9 @@ class NoConvergence(Exception):
 class ZeroReport:
     """Computed zeros of one polynomial plus per-point diagnostics.
 
-    ``points`` has exactly one entry per zero of the reduced polynomial
-    (an exact zero at the origin, when present, is carried separately in
-    ``origin_multiplicity``).  ``residuals[i]`` is |P(points[i])| and
+    ``points`` has exactly one entry per zero of the reduced polynomial P,
+    the one with its exact zero at the origin divided out (that zero is
+    carried in ``origin_multiplicity``).  ``residuals[i]`` is |P(points[i])| and
     ``locus_distances[i]`` the distance to the claimed locus, when one
     exists for the family.
     """
@@ -85,19 +80,44 @@ class Locus:
     failure messages use and ``distance(z)`` the distance of a point to the
     locus.  ``margin``, when set, is a strict open condition on top of the
     locus: (key in ``Report.margins``, the claim as text, a function
-    that is positive exactly where the claim holds).
+    that is positive exactly where the claim holds).  ``zero_map``, when
+    set, gives the zeros of the member at index n explicitly: (Chebyshev
+    kind, index offset, a function taking each zero v of that kind's
+    polynomial of index n + offset, all in (-1, 1), to its points).
+    ``real_zero_parity``, when set, claims a single real zero at the
+    indices n with n % 2 equal to it and none at the others.
     """
 
     params: dict
     name: str
     distance: Callable[[complex], float]
     margin: Optional[tuple[str, str, Callable[[complex], float]]] = None
+    zero_map: Optional[tuple[ChebKind, int, Callable[[float], tuple[complex, ...]]]] = None
+    real_zero_parity: Optional[int] = None
 
 
 def _circle_or_negative_axis(z: complex) -> float:
     circle = abs(abs(z) - 1.0)
     axis = abs(z.imag) if z.real <= 0 else abs(z)
     return min(circle, axis)
+
+
+# The explicit maps: the zeros attached to one Chebyshev zero v in (-1, 1).
+def _line_point(v: float) -> tuple[complex, ...]:
+    return (complex(-2.0, v / math.sqrt(1.0 - v * v)),)
+
+
+def _unit_circle_pair(v: float) -> tuple[complex, ...]:
+    re = 2.0 * math.sqrt(2.0) / 3.0 * v
+    im = math.sqrt(1.0 - 8.0 / 9.0 * v * v)
+    return complex(re, im), complex(re, -im)
+
+
+def _shifted_circle_point(v: float) -> tuple[complex, ...]:
+    u = v * v
+    re = -(4.0 - 5.0 * u) / (8.0 - 6.0 * u)
+    im = math.copysign(math.sqrt(28.0 * u - 25.0 * u * u), v) / (8.0 - 6.0 * u)
+    return (complex(re, im),)
 
 
 _LINE = Locus({"type": "line", "re": -2.0}, "the line Re = -2",
@@ -109,22 +129,30 @@ _CIRCLE_OR_AXIS = Locus(
     "the unit circle and negative real axis", _circle_or_negative_axis)
 
 LOCI: dict[tuple[SpecId, str], Locus] = {
-    (SpecId.Z1, "q"): _LINE,
-    (SpecId.Z1, "r"): _LINE,
+    (SpecId.Z1, "q"): replace(_LINE, zero_map=(ChebKind.SECOND, -1, _line_point),
+                              real_zero_parity=0),
+    (SpecId.Z1, "r"): replace(_LINE, zero_map=(ChebKind.FIRST, 0, _line_point),
+                              real_zero_parity=1),
     (SpecId.Z2, "q"): Locus(
         {"type": "circle", "center": [0.0, 0.0], "radius": 1.0,
          "constraint": "|Im(z)| > 1/3"},
         "the unit circle", lambda z: abs(abs(z) - 1.0),
-        ("im_above_third", "|Im| > 1/3", lambda z: abs(z.imag) - 1.0 / 3.0)),
+        ("im_above_third", "|Im| > 1/3", lambda z: abs(z.imag) - 1.0 / 3.0),
+        (ChebKind.SECOND, -1, _unit_circle_pair)),
     (SpecId.Z3, "q"): Locus(
         {"type": "circle", "center": [0.375, 0.0], "radius": 0.875,
          "constraint": "Re(z) < 1/2"},
         "the circle |z - 3/8| = 7/8", lambda z: abs(abs(z - complex(0.375, 0.0)) - 0.875),
-        ("re_below_half", "Re < 1/2", lambda z: 0.5 - z.real)),
+        ("re_below_half", "Re < 1/2", lambda z: 0.5 - z.real),
+        (ChebKind.SECOND, -1, _shifted_circle_point)),
     (SpecId.P3, "q"): _CIRCLE_OR_AXIS,
     (SpecId.P5, "q"): _CIRCLE_OR_AXIS,
     (SpecId.P6, "q"): _CIRCLE_OR_AXIS,
 }
+
+# The rows with a zero map, by the tag ``zeros_explicit`` takes.
+EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
+                  "z2": (SpecId.Z2, "q"), "z3": (SpecId.Z3, "q")}
 
 
 def chebyshev_zeros(kind, n: int) -> list[float]:
@@ -147,68 +175,14 @@ def chebyshev_zeros(kind, n: int) -> list[float]:
     return positive + middle + [-v for v in reversed(positive)]
 
 
-def _require_open_interval(v: float) -> None:
-    if abs(v) >= 1.0:
-        raise DomainError(f"Chebyshev zero {v} outside (-1, 1)")
-
-
-def _line_map(v: float) -> complex:
-    # Zero of the (1,1,z,1) families attached to the Chebyshev zero v.
-    _require_open_interval(v)
-    return complex(-2.0, v / math.sqrt(1.0 - v * v))
-
-
 def zeros_explicit(spec: str, n: int) -> ZeroReport:
-    """All zeros of one explicit family, from the Chebyshev-zero maps.
+    """The zeros of the explicit family ``spec`` at index ``n``, by ``zeros_of``.
 
-    ``spec`` is one of ``z1q``, ``z1r``, ``z2``, ``z3``.  For ``z2`` the
-    points are the nonzero zeros (of the reduced polynomial); the exact
-    zero at the origin is reported via ``origin_multiplicity``.
+    ``spec`` is one of ``z1q``, ``z1r``, ``z2``, ``z3``.
     """
     if spec not in EXPLICIT_SPECS:
         raise ValueError(f"spec must be one of {tuple(EXPLICIT_SPECS)}")
-    if spec in ("z1q", "z1r"):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-    elif n < 2:
-        raise ValueError("n must be at least 2")
-
-    spec_id, family = EXPLICIT_SPECS[spec]
-    poly = reduced_q2(n) if spec == "z2" else spec_family(spec_id, family, n)
-    points: list[complex] = []
-    origin = 0
-    if spec == "z1q":
-        vs = chebyshev_zeros(ChebKind.SECOND, n - 1) if n >= 2 else []
-        points = [_line_map(v) for v in vs]
-    elif spec == "z1r":
-        points = [_line_map(v) for v in chebyshev_zeros(ChebKind.FIRST, n)]
-    elif spec == "z2":
-        origin = n - 1
-        for v in chebyshev_zeros(ChebKind.SECOND, n - 1):
-            _require_open_interval(v)
-            re = 2.0 * math.sqrt(2.0) / 3.0 * v
-            im = math.sqrt(1.0 - 8.0 / 9.0 * v * v)
-            points.extend([complex(re, im), complex(re, -im)])
-    else:  # z3
-        for v in chebyshev_zeros(ChebKind.SECOND, n - 1):
-            _require_open_interval(v)
-            u = v * v
-            re = -(4.0 - 5.0 * u) / (8.0 - 6.0 * u)
-            im = math.copysign(math.sqrt(28.0 * u - 25.0 * u * u), v) / (8.0 - 6.0 * u)
-            points.append(complex(re, im))
-
-    if len(points) != poly.degree():
-        raise AssertionError("explicit zero count disagrees with the polynomial degree")
-    distance = LOCI[spec_id, family].distance
-    return ZeroReport(
-        family=family,
-        spec=spec,
-        n=n,
-        points=points,
-        residuals=[abs(poly.evaluate(z)) for z in points],
-        locus_distances=[distance(z) for z in points],
-        origin_multiplicity=origin,
-    )
+    return zeros_of(*EXPLICIT_SPECS[spec], n)[0]
 
 
 _EPS = 2.0 ** -52
@@ -314,6 +288,31 @@ def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
     return best
 
 
+def _split_origin(p: UniPoly) -> tuple[int, UniPoly]:
+    """The multiplicity of the zero of ``p`` at the origin, and ``p`` with it divided out."""
+    origin = next(d for d, c in enumerate(p.coeffs) if c)
+    return origin, UniPoly(p.coeffs[origin:])
+
+
+def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[complex],
+                 origin: int, locus: Optional[Locus]) -> ZeroReport:
+    """The one builder of a ZeroReport: residuals on ``poly``, distances to ``locus``."""
+    distances = None if locus is None else [locus.distance(z) for z in points]
+    return ZeroReport(family, spec, n, points, [abs(poly.evaluate(z)) for z in points],
+                      distances, origin)
+
+
+def _finder_points(poly: UniPoly, max_iter: int) -> list[complex]:
+    # The zeros of ``poly``, which has none at the origin, sorted by (re, im).
+    points: list[complex] = []
+    if poly.degree() >= 1:
+        coeffs = [complex(c) for c in poly.coeffs]
+        points = [_newton_polish(poly, z)
+                  for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
+    points.sort(key=lambda z: (z.real, z.imag))
+    return points
+
+
 def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
     """All complex zeros of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
@@ -329,49 +328,41 @@ def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
-    origin = next(d for d, c in enumerate(p.coeffs) if c)
-    reduced = UniPoly(p.coeffs[origin:])
-    points: list[complex] = []
-    if reduced.degree() >= 1:
-        coeffs = [complex(c) for c in reduced.coeffs]
-        points = [_newton_polish(reduced, z)
-                  for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
-    points.sort(key=lambda z: (z.real, z.imag))
-    return ZeroReport(
-        family="",
-        spec="general",
-        n=p.degree(),
-        points=points,
-        residuals=[abs(reduced.evaluate(z)) for z in points],
-        locus_distances=None,
-        origin_multiplicity=origin,
-    )
+    origin, reduced = _split_origin(p)
+    return _zero_report("general", "", p.degree(), reduced,
+                        _finder_points(reduced, max_iter), origin, None)
 
 
 def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     """Zeros of one family member, and the polynomial they are zeros of.
 
-    Families with an explicit map take it; every other member goes through
-    its exact square-free part, since preset members can carry
-    high-multiplicity factors such as powers of z + 1, and the general root
-    finder.  Locus distances come from ``LOCI`` where the family claims a
-    locus.  A constant member has no zeros and raises ValueError.
+    A ``LOCI`` row with a zero map gives the zeros of the member from
+    Chebyshev zeros.  Every other member goes through its exact square-free
+    part, since preset members can carry high-multiplicity factors such as
+    powers of z + 1, and the general root finder.  On both routes the zero
+    at the origin is split off first; the returned polynomial is what is
+    left, and the residuals are taken on it.  Locus distances come from
+    ``LOCI`` where the family claims a locus.  A constant member has no
+    zeros and raises ValueError.
     """
     member = spec_family(spec, family, n)
     if member.degree() < 1:
         raise ValueError(f"{spec.value}/{family} member {n} has no zeros")
-    tag = next((t for t, key in EXPLICIT_SPECS.items() if key == (spec, family)), None)
-    if tag is not None:
-        report = zeros_explicit(tag, n)
-        poly = reduced_q2(n) if spec is SpecId.Z2 else member
+    locus = LOCI.get((spec, family))
+    zero_map = locus.zero_map if locus is not None else None
+    origin, poly = _split_origin(member if zero_map else up_square_free(member))
+    if zero_map is None:
+        points = _finder_points(poly, DEFAULT_MAX_ITER)
     else:
-        poly = up_square_free(member)
-        report = zeros_general(poly)
-        locus = LOCI.get((spec, family))
-        if locus is not None:
-            report.locus_distances = [locus.distance(z) for z in report.points]
-    report.spec, report.family, report.n = spec.value, family, n
-    return report, poly
+        kind, offset, to_points = zero_map
+        points = []
+        for v in chebyshev_zeros(kind, n + offset):
+            if abs(v) >= 1.0:
+                raise DomainError(f"Chebyshev zero {v} outside (-1, 1)")
+            points.extend(to_points(v))
+        if len(points) != poly.degree():
+            raise AssertionError("explicit zero count disagrees with the polynomial degree")
+    return _zero_report(spec.value, family, n, poly, points, origin, locus), poly
 
 
 def match_multisets(a: list[complex], b: list[complex]) -> float:
@@ -406,8 +397,9 @@ def verify_locus(spec: SpecId, n: int) -> Report:
     """Assert the claimed zero locus of one family at index ``n``.
 
     Every ``LOCI`` row of ``spec`` is checked the same way: distance to the
-    locus, the strict margin where the row has one, and a residual gate,
-    each within ``LOCUS_TOL``.  Strict open conditions (|Im| > 1/3,
+    locus, the strict margin and the real-zero parity where the row has
+    them, and a residual gate on the report's residuals, each within
+    ``LOCUS_TOL``.  Strict open conditions (|Im| > 1/3,
     Re < 1/2) are checked with their actual margins recorded rather than
     widened by the tolerance; on the unit-circle-or-negative-axis locus the
     range of the real zeros off the circle is recorded as
@@ -433,11 +425,9 @@ def verify_locus(spec: SpecId, n: int) -> Report:
             if margin <= 0:
                 report.record(f"{claim} violated (margin {margin:.3e})", False)
             report.margins[key] = margin
-        if spec is SpecId.Z1:
-            # A single real zero, at -2: q-family at even n, r-family at odd n.
-            parity = 0 if family == "q" else 1
+        if locus.real_zero_parity is not None:
             real_zeros = [z for z in zr.points if z.imag == 0.0]
-            expected = 1 if n % 2 == parity else 0
+            expected = 1 if n % 2 == locus.real_zero_parity else 0
             if len(real_zeros) != expected:
                 report.record(f"{tag}expected {expected} real zero(s), found {len(real_zeros)}",
                               False)
@@ -447,8 +437,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
             if reals:
                 report.margins["real_zero_min"] = min(reals)
                 report.margins["real_zero_max"] = max(reals)
-        for z in zr.points:
-            res = abs(poly.evaluate(z))
+        for z, res in zip(zr.points, zr.residuals):
             scale = backward_scale(poly, z)
             if res >= LOCUS_TOL * scale:
                 report.record(f"residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} * scale "

@@ -122,6 +122,15 @@ def test_bridge_identities():
         assert report.ok, (n, report.failures)
 
 
+def test_package_attribute_is_the_module(monkeypatch):
+    # the spot-check constants are settable through the module the package exposes
+    import trident.chebyshev as module
+    assert module.verify_prop35 is verify_prop35
+    assert verify_prop35(2).ok
+    monkeypatch.setattr(module, "SPOT_REL_TOL", -1.0)
+    assert verify_prop35(2).failures[0].startswith("spot point 0: U-form mismatch")
+
+
 def test_bridge_base_cases():
     from trident.sequences import q_poly, r_poly
     assert q_poly(1) == dickson_E(0, W1, W2)

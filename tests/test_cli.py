@@ -284,6 +284,17 @@ def test_verify_merged_group_names_index(capsys, monkeypatch):
                                 "FAILURES PRESENT"]
 
 
+def test_verify_prop35_failure_names_index(capsys, monkeypatch):
+    # a negative tolerance fails every spot point; the first at n = 0
+    import trident.chebyshev
+    monkeypatch.setattr(trident.chebyshev, "SPOT_REL_TOL", -1.0)
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "prop35"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  prop35  (n=0: spot point 0: U-form mismatch ")
+    assert lines[1:] == ["FAILURES PRESENT"]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run_capture(capsys, ["verify", "--only", "bogus"])
     assert code == 2

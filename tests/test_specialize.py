@@ -11,6 +11,7 @@ from trident.specialize import (PALINDROMIC_PRESETS, SpecId, partition_statistic
                                 profile, profile_from_oracle, q1_r1_closed,
                                 q1_r1_shifted, reduced_q2, spec_family,
                                 spec_images, structural_check)
+from trident.zeros import zeros_of
 
 ALL_SPECS = list(SpecId)
 
@@ -58,6 +59,15 @@ def test_family_validation():
         spec_family(SpecId.Z1, "x", 3)
     with pytest.raises(ValueError):
         spec_family(SpecId.Z1, "q", -1)
+
+
+def test_family_names_are_lower_case():
+    # "Q" is not "q": every entry point refuses it rather than answering
+    # under the wrong label (zeros_of once took the general route for it)
+    for call in (spec_family, profile, profile_from_oracle, zeros_of):
+        for family in ("Q", "R"):
+            with pytest.raises(ValueError, match="family must be 'q' or 'r'"):
+                call(SpecId.Z1, family, 5)
 
 
 def test_closed_forms_match_recurrence():

@@ -2,15 +2,16 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
 from trident.chebyshev import ChebKind, chebyshev
 from trident.polyring import UniPoly, up_square_free
 from trident.specialize import SpecId, reduced_q2, spec_family
-from trident.zeros import (LOCI, NoConvergence, backward_scale, chebyshev_zeros,
-                           match_multisets, verify_locus, zeros_explicit,
-                           zeros_general, zeros_of)
+from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, backward_scale,
+                           chebyshev_zeros, match_multisets, verify_locus,
+                           zeros_explicit, zeros_general, zeros_of)
 
 
 def quadratic_roots(c0: int, c1: int, c2: int) -> list[complex]:
@@ -93,7 +94,9 @@ def test_explicit_point_counts_match_degree():
 
 
 def test_explicit_degenerate_and_bounds():
-    assert zeros_explicit("z1q", 1).points == []
+    # the z1 q member at n = 1 is the constant 1, refused as the CLI refuses it
+    with pytest.raises(ValueError, match="has no zeros"):
+        zeros_explicit("z1q", 1)
     # z + 2: the one zero of T_1 maps to -2
     assert zeros_explicit("z1r", 1).points == [-2 + 0j]
     with pytest.raises(ValueError):
@@ -102,6 +105,20 @@ def test_explicit_degenerate_and_bounds():
         zeros_explicit("z2", 1)
     with pytest.raises(ValueError):
         zeros_explicit("bogus", 5)
+
+
+def test_explicit_tags_are_the_map_rows():
+    # each tag names a LOCI row with a zero map, and each such row has one tag
+    mapped = [key for key, locus in LOCI.items() if locus.zero_map is not None]
+    assert sorted(EXPLICIT_SPECS.values(), key=str) == sorted(mapped, key=str)
+
+
+def test_zeros_explicit_is_zeros_of():
+    for tag, (spec, family) in EXPLICIT_SPECS.items():
+        for n in range(2, 31):
+            report = zeros_explicit(tag, n)
+            assert report == zeros_of(spec, family, n)[0], (tag, n)
+            assert (report.spec, report.family, report.n) == (spec.value, family, n)
 
 
 def test_conjugate_closure_exact():
@@ -198,15 +215,21 @@ def test_general_finder_recovers_z2_origin_multiplicity():
 
 def test_zeros_of_routes():
     # both routes label the report the same way and return the polynomial
-    # whose zeros the points are
-    for spec, family, poly in (
-            (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9)),
-            (SpecId.Z2, "q", reduced_q2(9)),
-            (SpecId.P3, "q", up_square_free(spec_family(SpecId.P3, "q", 9))),
-            (SpecId.P1, "q", up_square_free(spec_family(SpecId.P1, "q", 9)))):
+    # whose zeros the points are, with the zero at the origin split off (the
+    # square-free part of p2 q keeps one factor z); the residuals are taken
+    # on that polynomial
+    p2_square_free = up_square_free(spec_family(SpecId.P2, "q", 9))
+    for spec, family, poly, origin in (
+            (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9), 0),
+            (SpecId.Z2, "q", reduced_q2(9), 8),
+            (SpecId.P2, "q", UniPoly(p2_square_free.coeffs[1:]), 1),
+            (SpecId.P3, "q", up_square_free(spec_family(SpecId.P3, "q", 9)), 0),
+            (SpecId.P1, "q", up_square_free(spec_family(SpecId.P1, "q", 9)), 0)):
         report, got = zeros_of(spec, family, 9)
         assert (report.spec, report.family, report.n) == (spec.value, family, 9)
-        assert got == poly
+        assert got == poly and poly.coeff(0) != 0, (spec, family)
+        assert report.origin_multiplicity == origin
+        assert report.residuals == [abs(poly.evaluate(z)) for z in report.points]
         for z in report.points:
             assert abs(poly.evaluate(z)) < 1e-7 * backward_scale(poly, z), (spec, z)
         assert (report.locus_distances is None) == ((spec, family) not in LOCI)
@@ -255,6 +278,25 @@ def test_locus_rejects_unclaimed():
         verify_locus(SpecId.P1, 5)
     with pytest.raises(ValueError):
         verify_locus(SpecId.Z1, 1)
+
+
+def test_locus_real_zero_parity_is_a_row_fact(monkeypatch):
+    row = LOCI[SpecId.Z1, "q"]
+    monkeypatch.setitem(LOCI, (SpecId.Z1, "q"), replace(row, real_zero_parity=1))
+    assert verify_locus(SpecId.Z1, 4).failures == ["z1q: expected 0 real zero(s), found 1"]
+
+
+def test_locus_residual_gate_reads_the_report(monkeypatch):
+    real_zeros_of = zeros_of
+
+    def inflated(spec, family, n):
+        report, poly = real_zeros_of(spec, family, n)
+        report.residuals[0] = 1e6 * backward_scale(poly, report.points[0])
+        return report, poly
+
+    monkeypatch.setattr("trident.zeros.zeros_of", inflated)
+    failures = verify_locus(SpecId.Z3, 5).failures
+    assert len(failures) == 1 and failures[0].startswith("residual "), failures
 
 
 def test_real_zero_parity_pattern():
