@@ -401,3 +401,37 @@ def test_square_free_strips_multiplicity():
 def test_square_free_of_square_free_is_primitive_self():
     p = UniPoly((2, 0, 2))   # 2(z^2 + 1)
     assert up_square_free(p) == UniPoly((1, 0, 1))
+
+
+def test_pretty_and_repr_strings():
+    # sign, magnitude and body of each term: the zero polynomial, constants
+    # +-1 and +-7, a negative leading coefficient, +-1 on non-constant terms
+    w, x, y, z = (V[name] for name in "wxyz")
+    multi = {
+        MultiPoly.zero(): "0",
+        MultiPoly.constant(1): "1",
+        MultiPoly.constant(-1): "-1",
+        MultiPoly.constant(7): "7",
+        MultiPoly.constant(-7): "-7",
+        -w * x**2 + 3 * z - y + 1: "-wx^2-y+3z+1",
+        w**2 * z - 7 * x + y - 1: "w^2z-7x+y-1",
+        -2 * w: "-2w",
+    }
+    for p, text in multi.items():
+        assert p.pretty() == text
+        assert repr(p) == f"MultiPoly({text})"
+    uni = {
+        (): ("0", "0"),
+        (1,): ("1", "1"),
+        (-1,): ("-1", "-1"),
+        (7,): ("7", "7"),
+        (-7,): ("-7", "-7"),
+        (1, -1, 0, -3): ("-3z^3-z+1", "-3t^3-t+1"),
+        (-1, 1, 7, 0, -1): ("-z^4+7z^2+z-1", "-t^4+7t^2+t-1"),
+        (0, -2, 1): ("z^2-2z", "t^2-2t"),
+    }
+    for coeffs, (text, in_t) in uni.items():
+        p = UniPoly(coeffs)
+        assert p.pretty() == text
+        assert p.pretty("t") == in_t
+        assert repr(p) == f"UniPoly({text})"
