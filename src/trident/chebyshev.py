@@ -33,15 +33,15 @@ class ChebKind(enum.Enum):
 
 
 _TWO_V = UniPoly((0, 2))
-_CHEBYSHEV = {
-    ChebKind.FIRST: TwoTerm(_TWO_V, 1, UniPoly.one(), UniPoly.x()),
-    ChebKind.SECOND: TwoTerm(_TWO_V, 1, UniPoly.one(), _TWO_V),
-}
+_DEGREE_ONE = {ChebKind.FIRST: UniPoly.x(), ChebKind.SECOND: _TWO_V}
 
 
 def chebyshev(kind: ChebKind, n: int) -> UniPoly:
-    """T_n or U_n as an exact integer polynomial, by the shared recurrence."""
-    return _CHEBYSHEV[kind][n]
+    """T_n or U_n as an exact integer polynomial, by the shared recurrence.
+
+    Each call runs its own recurrence and keeps nothing once it returns.
+    """
+    return TwoTerm(_TWO_V, 1, UniPoly.one(), _DEGREE_ONE[kind])[n]
 
 
 def dickson_E(n: int, a, b):
@@ -59,10 +59,6 @@ def dickson_D(n: int, a, b):
 SPOT_POINTS = 20
 SPOT_SEED = 42
 SPOT_REL_TOL = 1e-9
-
-
-def _cheb_value(kind: ChebKind, n: int, v: float) -> float:
-    return float(chebyshev(kind, n).evaluate(v))
 
 
 def verify_prop35(n: int) -> Report:
@@ -85,6 +81,7 @@ def verify_prop35(n: int) -> Report:
     if 2 * r_poly(n) != dickson_D(n, W1, W2) + correction * q_poly(n):
         report.record(f"D_{n}(W1, W2) correction identity fails at {n}", False)
 
+    t_n, u_n = chebyshev(ChebKind.FIRST, n), chebyshev(ChebKind.SECOND, n)
     rng = random.Random(SPOT_SEED)
     for trial in range(SPOT_POINTS):
         point = tuple(rng.uniform(0.5, 2.0) for _ in range(4))
@@ -95,13 +92,13 @@ def verify_prop35(n: int) -> Report:
             continue
         arg = w1 / (2.0 * math.sqrt(w2))
         q_exact = float(q_poly(n + 1).evaluate(*point))
-        q_analytic = w2 ** (n / 2.0) * _cheb_value(ChebKind.SECOND, n, arg)
+        q_analytic = w2 ** (n / 2.0) * float(u_n.evaluate(arg))
         if abs(q_exact - q_analytic) > SPOT_REL_TOL * max(1.0, abs(q_exact), abs(q_analytic)):
             report.record(f"spot point {trial}: U-form mismatch {q_exact} vs {q_analytic}",
                           False)
         r_exact = float(r_poly(n).evaluate(*point))
         corr = float(correction.evaluate(*point))
-        r_analytic = (w2 ** (n / 2.0) * _cheb_value(ChebKind.FIRST, n, arg)
+        r_analytic = (w2 ** (n / 2.0) * float(t_n.evaluate(arg))
                       + 0.5 * corr * float(q_poly(n).evaluate(*point)))
         if abs(r_exact - r_analytic) > SPOT_REL_TOL * max(1.0, abs(r_exact), abs(r_analytic)):
             report.record(f"spot point {trial}: T-form mismatch {r_exact} vs {r_analytic}",

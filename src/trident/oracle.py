@@ -8,22 +8,22 @@ unmarked.  Enumeration recurses over base-3 digit positions: at position
 partition exactly once.
 
 ``count_partitions`` runs the same digit recursion as a pure count (no
-lists, no polynomials), so it stays fast for targets far beyond anything
-that can be listed; the enumeration and the count cross-check each other.
+lists, no polynomials, one loop step per digit), so it stays fast for
+targets far beyond anything that can be listed; the enumeration and the
+count cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .polyring import MultiPoly
 
 DEFAULT_LIST_CAP = 10_000
 
 # Ways to realize c copies of one power as (overline, tilde, plain) choices,
-# with overline <= 1, tilde <= 1, plain <= 2; index = c.
-_WAYS = (1, 3, 4, 3, 1)
+# with overline <= 1, tilde <= 1, plain <= 2; any other c has none.
+_WAYS = {0: 1, 1: 3, 2: 4, 3: 3, 4: 1}
 
 
 class CapExceeded(Exception):
@@ -109,23 +109,28 @@ def _digit_choices(c: int) -> list[DigitRecord]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _count(m: int) -> int:
-    if m == 0:
-        return 1
-    total = 0
-    r = m % 3
-    for c in (r, r + 3):
-        if c <= 4 and c <= m:
-            total += _WAYS[c] * _count((m - c) // 3)
-    return total
-
-
 def count_partitions(n: int) -> int:
-    """Number of restricted colored base-3 partitions of ``n`` (digit recursion, exact)."""
+    """Number of restricted colored base-3 partitions of ``n`` (digit recursion, exact).
+
+    With f(-1) = 0, f(0) = 1 and r = m mod 3, the count obeys
+    f(m) = sum over c in (r, r + 3), c <= 4, of ways(c) * f((m - c) // 3).
+    So the pair (f(x), f(x - 1)) depends only on the pair at x // 3, and
+    the loop carries it up the prefixes x = n // 3^j, most significant
+    digit first, in as many steps as ``n`` has base-3 digits.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _count(n)
+    digits = []
+    while n:
+        n, d = divmod(n, 3)
+        digits.append(d)
+    ways = _WAYS.get
+    f, f_before = 1, 0
+    for d in reversed(digits):
+        # x -> 3x + d: f(3x + d) takes c = d or d + 3, f(3x + d - 1) takes d - 1 or d + 2.
+        f, f_before = (ways(d, 0) * f + ways(d + 3, 0) * f_before,
+                       ways(d - 1, 0) * f + ways(d + 2, 0) * f_before)
+    return f
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPartition]:

@@ -79,7 +79,78 @@ def _too_large(exponent: int) -> ValueError:
     return ValueError(f"exponent {exponent} exceeds the limit {EXP_LIMIT}")
 
 
-class MultiPoly:
+class _Poly:
+    """The ring plumbing ``MultiPoly`` and ``UniPoly`` share.
+
+    A subclass keeps its terms in its own canonical form, returned by
+    ``_data()``: two polynomials of one class are equal iff their data are,
+    and a polynomial is zero iff its data is empty.  It also supplies
+    ``constant`` and ``pretty``; the ring operations are its own.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls.constant(1)
+
+    def _coerce(self, value):
+        # An operand of the same class, or an int as a constant; else NotImplemented.
+        if isinstance(value, type(self)):
+            return value
+        if isinstance(value, int):
+            return self.constant(value)
+        return NotImplemented
+
+    def __bool__(self) -> bool:
+        return bool(self._data())
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.pretty()})"
+
+
+def _power(name: str, e: int) -> str:
+    # The body of name**e: empty at e = 0, the bare name at e = 1.
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def _render(terms: Iterable[tuple[str, int]]) -> str:
+    """Text of the terms given as (body, coefficient) pairs, highest first.
+
+    A coefficient of magnitude 1 stays implicit except on the constant term
+    (empty body), and no terms at all render as ``0``.
+    """
+    parts: list[str] = []
+    for body, c in terms:
+        mag = "" if body and abs(c) == 1 else str(abs(c))
+        parts.append(("-" if c < 0 else "+" if parts else "") + mag + body)
+    return "".join(parts) or "0"
+
+
+class MultiPoly(_Poly):
     """Sparse 4-variable polynomial with integer coefficients.
 
     Construct from a mapping ``{(i, j, k, l): coeff}`` or an iterable of
@@ -118,14 +189,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls.constant(1)
-
-    @classmethod
     def constant(cls, c: int) -> "MultiPoly":
         return cls._from_dict({0: int(c)} if c else {})
 
@@ -144,11 +207,8 @@ class MultiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def _data(self) -> dict[int, int]:
+        return self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -177,7 +237,7 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Union["MultiPoly", int]) -> "MultiPoly":
-        other = _coerce_mp(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         big, small = self._terms, other._terms
@@ -198,7 +258,7 @@ class MultiPoly:
         return MultiPoly._from_dict({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Union["MultiPoly", int]) -> "MultiPoly":
-        other = _coerce_mp(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
@@ -241,26 +301,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._terms == MultiPoly.constant(other)._terms
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
@@ -279,10 +319,6 @@ class MultiPoly:
                       * py[key >> 16 & EXP_LIMIT] * pz[key & EXP_LIMIT])
         return total
 
-    def divide_exact(self, den: "MultiPoly") -> "MultiPoly":
-        """Exact quotient in the integer ring; raises NotDivisible otherwise."""
-        return mp_divide_exact(self, den)
-
     # -- presentation ------------------------------------------------------
 
     def to_records(self) -> list[list]:
@@ -291,35 +327,8 @@ class MultiPoly:
 
     def pretty(self) -> str:
         """Readable rendering, highest graded-lex term first, e.g. ``wxy+wz+xz+w+x+y``."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono in reversed(self.terms()):
-            body = ""
-            for name, e in zip(VARIABLE_NAMES, mono.exponents):
-                if e == 1:
-                    body += name
-                elif e > 1:
-                    body += f"{name}^{e}"
-            c = mono.coeff
-            if body:
-                mag = "" if abs(c) == 1 else str(abs(c))
-            else:
-                mag = str(abs(c))
-            head = "-" if c < 0 else ("+" if parts else "")
-            parts.append(f"{head}{mag}{body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.pretty()})"
-
-
-def _coerce_mp(value) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value
-    if isinstance(value, int):
-        return MultiPoly.constant(value)
-    return NotImplemented
+        return _render(("".join(map(_power, VARIABLE_NAMES, m.exponents)), m.coeff)
+                       for m in reversed(self.terms()))
 
 
 def _check_product_range(a: dict[int, int], b: dict[int, int]) -> None:
@@ -352,7 +361,7 @@ def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     ``q`` exists, and NotDivisible (with the remainder's total degree) is
     raised.
     """
-    if den.is_zero():
+    if not den:
         raise DivisionByZeroPolynomial("division by zero polynomial")
     den_terms = den._terms
     lead = max(den_terms)
@@ -399,7 +408,7 @@ def horner(coeffs, point):
     return acc
 
 
-class UniPoly:
+class UniPoly(_Poly):
     """Dense single-variable polynomial with integer coefficients.
 
     ``coeffs[k]`` is the coefficient of degree ``k``; the leading
@@ -413,14 +422,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
 
     @classmethod
     def constant(cls, c: int) -> "UniPoly":
@@ -452,11 +453,8 @@ class UniPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+    def _data(self) -> tuple[int, ...]:
+        return self._coeffs
 
     def is_palindromic(self) -> bool:
         """True iff the coefficient list equals its own reversal (and nonzero)."""
@@ -471,7 +469,7 @@ class UniPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Union["UniPoly", int]) -> "UniPoly":
-        other = _coerce_up(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -488,13 +486,13 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other: Union["UniPoly", int]) -> "UniPoly":
-        other = _coerce_up(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Union["UniPoly", int]) -> "UniPoly":
-        return _coerce_up(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: Union["UniPoly", int]) -> "UniPoly":
         if isinstance(other, int):
@@ -513,34 +511,10 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "UniPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._coeffs == UniPoly.constant(other)._coeffs
-        if isinstance(other, UniPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    # -- division, evaluation, composition ----------------------------------
-
-    def divide_exact(self, den: "UniPoly") -> "UniPoly":
-        """Exact quotient with integer coefficients; see up_divide_exact."""
-        return up_divide_exact(self, den)
+    # -- evaluation, composition -------------------------------------------
 
     def evaluate(self, point):
         """Horner evaluation at an int, float or complex point."""
@@ -568,33 +542,8 @@ class UniPoly:
 
     def pretty(self, var: str = "z") -> str:
         """Readable rendering, highest degree first, e.g. ``3z^2+12z+13``."""
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = ""
-                mag = str(abs(c))
-            else:
-                body = var if k == 1 else f"{var}^{k}"
-                mag = "" if abs(c) == 1 else str(abs(c))
-            head = "-" if c < 0 else ("+" if parts else "")
-            parts.append(f"{head}{mag}{body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.pretty()})"
-
-
-def _coerce_up(value) -> UniPoly:
-    if isinstance(value, UniPoly):
-        return value
-    if isinstance(value, int):
-        return UniPoly.constant(value)
-    return NotImplemented
+        cs = self._coeffs
+        return _render((_power(var, k), cs[k]) for k in reversed(range(len(cs))) if cs[k])
 
 
 def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
@@ -603,9 +552,9 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     Succeeds iff the rational quotient exists and has integer coefficients;
     otherwise raises NotDivisible carrying the nonzero remainder's degree.
     """
-    if den.is_zero():
+    if not den:
         raise DivisionByZeroPolynomial("division by zero polynomial")
-    if num.is_zero():
+    if not num:
         return UniPoly.zero()
     dn, dd = num.degree(), den.degree()
     lead = den.coeff(dd)
@@ -625,6 +574,16 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
         if rem[d]:
             raise NotDivisible(d)
     return UniPoly(quot)
+
+
+def split_origin(p: UniPoly) -> tuple[int, UniPoly]:
+    """The power of the variable in the nonzero ``p``, and what is left.
+
+    Returns ``(k, q)`` with ``p = z^k * q`` and ``q(0) != 0``: ``k`` is the
+    multiplicity of the zero of ``p`` at the origin.
+    """
+    k = next(d for d, c in enumerate(p.coeffs) if c)
+    return k, UniPoly(p.coeffs[k:])
 
 
 def _primitive(p: UniPoly) -> UniPoly:

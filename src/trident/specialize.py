@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .oracle import PartitionStats, enumerate_partitions
-from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute
+from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute, split_origin
 from .report import Report
 from .sequences import S1, W1, W2, TwoTerm
 
@@ -145,11 +145,10 @@ def reduced_q2(n: int) -> UniPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = spec_family(SpecId.Z2, "q", n)
-    shift = n - 1
-    if any(p.coeff(d) for d in range(shift)):
-        raise NotDivisible(min(d for d in range(shift) if p.coeff(d)))
-    return UniPoly(p.coeffs[shift:])
+    low, reduced = split_origin(spec_family(SpecId.Z2, "q", n))
+    if low < n - 1:
+        raise NotDivisible(low)
+    return reduced
 
 
 def partition_statistic(spec: SpecId, stats: PartitionStats) -> int:
@@ -223,12 +222,12 @@ def structural_check(spec: SpecId, n: int) -> Report:
             fail("r is not monic")
     elif spec is SpecId.Z2:
         p = spec_family(spec, "q", n)
-        low = next((d for d, c in enumerate(p.coeffs) if c), None)
+        low, reduced = split_origin(p)
         if p.degree() != 3 * (n - 1):
             fail(f"degree {p.degree()} != {3 * (n - 1)}")
         if low != n - 1:
             fail(f"lowest-degree term {low} != {n - 1}")
-        if not reduced_q2(n).is_palindromic():
+        if not reduced.is_palindromic():
             fail("not palindromic after reduction")
         if p.coeff(3 * (n - 1)) != 3 ** (n - 1):
             fail(f"leading coefficient != 3^{n - 1}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .chebyshev import ChebKind
-from .polyring import UniPoly, horner, up_square_free
+from .polyring import UniPoly, horner, split_origin, up_square_free
 from .report import Report
 from .specialize import SpecId, spec_family
 
@@ -288,12 +288,6 @@ def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
     return best
 
 
-def _split_origin(p: UniPoly) -> tuple[int, UniPoly]:
-    """The multiplicity of the zero of ``p`` at the origin, and ``p`` with it divided out."""
-    origin = next(d for d, c in enumerate(p.coeffs) if c)
-    return origin, UniPoly(p.coeffs[origin:])
-
-
 def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[complex],
                  origin: int, locus: Optional[Locus]) -> ZeroReport:
     """The one builder of a ZeroReport: residuals on ``poly``, distances to ``locus``."""
@@ -328,7 +322,7 @@ def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
-    origin, reduced = _split_origin(p)
+    origin, reduced = split_origin(p)
     return _zero_report("general", "", p.degree(), reduced,
                         _finder_points(reduced, max_iter), origin, None)
 
@@ -350,7 +344,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
         raise ValueError(f"{spec.value}/{family} member {n} has no zeros")
     locus = LOCI.get((spec, family))
     zero_map = locus.zero_map if locus is not None else None
-    origin, poly = _split_origin(member if zero_map else up_square_free(member))
+    origin, poly = split_origin(member if zero_map else up_square_free(member))
     if zero_map is None:
         points = _finder_points(poly, DEFAULT_MAX_ITER)
     else:

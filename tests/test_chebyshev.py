@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+import trident.chebyshev
 from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
 from trident.polyring import MultiPoly, UniPoly, mp_divide_exact
-from trident.sequences import W1, W2
+from trident.sequences import W1, W2, TwoTerm
 
 
 def chebyshev_from_generating_function(kind: ChebKind, upto: int) -> list[UniPoly]:
@@ -42,6 +43,17 @@ def test_base_cases_by_hand():
     assert chebyshev(ChebKind.SECOND, 0) == UniPoly.one()
     assert chebyshev(ChebKind.SECOND, 1) == UniPoly((0, 2))
     assert chebyshev(ChebKind.SECOND, 2) == UniPoly((-1, 0, 4))
+
+
+def test_chebyshev_keeps_no_memo():
+    # T_n and U_n are built afresh on each call: no module attribute, nor a
+    # value in one, holds a recurrence that grew past its two seeds
+    for kind in ChebKind:
+        chebyshev(kind, 50)
+    for value in vars(trident.chebyshev).values():
+        held = value.values() if isinstance(value, dict) else (value,)
+        for item in held:
+            assert not (isinstance(item, TwoTerm) and len(item._memo) > 2), value
 
 
 def test_recurrence_matches_generating_function():

@@ -67,6 +67,14 @@ def test_enumerate_json_schema(capsys):
     assert payload["partitions"] == PARTITIONS_OF_3
 
 
+def test_enumerate_index_of_a_thousand_digits(capsys):
+    # 10**600 has 1258 base-3 digits: the count is answered, not a recursion error
+    n = 10**600
+    code, out, _ = run_capture(capsys, ["enumerate", "--n", str(n)])
+    assert code == 0
+    assert out.startswith(f"n={n} count=")
+
+
 def test_spec_json_and_pretty(capsys):
     payload = run_json(capsys, ["spec", "--spec", "z1", "--family", "q",
                                 "--n", "3", "--format", "json"])

@@ -53,6 +53,8 @@ def test_counting_sequence():
 def test_power_of_four_and_perfect_counts():
     assert count_partitions(3**4 - 1) == 4**4
     assert count_partitions((3**5 - 3) // 2) == 496
+    # the perfect-number identity 1300 base-3 digits deep
+    assert count_partitions((3**1300 - 3) // 2) == 2**1299 * (2**1300 - 1)
 
 
 def test_enumeration_matches_count():
