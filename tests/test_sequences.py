@@ -1,5 +1,6 @@
 """Recurrence engine against the generating product and the enumeration oracle."""
 
+import hashlib
 import json
 
 import pytest
@@ -161,3 +162,25 @@ def test_generating_function_failure_names_degree(monkeypatch):
     report = gf_check(8)
     assert report.failures == ["q-series degree 3", "q-series degree 4", "q-series degree 5"]
     assert json.loads(report.witness)["check"] == "q-series degree 3"
+
+
+# sha256 of json.dumps(p.to_records()): Q and R at two indices, and S at
+# indices up to 10^9 whose base-3 digits mix 0, 1 and 2.
+PINNED_DIGESTS = {
+    ("q", 12): "864ab73bb43eb32f044c2367eb382c091a75b06210590eaa2dfd7998ffbe177c",
+    ("r", 12): "d6c307087b0680f8371ddc905f4e279a83575f78ea8d6cff7281c14b8a87ebff",
+    ("q", 16): "913884e6c8c69216a24bf87abb7806c4c47d51c9cd373afd542bb663da6974a3",
+    ("r", 16): "a21d5b13f5836da4428953d2865dc98775ca0891b3e934ea8b6232dfc1e203db",
+    ("s", 10**3): "6d4bb756abd0e6ae20d38aa47ececefd0d8cbbbc4062162d5b587bef6d3d4289",
+    ("s", 10**5): "48918e5e56455156f8017780c09467892d922e84c71f8e7115ec42bc82f6ed07",
+    ("s", 10**7): "638e67caa285aa4948be49783e6bbfa3129dd6c824adb59a172ffdb5dbc0f711",
+    ("s", 10**9): "cc54db9524eb968105ace1ec097037ab6c7599ee7dbaf1420f1aea2cc0c30907",
+    ("s", 3**19 - 2): "e761caa9c308955037d3a52aa9ec6a2054c134ecd948706ec6a1e9600f5e2a21",
+}
+
+
+def test_values_pinned_by_digest():
+    member = {"q": q_poly, "r": r_poly, "s": s_poly}
+    for (name, n), digest in PINNED_DIGESTS.items():
+        records = json.dumps(member[name](n).to_records())
+        assert hashlib.sha256(records.encode()).hexdigest() == digest, (name, n)
