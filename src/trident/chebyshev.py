@@ -10,19 +10,18 @@ bivariate families
 
 carry the scaling exactly: E_n(a, b) encodes b^(n/2) U_n(a / (2 sqrt b))
 and D_n(a, b) / 2 encodes b^(n/2) T_n(a / (2 sqrt b)).  ``verify_prop35``
-checks the resulting exact identities for the 4-variable sequences and
-spot-checks the analytic form in floating point.
+decides every part of that claim exactly: the identities for the
+4-variable sequences, the Chebyshev values at b = 1 and the weight of
+each term, which together give the analytic form wherever b > 0.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import random
 
 from .polyring import UniPoly
 from .report import Report
-from .sequences import S1, TRIPLE_COEFF, W1, W2, TwoTerm, q_poly, r_poly
+from .sequences import S1, TRIPLE_COEFF, VAR_W, VAR_X, W1, W2, TwoTerm, q_poly, r_poly
 
 
 class ChebKind(enum.Enum):
@@ -54,25 +53,19 @@ def dickson_D(n: int, a, b):
     return TwoTerm(a, b, 2 * a**0, a)[n]
 
 
-# The analytic spot check: how many random points, from which seed, and the
-# relative tolerance of each comparison.
-SPOT_POINTS = 20
-SPOT_SEED = 42
-SPOT_REL_TOL = 1e-9
-
-
 def verify_prop35(n: int) -> Report:
-    """Check the Chebyshev bridge at index ``n``.
+    """Check the Chebyshev bridge at index ``n``, exactly.
 
-    Exact checks in the 4-variable ring:
+    In the 4-variable ring:
       * the q-sequence at n+1 equals E_n(W1, W2);
       * twice the r-sequence at n equals D_n(W1, W2) plus
         (w + x + y - wxy - wz - xz) times the q-sequence at n.
 
-    Then the analytic forms with explicit square roots are sampled at
-    ``SPOT_POINTS`` random points with all variables in (0.5, 2.0), where
-    W2 is positive, and compared at relative tolerance ``SPOT_REL_TOL``.
-    Each failure is recorded under its message.
+    In Z[v]: E_n(2v, 1) = U_n(v) and D_n(2v, 1) = 2 T_n(v).  And every term
+    a^i b^j of E_n(a, b) and D_n(a, b) has weight i + 2j = n, so
+    E_n(a, b) = b^(n/2) E_n(a / sqrt b, 1) for b > 0.  Together these give
+    the analytic forms in U_n and T_n at W1 / (2 sqrt W2) at every point
+    where W2 > 0.  Each failure is recorded under its message.
     """
     report = Report(f"n={n}")
     if q_poly(n + 1) != dickson_E(n, W1, W2):
@@ -80,27 +73,12 @@ def verify_prop35(n: int) -> Report:
     correction = S1 - TRIPLE_COEFF
     if 2 * r_poly(n) != dickson_D(n, W1, W2) + correction * q_poly(n):
         report.record(f"D_{n}(W1, W2) correction identity fails at {n}", False)
-
-    t_n, u_n = chebyshev(ChebKind.FIRST, n), chebyshev(ChebKind.SECOND, n)
-    rng = random.Random(SPOT_SEED)
-    for trial in range(SPOT_POINTS):
-        point = tuple(rng.uniform(0.5, 2.0) for _ in range(4))
-        w1 = float(W1.evaluate(*point))
-        w2 = float(W2.evaluate(*point))
-        if w2 <= 0:
-            report.record(f"spot point {trial}: nonpositive W2", False)
-            continue
-        arg = w1 / (2.0 * math.sqrt(w2))
-        q_exact = float(q_poly(n + 1).evaluate(*point))
-        q_analytic = w2 ** (n / 2.0) * float(u_n.evaluate(arg))
-        if abs(q_exact - q_analytic) > SPOT_REL_TOL * max(1.0, abs(q_exact), abs(q_analytic)):
-            report.record(f"spot point {trial}: U-form mismatch {q_exact} vs {q_analytic}",
-                          False)
-        r_exact = float(r_poly(n).evaluate(*point))
-        corr = float(correction.evaluate(*point))
-        r_analytic = (w2 ** (n / 2.0) * float(t_n.evaluate(arg))
-                      + 0.5 * corr * float(q_poly(n).evaluate(*point)))
-        if abs(r_exact - r_analytic) > SPOT_REL_TOL * max(1.0, abs(r_exact), abs(r_analytic)):
-            report.record(f"spot point {trial}: T-form mismatch {r_exact} vs {r_analytic}",
-                          False)
+    if dickson_E(n, _TWO_V, 1) != chebyshev(ChebKind.SECOND, n):
+        report.record(f"E_{n}(2v, 1) != U_{n}(v)", False)
+    if dickson_D(n, _TWO_V, 1) != 2 * chebyshev(ChebKind.FIRST, n):
+        report.record(f"D_{n}(2v, 1) != 2 T_{n}(v)", False)
+    for name, companion in (("E", dickson_E), ("D", dickson_D)):
+        # w and x stand in for a and b
+        if any(m.exp_w + 2 * m.exp_x != n for m in companion(n, VAR_W, VAR_X)):
+            report.record(f"{name}_{n}(a, b) has a term of weight other than {n}", False)
     return report

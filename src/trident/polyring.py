@@ -85,7 +85,8 @@ class _Poly:
     A subclass keeps its terms in its own canonical form, returned by
     ``_data()``: two polynomials of one class are equal iff their data are,
     and a polynomial is zero iff its data is empty.  It also supplies
-    ``constant`` and ``pretty``; the ring operations are its own.
+    ``constant``, ``pretty``, ``_constant_term`` and ``_frozen`` (its data
+    as a hashable value); the ring operations are its own.
     """
 
     __slots__ = ()
@@ -127,6 +128,12 @@ class _Poly:
         if other is NotImplemented:
             return NotImplemented
         return self._data() == other._data()
+
+    def __hash__(self) -> int:
+        # Equal values hash equal: a constant polynomial, zero included,
+        # equals its int and so hashes as that int.
+        c = self._constant_term()
+        return hash(c) if self == c else hash(self._frozen())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.pretty()})"
@@ -209,6 +216,12 @@ class MultiPoly(_Poly):
 
     def _data(self) -> dict[int, int]:
         return self._terms
+
+    def _constant_term(self) -> int:
+        return self._terms.get(0, 0)
+
+    def _frozen(self) -> frozenset:
+        return frozenset(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -300,9 +313,6 @@ class MultiPoly(_Poly):
         return MultiPoly._from_dict(out)
 
     __rmul__ = __mul__
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     # -- maps out of the ring ----------------------------------------------
 
@@ -456,6 +466,11 @@ class UniPoly(_Poly):
     def _data(self) -> tuple[int, ...]:
         return self._coeffs
 
+    def _constant_term(self) -> int:
+        return self.coeff(0)
+
+    _frozen = _data
+
     def is_palindromic(self) -> bool:
         """True iff the coefficient list equals its own reversal (and nonzero)."""
         return bool(self._coeffs) and self._coeffs == self._coeffs[::-1]
@@ -510,9 +525,6 @@ class UniPoly(_Poly):
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     # -- evaluation, composition -------------------------------------------
 

@@ -2,19 +2,21 @@
 
 ``s_poly(n)`` is the 4-variable polynomial whose coefficient of
 ``w^i x^j y^k z^l`` counts restricted colored base-3 partitions of ``n``
-with the corresponding statistics.  It is computed by the base-3 recurrence
+with the corresponding statistics.  It satisfies the base-3 recurrence
 
     S(3n)   = S(n) + (wxy + wz + xz) * S(n-1)
     S(3n+1) = (w + x + y) * S(n) + wxz * S(n-1)
     S(3n+2) = (wx + wy + xy + z) * S(n)
 
-with S(0) = 1, S(1) = w+x+y, S(2) = wx+wy+xy+z.  ``s_poly_product`` expands
-the defining generating product instead and serves as a redundant second
+with S(0) = 1 and S(-1) = 0: base-3 digit d is a 2x2 matrix M_d taking
+(S(m), S(m-1)) to (S(3m+d), S(3m+d-1)).  ``s_poly_product`` expands the
+defining generating product instead and serves as a redundant second
 path; the enumeration oracle is a third.
 
 ``q_poly(n)`` and ``r_poly(n)`` are S at the indices (3^n - 3)/2 and
-(3^n - 1)/2.  Both satisfy the same three-term recurrence with coefficient
-pair (W1, W2), which drives everything downstream.
+(3^n - 1)/2: the pair at the index of n base-3 ones.  The paper's
+three-term recurrence in (W1, W2) = (tr M1, det M1) is a claim about
+them, which ``gf_check`` and the Chebyshev bridge verify against S.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ VAR_X = MultiPoly.variable("x")
 VAR_Y = MultiPoly.variable("y")
 VAR_Z = MultiPoly.variable("z")
 
-S0 = MultiPoly.one()
 S1 = VAR_W + VAR_X + VAR_Y
 S2 = VAR_W * VAR_X + VAR_W * VAR_Y + VAR_X * VAR_Y + VAR_Z
 
@@ -77,37 +78,53 @@ W_PAIR = WPair(
 W1 = W_PAIR.w1
 W2 = W_PAIR.w2
 
-_S_MEMO: dict[int, MultiPoly] = {0: S0, 1: S1, 2: S2}
+# (S(n), S(n-1)) for each index a caller asked for, and no intermediate
+# prefix.  S(-1) = 0 makes index 0 the one seed.
+_PAIRS: dict[int, tuple[MultiPoly, MultiPoly]] = {0: (MultiPoly.one(), MultiPoly.zero())}
+
+
+def _pair(n: int) -> tuple[MultiPoly, MultiPoly]:
+    """(S(n), S(n-1)), carried digit by digit up the base-3 prefixes of
+    ``n`` from the longest one memoized.  Writes are idempotent: no lock."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    digits = []
+    m = n
+    while m not in _PAIRS:
+        m, d = divmod(m, 3)
+        digits.append(d)
+    s, b = _PAIRS[m]
+    for d in reversed(digits):
+        if d == 0:
+            s, b = s + TRIPLE_COEFF * b, S2 * b
+        elif d == 1:
+            s, b = S1 * s + WXZ * b, s + TRIPLE_COEFF * b
+        else:
+            s, b = S2 * s, S1 * s + WXZ * b
+    _PAIRS[n] = (s, b)
+    return s, b
+
+
+def _repunit_pair(n: int) -> tuple[MultiPoly, MultiPoly]:
+    """(R_n, Q_n): the pair at (3^n - 1)/2, whose n base-3 digits are all 1."""
+    if n < 0:   # before 3**n, which is a float at negative n
+        raise ValueError("n must be non-negative")
+    return _pair((3**n - 1) // 2)
 
 
 def s_poly(n: int) -> MultiPoly:
-    """The counting polynomial of ``n`` via the memoized base-3 recurrence."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cached = _S_MEMO.get(n)
-    if cached is not None:
-        return cached
-    # The recursion only ever touches O(log n) index pairs {m, m-1}.
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in _S_MEMO:
-            stack.pop()
-            continue
-        q, r = divmod(m, 3)
-        need = [i for i in (q, q - 1) if i not in _S_MEMO]
-        if need:
-            stack.extend(need)
-            continue
-        if r == 0:
-            value = _S_MEMO[q] + TRIPLE_COEFF * _S_MEMO[q - 1]
-        elif r == 1:
-            value = S1 * _S_MEMO[q] + WXZ * _S_MEMO[q - 1]
-        else:
-            value = S2 * _S_MEMO[q]
-        _S_MEMO[m] = value
-        stack.pop()
-    return _S_MEMO[n]
+    """The counting polynomial of ``n`` via the base-3 digit walk."""
+    return _pair(n)[0]
+
+
+def q_poly(n: int) -> MultiPoly:
+    """The subsequence at indices (3^n - 3)/2: S(m - 1) at m = (3^n - 1)/2."""
+    return _repunit_pair(n)[1]
+
+
+def r_poly(n: int) -> MultiPoly:
+    """The subsequence at indices (3^n - 1)/2."""
+    return _repunit_pair(n)[0]
 
 
 @dataclass
@@ -172,10 +189,9 @@ class TwoTerm:
     """The memoized sequence u_0, u_1, u_n = a*u_{n-1} - b*u_{n-2}; ``seq[n]`` is u_n.
 
     Works over any ring whose elements support ``*`` and ``-`` (ints,
-    ``UniPoly``, ``MultiPoly``).  Every polynomial sequence of the package
-    is one of these: Q and R with the pair (W1, W2), their specializations
-    with its image, Chebyshev T/U with (2v, 1) and the Dickson companions
-    with (a, b).
+    ``UniPoly``, ``MultiPoly``).  The specialized Q and R families run one
+    with the image of (W1, W2), Chebyshev T/U with (2v, 1) and the Dickson
+    companions with (a, b); Q and R themselves come from the digit walk.
     """
 
     def __init__(self, a, b, u0, u1):
@@ -197,20 +213,6 @@ class TwoTerm:
         return memo[n]
 
 
-_Q = TwoTerm(W1, W2, MultiPoly.zero(), MultiPoly.one())
-_R = TwoTerm(W1, W2, MultiPoly.one(), S1)
-
-
-def q_poly(n: int) -> MultiPoly:
-    """The subsequence at indices (3^n - 3)/2, via the three-term recurrence."""
-    return _Q[n]
-
-
-def r_poly(n: int) -> MultiPoly:
-    """The subsequence at indices (3^n - 1)/2, via the three-term recurrence."""
-    return _R[n]
-
-
 def scalar_qr(n: int) -> tuple[int, int]:
     """Closed forms of the all-ones specializations: (2^(n-1)(2^n - 1), 2^(n-1)(2^n + 1))."""
     if n < 0:
@@ -221,11 +223,12 @@ def scalar_qr(n: int) -> tuple[int, int]:
 
 
 def gf_check(truncation: int) -> Report:
-    """Verify the rational generating functions of both subsequences.
+    """Verify the paper's recurrence and generating functions against S.
 
-    Multiplies the truncated series of q_poly / r_poly by the shared
-    denominator 1 - W1 q + W2 q^2 and compares against the claimed
-    numerators q and 1 - (wxy + wz + xz) q, degree by degree.
+    Multiplies the truncated series of q_poly / r_poly, both read off the
+    base-3 digit walk of S, by the shared denominator 1 - W1 q + W2 q^2 and
+    compares against the claimed numerators q and 1 - (wxy + wz + xz) q,
+    degree by degree.  Degrees >= 2 are the three-term recurrence itself.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")

@@ -135,12 +135,21 @@ def test_bridge_identities():
 
 
 def test_package_attribute_is_the_module(monkeypatch):
-    # the spot-check constants are settable through the module the package exposes
+    # verify_prop35 reads chebyshev through the module the package exposes
     import trident.chebyshev as module
     assert module.verify_prop35 is verify_prop35
     assert verify_prop35(2).ok
-    monkeypatch.setattr(module, "SPOT_REL_TOL", -1.0)
-    assert verify_prop35(2).failures[0].startswith("spot point 0: U-form mismatch")
+    # U_n + 1 in place of U_n, T_n unchanged
+    monkeypatch.setattr(module, "chebyshev",
+                        lambda kind, n: chebyshev(kind, n) + (kind is ChebKind.SECOND))
+    assert verify_prop35(0).failures == ["E_0(2v, 1) != U_0(v)"]
+
+
+def test_bridge_weight_check_names_companion(monkeypatch):
+    import trident.chebyshev as module
+    monkeypatch.setattr(module, "dickson_D", lambda n, a, b: dickson_D(n, a, b) * a)
+    failures = verify_prop35(3).failures
+    assert "D_3(a, b) has a term of weight other than 3" in failures
 
 
 def test_bridge_base_cases():

@@ -293,14 +293,16 @@ def test_verify_merged_group_names_index(capsys, monkeypatch):
 
 
 def test_verify_prop35_failure_names_index(capsys, monkeypatch):
-    # a negative tolerance fails every spot point; the first at n = 0
+    # U_n + 1 in place of U_n fails the exact E_n(2v, 1) check at every n;
+    # the first at n = 0
     import trident.chebyshev
-    monkeypatch.setattr(trident.chebyshev, "SPOT_REL_TOL", -1.0)
+    from trident.chebyshev import ChebKind, chebyshev
+    monkeypatch.setattr(trident.chebyshev, "chebyshev",
+                        lambda kind, n: chebyshev(kind, n) + (kind is ChebKind.SECOND))
     code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "prop35"])
     assert code == 1
-    lines = out.splitlines()
-    assert lines[0].startswith("FAIL  prop35  (n=0: spot point 0: U-form mismatch ")
-    assert lines[1:] == ["FAILURES PRESENT"]
+    assert out.splitlines() == ["FAIL  prop35  (n=0: E_0(2v, 1) != U_0(v))",
+                                "FAILURES PRESENT"]
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -435,3 +435,20 @@ def test_pretty_and_repr_strings():
         assert p.pretty() == text
         assert p.pretty("t") == in_t
         assert repr(p) == f"UniPoly({text})"
+
+
+def test_constant_hashes_as_its_int():
+    # a constant equals its int, zero included, so sets and int-keyed dicts
+    # treat the two as one key
+    for cls in (MultiPoly, UniPoly):
+        for c in (5, -3, 0):
+            p = cls.constant(c)
+            assert p == c and hash(p) == hash(c), (cls, c)
+            assert len({p, c}) == 1, (cls, c)
+        assert len({cls.zero(), 0}) == 1
+        assert {5: "five", 0: "zero"}[cls.constant(5)] == "five"
+        assert {0: "zero"}[cls.zero()] == "zero"
+    # a non-constant hashes as its data, as before
+    w = MultiPoly.variable("w")
+    assert hash(w) == hash(frozenset(w._data().items()))
+    assert hash(UniPoly.x()) == hash((0, 1))

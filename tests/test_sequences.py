@@ -9,8 +9,8 @@ from fixtures import TABLE1
 from trident import sequences
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import MultiPoly
-from trident.sequences import (PRODUCT_CAP, S1, S2, W1, W2, WPair, TRIPLE_COEFF,
-                               closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
+from trident.sequences import (PRODUCT_CAP, S1, S2, W1, W2, WPair, TRIPLE_COEFF, WXZ,
+                               TwoTerm, closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
                                s_poly_product, scalar_qr)
 
 
@@ -39,9 +39,10 @@ def test_base_cases():
     assert s_poly(2) == S2
     assert (q_poly(0), q_poly(1)) == (MultiPoly.zero(), MultiPoly.one())
     assert (r_poly(0), r_poly(1)) == (MultiPoly.one(), S1)
-    for seq in (s_poly, q_poly, r_poly):
-        with pytest.raises(ValueError):
-            seq(-1)
+    # r_poly(-2) would reach the walk as the float index (3**-2 - 1) // 2
+    for seq, n in ((s_poly, -1), (q_poly, -1), (r_poly, -1), (r_poly, -2)):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            seq(n)
 
 
 def test_product_path_small_values():
@@ -95,10 +96,32 @@ def test_subsequences_match_definition():
         assert r_poly(n) == s_poly((3**n - 1) // 2)
 
 
+def test_three_term_recurrence_reference():
+    # the reference route: Q and R by the (W1, W2) recurrence from their first two values
+    q_ref = TwoTerm(W1, W2, MultiPoly.zero(), MultiPoly.one())
+    r_ref = TwoTerm(W1, W2, MultiPoly.one(), S1)
+    for n in range(17):
+        assert q_poly(n) == q_ref[n], n
+        assert r_poly(n) == r_ref[n], n
+
+
+def test_pair_memo_keeps_requested_indices_only(monkeypatch):
+    monkeypatch.setattr(sequences, "_PAIRS", {0: (MultiPoly.one(), MultiPoly.zero())})
+    r_poly(12)
+    q_poly(12)   # the same pair as R_12, at (3^12 - 1)/2
+    assert len(sequences._PAIRS) == 2
+    s_poly(3**10 + 5)
+    assert len(sequences._PAIRS) == 3
+
+
 def test_w_pair_literals():
     # construction-time assertion is live; also cross-check here
     WPair(w1=W1, w2=W2)
-    assert W1 == TRIPLE_COEFF + S1
+    # M1 = [[S1, WXZ], [1, TRIPLE_COEFF]] takes (R_n, Q_n) to (R_{n+1}, Q_{n+1}),
+    # and (W1, W2) = (tr M1, det M1): by Cayley-Hamilton both sequences obey
+    # u_n = W1 u_{n-1} - W2 u_{n-2} for every n
+    assert W1 == S1 + TRIPLE_COEFF
+    assert W2 == S1 * TRIPLE_COEFF - WXZ
 
 
 def test_scalar_values():
