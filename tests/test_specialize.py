@@ -1,5 +1,7 @@
 """Single-variable families: reference tables, closed forms, statistics, structure."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -175,3 +177,61 @@ def test_overline_tilde_symmetry():
     # p5 and p6 families coincide as polynomials
     for n in range(9):
         assert spec_family(SpecId.P5, "q", n) == spec_family(SpecId.P6, "q", n)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+
+def _spec_values_digests() -> dict[tuple, str]:
+    from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E
+    from trident.sequences import W1, W2
+    out = {}
+    for spec in ALL_SPECS:
+        for family in ("q", "r"):
+            out[(spec.value, family)] = _digest(
+                [spec_family(spec, family, n).to_strings() for n in range(65)])
+    for kind in ChebKind:
+        out[("chebyshev", kind.value)] = _digest(
+            [chebyshev(kind, n).to_strings() for n in range(201)])
+    for name, companion in (("E", dickson_E), ("D", dickson_D)):
+        out[("dickson", name)] = _digest(
+            [companion(n, W1, W2).to_records() for n in range(13)])
+    return out
+
+
+# sha256 of the json list of member serializations, n ascending: every
+# specialized family at n <= 64, Chebyshev T/U at n <= 200, and the Dickson
+# companions E_n/D_n(W1, W2) at n <= 12.
+PINNED_SPEC_DIGESTS = {
+    ("z0", "q"): "f953ef8c83c296c7ec3077566d04f06c6255c8bdbb7ceb8e0b3d02fdd4e3ad78",
+    ("z0", "r"): "0b2cc4f59e66504586b8d2d2e52ad8f0a5a8dbd9449f0b008234996975b6fb8f",
+    ("z1", "q"): "6d3013503d9dcd8c93f084b3b02b707ce63cf8a86628bc2d7a5ba39732cec241",
+    ("z1", "r"): "14d071d3b0b5ec3e1b666d8610d208b61c8d0e833504950482b4e5ba8f10729a",
+    ("z2", "q"): "0bcbae94d608235f06bd78387120d30adff20043b5cdfceea3eb9bda6638a329",
+    ("z2", "r"): "90cc346311a9b32672011710b42c4d02b6c0bdfc709c95ce57d56c87a03ddba9",
+    ("z3", "q"): "06f3eb99c6b552e28406e6d582625d4fb81ad95bb9c271583410c3cd61b2f5d3",
+    ("z3", "r"): "020dff6beea9148b51bd13a22c4bf3ccb41f6ee1597b753fb19dce7813296622",
+    ("p1", "q"): "97847720bf3f856940b1baf320d68592f9f25ebf19a6f4f928f24361956bede5",
+    ("p1", "r"): "273e388a3c7d5c860c30ed6fef0c56e94924c2ef44b3dd9ef4eeff4c56427a84",
+    ("p2", "q"): "0d86b211703a049145b381115fcd9107ddbfb3b63a9838f2009e9e318b1dee31",
+    ("p2", "r"): "68004b694b7d1c1918f9b4494b5c8ce6a12373ca955c686d0a4bbe4eb69d3235",
+    ("p3", "q"): "48102c273ba5e7099ab37654109610e14ca0f45ba6e447ffb9e8c399f5012c2c",
+    ("p3", "r"): "35dce2c0f359632ea62301cf558513a69043d5e18a715da03e07633950d704ec",
+    ("p4", "q"): "65bea69c0c412511c68d7b32e221af0beb70b3ca70f378ed4a4ea6d38d7346e0",
+    ("p4", "r"): "582b7678f3de8a12a407ba33a0f61d149521d97c45f36d2a89753d177459be64",
+    ("p5", "q"): "221c153597ef71447063a29c1ba3ca90cd4a703459c3c5e474f5e866aca794db",
+    ("p5", "r"): "1dd325fcc6bb100f6b613661cf63ab4c9e7a5f703e22817758ea322e6600f4a6",
+    ("p6", "q"): "221c153597ef71447063a29c1ba3ca90cd4a703459c3c5e474f5e866aca794db",
+    ("p6", "r"): "1dd325fcc6bb100f6b613661cf63ab4c9e7a5f703e22817758ea322e6600f4a6",
+    ("chebyshev", "T"): "845add6b32d5cecf952f658eddcc099afdaaaa3087903724ed6efdc98b67e280",
+    ("chebyshev", "U"): "5e5e7bb3765af785bb4db165f1569ac3817f32126beb6831b2dc9a9dd6c1d972",
+    ("dickson", "E"): "cda39b8a3f9554c3e4dbff744bfa32d8927b35c396ed7d235dff79e0ae9be480",
+    ("dickson", "D"): "c032ef6d25d2951e0fd8004a7f9f654230f99f3d52687a23cbebc18ef9e0ba77",
+}
+
+
+def test_spec_values_pinned_by_digest():
+    digests = _spec_values_digests()
+    for key, digest in PINNED_SPEC_DIGESTS.items():
+        assert digests[key] == digest, key
