@@ -21,7 +21,7 @@ import enum
 
 from .polyring import UniPoly
 from .report import Report
-from .sequences import S1, TRIPLE_COEFF, VAR_W, VAR_X, W1, W2, TwoTerm, q_poly, r_poly
+from .sequences import S1, TRIPLE_COEFF, VAR_W, VAR_X, W1, W2, q_poly, r_poly
 
 
 class ChebKind(enum.Enum):
@@ -35,22 +35,38 @@ _TWO_V = UniPoly((0, 2))
 _DEGREE_ONE = {ChebKind.FIRST: UniPoly.x(), ChebKind.SECOND: _TWO_V}
 
 
+def two_term(a, b, u0, u1, n: int):
+    """u_n of the sequence u_0, u_1, u_k = a*u_{k-1} - b*u_{k-2}.
+
+    Works over any ring whose elements support ``*`` and ``-`` (ints,
+    ``UniPoly``, ``MultiPoly``), and keeps nothing once it returns.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return u0
+    for _ in range(n - 1):   # n - 1 steps: u_{n+1}, the costliest, is never formed
+        u0, u1 = u1, a * u1 - b * u0
+    return u1
+
+
 def chebyshev(kind: ChebKind, n: int) -> UniPoly:
     """T_n or U_n as an exact integer polynomial, by the shared recurrence.
 
-    Each call runs its own recurrence and keeps nothing once it returns.
+    Its own seeds, not ``dickson_E``/``dickson_D`` at (2v, 1): ``verify_prop35``
+    checks those against it.
     """
-    return TwoTerm(_TWO_V, 1, UniPoly.one(), _DEGREE_ONE[kind])[n]
+    return two_term(_TWO_V, 1, UniPoly.one(), _DEGREE_ONE[kind], n)
 
 
 def dickson_E(n: int, a, b):
     """Second-kind companion E_n(a, b); works for any ring elements a, b."""
-    return TwoTerm(a, b, 1 * a**0, a)[n]   # E_0 is the one of a's ring
+    return two_term(a, b, 1 * a**0, a, n)   # E_0 is the one of a's ring
 
 
 def dickson_D(n: int, a, b):
     """First-kind companion D_n(a, b); D_0 = 2."""
-    return TwoTerm(a, b, 2 * a**0, a)[n]
+    return two_term(a, b, 2 * a**0, a, n)
 
 
 def verify_prop35(n: int) -> Report:

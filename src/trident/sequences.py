@@ -9,9 +9,12 @@ with the corresponding statistics.  It satisfies the base-3 recurrence
     S(3n+2) = (wx + wy + xy + z) * S(n)
 
 with S(0) = 1 and S(-1) = 0: base-3 digit d is a 2x2 matrix M_d taking
-(S(m), S(m-1)) to (S(3m+d), S(3m+d-1)).  ``s_poly_product`` expands the
-defining generating product instead and serves as a redundant second
-path; the enumeration oracle is a third.
+(S(m), S(m-1)) to (S(3m+d), S(3m+d-1)).  ``digit_walk`` carries that pair
+over any ring the matrix entries map into; it is the one memoized
+recurrence of the package, serving S, Q and R here and every
+single-variable specialization in ``specialize``.  ``s_poly_product``
+expands the defining generating product instead and serves as a
+redundant second path; the enumeration oracle is a third.
 
 ``q_poly(n)`` and ``r_poly(n)`` are S at the indices (3^n - 3)/2 and
 (3^n - 1)/2: the pair at the index of n base-3 ones.  The paper's
@@ -20,9 +23,6 @@ them, which ``gf_check`` and the Chebyshev bridge verify against S.
 """
 
 from __future__ import annotations
-
-import threading
-from dataclasses import dataclass, field
 
 from .polyring import MultiPoly
 from .report import Report
@@ -41,117 +41,80 @@ S2 = VAR_W * VAR_X + VAR_W * VAR_Y + VAR_X * VAR_Y + VAR_Z
 TRIPLE_COEFF = VAR_W * VAR_X * VAR_Y + VAR_W * VAR_Z + VAR_X * VAR_Z   # multiplies S(n-1) in S(3n)
 WXZ = VAR_W * VAR_X * VAR_Z                                            # multiplies S(n-1) in S(3n+1)
 
+# The entries of the digit matrices M0 = [[1, T], [0, S2]],
+# M1 = [[S1, WXZ], [1, T]] and M2 = [[S2, 0], [S1, WXZ]], T = TRIPLE_COEFF.
+DIGIT_COEFFS = (S1, S2, TRIPLE_COEFF, WXZ)
 
-def _literal(records) -> MultiPoly:
-    return MultiPoly([(i, j, k, l, c) for (i, j, k, l, c) in records])
-
-
-@dataclass(frozen=True)
-class WPair:
-    """The coefficient pair of the shared three-term recurrence.
-
-    Built by ring arithmetic and asserted at construction time against the
-    literal term lists, so a typo in either path cannot survive import.
-    """
-
-    w1: MultiPoly
-    w2: MultiPoly
-
-    def __post_init__(self):
-        w1_literal = _literal([
-            (1, 1, 1, 0, 1), (1, 0, 0, 1, 1), (0, 1, 0, 1, 1),
-            (1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1),
-        ])
-        w2_literal = _literal([
-            (2, 1, 1, 0, 1), (2, 0, 0, 1, 1), (1, 2, 1, 0, 1), (1, 1, 2, 0, 1),
-            (1, 1, 0, 1, 1), (1, 0, 1, 1, 1), (0, 2, 0, 1, 1), (0, 1, 1, 1, 1),
-        ])
-        if self.w1 != w1_literal or self.w2 != w2_literal:
-            raise AssertionError("W1/W2 disagree with their literal term lists")
-
-
-W_PAIR = WPair(
-    w1=TRIPLE_COEFF + S1,
-    w2=(VAR_W * (VAR_W + VAR_X + VAR_Y) * (VAR_X * VAR_Y + VAR_Z)
-        + VAR_X * VAR_Z * (VAR_X + VAR_Y)),
-)
-W1 = W_PAIR.w1
-W2 = W_PAIR.w2
+# M1 takes (R_n, Q_n) to (R_{n+1}, Q_{n+1}); by Cayley-Hamilton both
+# sequences obey u_n = W1 u_{n-1} - W2 u_{n-2} with (W1, W2) = (tr M1, det M1).
+W1 = S1 + TRIPLE_COEFF
+W2 = S1 * TRIPLE_COEFF - WXZ
 
 # (S(n), S(n-1)) for each index a caller asked for, and no intermediate
 # prefix.  S(-1) = 0 makes index 0 the one seed.
 _PAIRS: dict[int, tuple[MultiPoly, MultiPoly]] = {0: (MultiPoly.one(), MultiPoly.zero())}
 
 
-def _pair(n: int) -> tuple[MultiPoly, MultiPoly]:
-    """(S(n), S(n-1)), carried digit by digit up the base-3 prefixes of
-    ``n`` from the longest one memoized.  Writes are idempotent: no lock."""
+def _digit_row(d: int, s, b, coeffs):
+    """S(3m + d) from (S(m), S(m-1)), for d in -1..2: M_d is rows d and d - 1."""
+    s1, s2, t, wxz = coeffs
+    if d == 2:
+        return s2 * s
+    if d == 1:
+        return s1 * s + wxz * b
+    if d == 0:
+        return s + t * b
+    return s2 * b
+
+
+def digit_walk(n: int, coeffs, memo: dict):
+    """(S(n), S(n-1)) in the ring of ``coeffs``, the image of ``DIGIT_COEFFS``.
+
+    Carried digit by digit up the base-3 prefixes of ``n`` from the longest
+    one in ``memo``, which maps an index to its pair and holds at least
+    index 0; the pair at ``n`` is stored there.  Writes are idempotent: no
+    lock.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     digits = []
     m = n
-    while m not in _PAIRS:
+    while m not in memo:
         m, d = divmod(m, 3)
         digits.append(d)
-    s, b = _PAIRS[m]
-    for d in reversed(digits):
-        if d == 0:
-            s, b = s + TRIPLE_COEFF * b, S2 * b
-        elif d == 1:
-            s, b = S1 * s + WXZ * b, s + TRIPLE_COEFF * b
-        else:
-            s, b = S2 * s, S1 * s + WXZ * b
-    _PAIRS[n] = (s, b)
+    s, b = memo[m]
+    before = memo.get(n - 1)
+    for i in reversed(range(len(digits))):
+        d = digits[i]
+        # S(3m + d) first: its products are the larger, and form before the
+        # other entry is alive.  With S(n-1) memoized the last step forms
+        # S(n) alone and shares that object.
+        s, b = (_digit_row(d, s, b, coeffs),
+                before[0] if i == 0 and before else _digit_row(d - 1, s, b, coeffs))
+    memo[n] = (s, b)
     return s, b
 
 
-def _repunit_pair(n: int) -> tuple[MultiPoly, MultiPoly]:
+def repunit_pair(n: int, coeffs, memo: dict):
     """(R_n, Q_n): the pair at (3^n - 1)/2, whose n base-3 digits are all 1."""
     if n < 0:   # before 3**n, which is a float at negative n
         raise ValueError("n must be non-negative")
-    return _pair((3**n - 1) // 2)
+    return digit_walk((3**n - 1) // 2, coeffs, memo)
 
 
 def s_poly(n: int) -> MultiPoly:
     """The counting polynomial of ``n`` via the base-3 digit walk."""
-    return _pair(n)[0]
+    return digit_walk(n, DIGIT_COEFFS, _PAIRS)[0]
 
 
 def q_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 3)/2: S(m - 1) at m = (3^n - 1)/2."""
-    return _repunit_pair(n)[1]
+    return repunit_pair(n, DIGIT_COEFFS, _PAIRS)[1]
 
 
 def r_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 1)/2."""
-    return _repunit_pair(n)[0]
-
-
-@dataclass
-class TruncatedSeries:
-    """Power series in a formal variable q, truncated at a fixed degree.
-
-    ``coeffs[i]`` is the 4-variable polynomial coefficient of ``q**i``.
-    """
-
-    truncation: int
-    coeffs: list[MultiPoly] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.coeffs:
-            self.coeffs = [MultiPoly.one()] + [MultiPoly.zero()] * self.truncation
-        if len(self.coeffs) != self.truncation + 1:
-            raise ValueError("coefficient list must have length truncation + 1")
-
-    def mul_sparse_factor(self, factor: list[tuple[int, MultiPoly]]) -> None:
-        """Multiply in place by ``sum(c * q**e for e, c in factor)``; e = 0 term must be 1."""
-        coeffs = self.coeffs
-        for i in range(self.truncation, -1, -1):
-            acc = coeffs[i]
-            for e, c in factor:
-                if e and e <= i:
-                    acc = acc + c * coeffs[i - e]
-            coeffs[i] = acc
+    return repunit_pair(n, DIGIT_COEFFS, _PAIRS)[0]
 
 
 def s_poly_product(n: int) -> MultiPoly:
@@ -166,14 +129,21 @@ def s_poly_product(n: int) -> MultiPoly:
         raise ValueError("n must be non-negative")
     if n > PRODUCT_CAP:
         raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
-    series = TruncatedSeries(n)
+    # coeffs[i] is the coefficient of q**i, truncated at degree n
+    coeffs = [MultiPoly.one()] + [MultiPoly.zero()] * n
     power = 1
     while power <= n:
-        series.mul_sparse_factor([(power, VAR_W)])
-        series.mul_sparse_factor([(power, VAR_X)])
-        series.mul_sparse_factor([(power, VAR_Y), (2 * power, VAR_Z)])
+        for factor in ([(power, VAR_W)], [(power, VAR_X)], [(power, VAR_Y), (2 * power, VAR_Z)]):
+            # times 1 + sum(c * q**e), in place: highest degree first, so each
+            # coefficient reads the lower ones before they are updated
+            for i in range(n, -1, -1):
+                acc = coeffs[i]
+                for e, c in factor:
+                    if e <= i:
+                        acc = acc + c * coeffs[i - e]
+                coeffs[i] = acc
         power *= 3
-    return series.coeffs[n]
+    return coeffs[n]
 
 
 def closed_form_k3n(k: int, n: int) -> MultiPoly:
@@ -183,34 +153,6 @@ def closed_form_k3n(k: int, n: int) -> MultiPoly:
     if n < 0:
         raise ValueError("n must be non-negative")
     return s_poly(k - 1) * S2**n
-
-
-class TwoTerm:
-    """The memoized sequence u_0, u_1, u_n = a*u_{n-1} - b*u_{n-2}; ``seq[n]`` is u_n.
-
-    Works over any ring whose elements support ``*`` and ``-`` (ints,
-    ``UniPoly``, ``MultiPoly``).  The specialized Q and R families run one
-    with the image of (W1, W2), Chebyshev T/U with (2v, 1) and the Dickson
-    companions with (a, b); Q and R themselves come from the digit walk.
-    """
-
-    def __init__(self, a, b, u0, u1):
-        self.a = a
-        self.b = b
-        self._memo = [u0, u1]
-        self._lock = threading.Lock()
-
-    def __getitem__(self, n: int):
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        memo = self._memo
-        # Appends are not idempotent, so extension is serialized; reads of
-        # already-present immutable entries need no lock.
-        if n >= len(memo):
-            with self._lock:
-                while len(memo) <= n:
-                    memo.append(self.a * memo[-1] - self.b * memo[-2])
-        return memo[n]
 
 
 def scalar_qr(n: int) -> tuple[int, int]:

@@ -2,8 +2,10 @@
 
 Each ``SpecId`` fixes a substitution sending (w, x, y, z) to powers of one
 fresh variable (or to 1), stored as its weight vector: the exponents of
-the four images.  The recurrence coefficient pair is always
-recomputed by substituting into W1 and W2, never transcribed, and the
+the four images.  Each family member is read off the base-3 digit walk of
+``sequences`` at (3^n - 1)/2, run in one variable over the images of the
+digit-matrix entries: those are always recomputed by substitution, never
+transcribed, and a ring homomorphism commutes with the walk.  The
 coefficients of the specialized polynomials count partitions by the
 statistic the weights induce: the weighted sum of a partition's
 (overlined, tilde, singles, pairs) counts, which is the z-degree of its
@@ -16,13 +18,14 @@ double as an independent oracle for the recurrence path.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 from .oracle import PartitionStats, enumerate_partitions
 from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute, split_origin
 from .report import Report
-from .sequences import S1, W1, W2, TwoTerm
+from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
 
 
 class SpecId(enum.Enum):
@@ -69,7 +72,9 @@ _WEIGHTS: dict[SpecId, tuple[int, int, int, int]] = {
 
 PALINDROMIC_PRESETS = (SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6)
 
-_FAMILIES: dict[tuple[SpecId, str], TwoTerm] = {}
+# One (R, Q) pair memo per distinct image of the digit-matrix entries: P5
+# and P6 share one, since every M_d is invariant under w <-> x.
+_MEMOS: dict[tuple[UniPoly, ...], dict[int, tuple[UniPoly, UniPoly]]] = {}
 
 
 def _validate_family(family: str) -> None:
@@ -82,19 +87,19 @@ def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
     return poly_substitute(W1, spec.weights), poly_substitute(W2, spec.weights)
 
 
+@functools.cache
+def _walk(spec: SpecId) -> tuple[tuple[UniPoly, ...], dict]:
+    """The images of the digit-matrix entries under ``spec``, and their pair memo."""
+    coeffs = tuple(poly_substitute(c, spec.weights) for c in DIGIT_COEFFS)
+    # setdefault is atomic: racing builders all get the first memo stored
+    return coeffs, _MEMOS.setdefault(coeffs, {0: (UniPoly.one(), UniPoly.zero())})
+
+
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
-    """The specialized q- or r-family member at index ``n``, by recurrence."""
+    """The specialized q- or r-family member at index ``n``, by the digit walk."""
     _validate_family(family)
-    seq = _FAMILIES.get((spec, family))
-    if seq is None:
-        w1, w2 = spec_images(spec)
-        if family == "q":
-            seq = TwoTerm(w1, w2, UniPoly.zero(), UniPoly.one())
-        else:
-            seq = TwoTerm(w1, w2, UniPoly.one(), poly_substitute(S1, spec.weights))
-        # setdefault is atomic: racing builders all get the first instance stored
-        seq = _FAMILIES.setdefault((spec, family), seq)
-    return seq[n]
+    r, q = repunit_pair(n, *_walk(spec))
+    return q if family == "q" else r
 
 
 def _halved(p: UniPoly) -> UniPoly:

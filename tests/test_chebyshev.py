@@ -7,7 +7,7 @@ import pytest
 import trident.chebyshev
 from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
 from trident.polyring import MultiPoly, UniPoly, mp_divide_exact
-from trident.sequences import W1, W2, TwoTerm
+from trident.sequences import W1, W2
 
 
 def chebyshev_from_generating_function(kind: ChebKind, upto: int) -> list[UniPoly]:
@@ -46,14 +46,16 @@ def test_base_cases_by_hand():
 
 
 def test_chebyshev_keeps_no_memo():
-    # T_n and U_n are built afresh on each call: no module attribute, nor a
-    # value in one, holds a recurrence that grew past its two seeds
+    # T_n and U_n are built afresh on each call: no container the module
+    # holds grows across calls
+    def sizes():
+        return {name: len(value) for name, value in vars(trident.chebyshev).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+    before = sizes()
     for kind in ChebKind:
         chebyshev(kind, 50)
-    for value in vars(trident.chebyshev).values():
-        held = value.values() if isinstance(value, dict) else (value,)
-        for item in held:
-            assert not (isinstance(item, TwoTerm) and len(item._memo) > 2), value
+        chebyshev(kind, 51)
+    assert sizes() == before
 
 
 def test_recurrence_matches_generating_function():

@@ -7,10 +7,11 @@ import pytest
 
 from fixtures import TABLE1
 from trident import sequences
+from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import MultiPoly
-from trident.sequences import (PRODUCT_CAP, S1, S2, W1, W2, WPair, TRIPLE_COEFF, WXZ,
-                               TwoTerm, closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
+from trident.sequences import (PRODUCT_CAP, S1, S2, VAR_W, VAR_X, VAR_Y, VAR_Z, W1, W2,
+                               closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
                                s_poly_product, scalar_qr)
 
 
@@ -98,11 +99,9 @@ def test_subsequences_match_definition():
 
 def test_three_term_recurrence_reference():
     # the reference route: Q and R by the (W1, W2) recurrence from their first two values
-    q_ref = TwoTerm(W1, W2, MultiPoly.zero(), MultiPoly.one())
-    r_ref = TwoTerm(W1, W2, MultiPoly.one(), S1)
     for n in range(17):
-        assert q_poly(n) == q_ref[n], n
-        assert r_poly(n) == r_ref[n], n
+        assert q_poly(n) == two_term(W1, W2, MultiPoly.zero(), MultiPoly.one(), n), n
+        assert r_poly(n) == two_term(W1, W2, MultiPoly.one(), S1, n), n
 
 
 def test_pair_memo_keeps_requested_indices_only(monkeypatch):
@@ -114,14 +113,31 @@ def test_pair_memo_keeps_requested_indices_only(monkeypatch):
     assert len(sequences._PAIRS) == 3
 
 
+def test_dense_sweep_shares_the_before_entry(monkeypatch):
+    # with S(n-1) memoized the walk forms S(n) alone: the pair's second
+    # entry is the memoized object itself, so a sweep holds each S once
+    monkeypatch.setattr(sequences, "_PAIRS", {0: (MultiPoly.one(), MultiPoly.zero())})
+    for n in range(200):
+        s_poly(n)
+    for n in range(1, 200):
+        assert sequences._PAIRS[n][1] is sequences._PAIRS[n - 1][0], n
+
+
 def test_w_pair_literals():
-    # construction-time assertion is live; also cross-check here
-    WPair(w1=W1, w2=W2)
-    # M1 = [[S1, WXZ], [1, TRIPLE_COEFF]] takes (R_n, Q_n) to (R_{n+1}, Q_{n+1}),
-    # and (W1, W2) = (tr M1, det M1): by Cayley-Hamilton both sequences obey
-    # u_n = W1 u_{n-1} - W2 u_{n-2} for every n
-    assert W1 == S1 + TRIPLE_COEFF
-    assert W2 == S1 * TRIPLE_COEFF - WXZ
+    # (W1, W2) = (tr M1, det M1) against the paper's printed term lists, and
+    # W2 against a factored form
+    w1_literal = MultiPoly([
+        (1, 1, 1, 0, 1), (1, 0, 0, 1, 1), (0, 1, 0, 1, 1),
+        (1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1),
+    ])
+    w2_literal = MultiPoly([
+        (2, 1, 1, 0, 1), (2, 0, 0, 1, 1), (1, 2, 1, 0, 1), (1, 1, 2, 0, 1),
+        (1, 1, 0, 1, 1), (1, 0, 1, 1, 1), (0, 2, 0, 1, 1), (0, 1, 1, 1, 1),
+    ])
+    assert W1 == w1_literal
+    assert W2 == w2_literal
+    assert W2 == (VAR_W * (VAR_W + VAR_X + VAR_Y) * (VAR_X * VAR_Y + VAR_Z)
+                  + VAR_X * VAR_Z * (VAR_X + VAR_Y))
 
 
 def test_scalar_values():
