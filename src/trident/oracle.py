@@ -15,7 +15,7 @@ count cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .polyring import MultiPoly
 
@@ -36,8 +36,7 @@ class CapExceeded(Exception):
         super().__init__(f"{count} partitions of {n} exceed the list cap {cap}")
 
 
-@dataclass(frozen=True)
-class DigitRecord:
+class DigitRecord(NamedTuple):
     """Multiplicities of one power of 3: overlined, tilde'd, and plain copies."""
 
     over: int
@@ -47,12 +46,8 @@ class DigitRecord:
     def total(self) -> int:
         return self.over + self.tilde + self.plain
 
-    def key(self) -> tuple[int, int, int]:
-        return (self.over, self.tilde, self.plain)
 
-
-@dataclass(frozen=True)
-class ColoredPartition:
+class ColoredPartition(NamedTuple):
     """A restricted colored base-3 partition, as one ``DigitRecord`` per power.
 
     ``digits[j]`` describes the copies of ``3**j``; trailing all-zero
@@ -84,8 +79,7 @@ class ColoredPartition:
         return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """Counts (i, j, k, l): overlined parts, tilde parts, single and paired unmarked powers."""
 
     overlined: int
@@ -93,19 +87,16 @@ class PartitionStats:
     singles: int
     pairs: int
 
-    def exponents(self) -> tuple[int, int, int, int]:
-        return (self.overlined, self.tilded, self.singles, self.pairs)
-
 
 def _digit_choices(c: int) -> list[DigitRecord]:
-    # All (over, tilde, plain) with over+tilde+plain == c, in ascending key order.
+    # All (over, tilde, plain) with over+tilde+plain == c, in ascending order.
     out = []
     for over in (0, 1):
         for tilde in (0, 1):
             plain = c - over - tilde
             if 0 <= plain <= 2:
                 out.append(DigitRecord(over, tilde, plain))
-    out.sort(key=DigitRecord.key)
+    out.sort()
     return out
 
 
@@ -160,7 +151,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPar
         for c in (r, r + 3):
             if c <= 4 and c <= m:
                 choices.extend(_digit_choices(c))
-        choices.sort(key=DigitRecord.key)
+        choices.sort()
         for record in choices:
             prefix.append(record)
             recurse((m - record.total()) // 3)
@@ -178,8 +169,8 @@ def oracle_poly(n: int) -> MultiPoly:
     computes by recurrence, but derived from nothing except the enumeration,
     under the default list cap.
     """
-    counts: dict[tuple[int, int, int, int], int] = {}
+    counts: dict[PartitionStats, int] = {}
     for partition in enumerate_partitions(n):
-        exps = partition.stats().exponents()
-        counts[exps] = counts.get(exps, 0) + 1
+        stats = partition.stats()
+        counts[stats] = counts.get(stats, 0) + 1
     return MultiPoly(counts)

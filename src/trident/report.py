@@ -11,7 +11,6 @@ and ``ok`` holds exactly when there are none.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .polyring import MultiPoly, UniPoly
@@ -25,7 +24,6 @@ def _serialize(p) -> list:
     return p
 
 
-@dataclass
 class Report:
     """Pass/fail evidence for one claim over a parameter range.
 
@@ -34,10 +32,11 @@ class Report:
     zeros keep from the edge of a strict locus condition.
     """
 
-    param_range: str
-    status: dict[str, bool] = field(default_factory=dict)
-    witness: Optional[str] = None
-    margins: dict[str, float] = field(default_factory=dict)
+    def __init__(self, param_range: str):
+        self.param_range = param_range
+        self.status: dict[str, bool] = {}
+        self.witness: Optional[str] = None
+        self.margins: dict[str, float] = {}
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import PartitionStats, enumerate_partitions
 from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute, split_origin
@@ -158,11 +158,10 @@ def reduced_q2(n: int) -> UniPoly:
 
 def partition_statistic(spec: SpecId, stats: PartitionStats) -> int:
     """The statistic value of one partition under the given substitution."""
-    return sum(v * e for v, e in zip(spec.weights, stats.exponents()))
+    return sum(v * e for v, e in zip(spec.weights, stats))
 
 
-@dataclass(frozen=True)
-class CoefficientProfile:
+class CoefficientProfile(NamedTuple):
     """Nonzero coefficients of one specialized family member, keyed by degree."""
 
     family: str

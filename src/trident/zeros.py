@@ -21,8 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .chebyshev import ChebKind
 from .polyring import UniPoly, horner, split_origin, up_square_free
@@ -52,8 +51,7 @@ class NoConvergence(Exception):
             f"(last correction {last})")
 
 
-@dataclass
-class ZeroReport:
+class ZeroReport(NamedTuple):
     """Computed zeros of one polynomial plus per-point diagnostics.
 
     ``points`` has exactly one entry per zero of the reduced polynomial P,
@@ -72,8 +70,7 @@ class ZeroReport:
     origin_multiplicity: int = 0
 
 
-@dataclass(frozen=True)
-class Locus:
+class Locus(NamedTuple):
     """One claimed zero locus.
 
     ``params`` is the JSON description the CLI prints, ``name`` the phrase
@@ -129,10 +126,10 @@ _CIRCLE_OR_AXIS = Locus(
     "the unit circle and negative real axis", _circle_or_negative_axis)
 
 LOCI: dict[tuple[SpecId, str], Locus] = {
-    (SpecId.Z1, "q"): replace(_LINE, zero_map=(ChebKind.SECOND, -1, _line_point),
-                              real_zero_parity=0),
-    (SpecId.Z1, "r"): replace(_LINE, zero_map=(ChebKind.FIRST, 0, _line_point),
-                              real_zero_parity=1),
+    (SpecId.Z1, "q"): _LINE._replace(zero_map=(ChebKind.SECOND, -1, _line_point),
+                                     real_zero_parity=0),
+    (SpecId.Z1, "r"): _LINE._replace(zero_map=(ChebKind.FIRST, 0, _line_point),
+                                     real_zero_parity=1),
     (SpecId.Z2, "q"): Locus(
         {"type": "circle", "center": [0.0, 0.0], "radius": 1.0,
          "constraint": "|Im(z)| > 1/3"},

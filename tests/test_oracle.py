@@ -22,7 +22,7 @@ def test_empty_partition_of_zero():
     parts = enumerate_partitions(0)
     assert len(parts) == 1
     assert parts[0].digits == ()
-    assert parts[0].stats().exponents() == (0, 0, 0, 0)
+    assert parts[0].stats() == (0, 0, 0, 0)
     assert parts[0].render() == "0"
 
 
@@ -74,7 +74,7 @@ def test_partition_invariants():
 
 def test_lexicographic_digit_order():
     for n in (9, 14, 30):
-        keys = [tuple(d.key() for d in p.digits) for p in enumerate_partitions(n)]
+        keys = [p.digits for p in enumerate_partitions(n)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -109,7 +109,7 @@ def test_stats_of_a_worked_partition():
     # one single unmarked power (the 1s), one unmarked pair (the 3s).
     for p in enumerate_partitions(12):
         if p.render() == "3+3+3-+1+1-+1~":
-            assert p.stats().exponents() == (2, 1, 1, 1)
+            assert p.stats() == (2, 1, 1, 1)
             break
     else:
         pytest.fail("expected partition not enumerated")

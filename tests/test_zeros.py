@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -282,7 +281,7 @@ def test_locus_rejects_unclaimed():
 
 def test_locus_real_zero_parity_is_a_row_fact(monkeypatch):
     row = LOCI[SpecId.Z1, "q"]
-    monkeypatch.setitem(LOCI, (SpecId.Z1, "q"), replace(row, real_zero_parity=1))
+    monkeypatch.setitem(LOCI, (SpecId.Z1, "q"), row._replace(real_zero_parity=1))
     assert verify_locus(SpecId.Z1, 4).failures == ["z1q: expected 0 real zero(s), found 1"]
 
 
