@@ -438,12 +438,12 @@ def test_version_flag(capsys):
 def test_import_leaves_rational_modules_unloaded():
     # the runtime computes in plain integers and keeps its records as
     # NamedTuples: importing the CLI pulls in neither fractions nor decimal,
-    # nor dataclasses and the inspect machinery it loads (-S keeps site
-    # hooks out of the picture)
+    # nor dataclasses and the inspect machinery it loads, nor heapq, which
+    # only exact division needs (-S keeps site hooks out of the picture)
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import trident.cli; "
-            "print(sorted(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('fractions', 'decimal', 'dataclasses', 'inspect', "
+            "'heapq') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-E", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

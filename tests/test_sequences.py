@@ -9,7 +9,7 @@ from fixtures import TABLE1
 from trident import sequences
 from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
-from trident.polyring import MultiPoly
+from trident.polyring import MultiPoly, NotDivisible, mp_divide_exact
 from trident.sequences import (PRODUCT_CAP, S1, S2, VAR_W, VAR_X, VAR_Y, VAR_Z, W1, W2,
                                closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
                                s_poly_product, scalar_qr)
@@ -223,3 +223,39 @@ def test_values_pinned_by_digest():
     for (name, n), digest in PINNED_DIGESTS.items():
         records = json.dumps(member[name](n).to_records())
         assert hashlib.sha256(records.encode()).hexdigest() == digest, (name, n)
+
+
+# sha256 of json.dumps(q.to_records()) for each exact quotient Q_n / Q_m
+# that a long-lived algebra session divides (m a proper divisor of n).
+QUOTIENT_DIGESTS = {
+    (4, 2): "5e02e1093cfb1ae7daafaa632abc93dc4dbce928f53cbfcc9a9ccf9ee669e417",
+    (6, 2): "da9baa59148cd985cad8d41dbb5e069e1ccb6dc87b6cf129518596eb97ff8087",
+    (6, 3): "09ffd98ed762a26d1622d2232d80164e9919cf5f29fe2f13b825e6999a08d620",
+    (8, 2): "2d779ab0d254303dcc8df6bf3a5aafd16721218fc470ce583e50a35840b95350",
+    (8, 4): "b389467c987256048e2c4aee4dd60b9011cbbd275a9bbc51d7903e06c8bb73fe",
+    (9, 3): "3ae21e2d439522ef1ab172a5e7de5e12ef5e6fb88c7c4d2335836c93a82549e8",
+    (10, 2): "52e9009d44f2ec6726dbed2f27535db99fc61b2b892e14f341a1dc98cd42b000",
+    (10, 5): "d61abfa5eedc725085d8c7625ad4075c93dc7412d4a95065153259feddd35742",
+    (12, 2): "911e9822317cfb213becf34a1589597f04c19ba6e680ec3dadf50a50f5386eac",
+    (12, 3): "aaf88997e4fbef01779438d6da26b7287c3d34f2deeb1a7cf013aa9a6a275333",
+    (12, 4): "407896b1a001763328ad6a69efce8f6189b68080a6074487bca8280e609bf203",
+    (12, 6): "d9b22b423ed8d79e59e06b9691cb062dbbc2b07b564a7cc33aac1db13333df68",
+    (14, 7): "9438b507cc306e165c393394d140dc176c5427866c40460269308cd4a7aaaf7d",
+}
+
+
+def test_quotients_pinned_by_digest():
+    for (n, m), digest in QUOTIENT_DIGESTS.items():
+        records = json.dumps(mp_divide_exact(q_poly(n), q_poly(m)).to_records())
+        assert hashlib.sha256(records.encode()).hexdigest() == digest, (n, m)
+
+
+def test_remainder_degree_pinned():
+    # the degree NotDivisible reports is that of the remainder's leading
+    # term when the cancellation stops
+    cases = (((q_poly(12) + VAR_W, q_poly(6)), 1), ((q_poly(9), q_poly(4)), 14),
+             ((r_poly(8), q_poly(4)), 14), ((2 * q_poly(10) + 1, q_poly(5)), 0))
+    for (num, den), degree in cases:
+        with pytest.raises(NotDivisible) as err:
+            mp_divide_exact(num, den)
+        assert err.value.remainder_degree == degree
