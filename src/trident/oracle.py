@@ -96,7 +96,6 @@ def _digit_choices(c: int) -> list[DigitRecord]:
             plain = c - over - tilde
             if 0 <= plain <= 2:
                 out.append(DigitRecord(over, tilde, plain))
-    out.sort()
     return out
 
 

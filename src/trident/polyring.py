@@ -293,26 +293,44 @@ class MultiPoly(_Poly):
             return MultiPoly._from_dict({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        small, big = self._terms, other._terms
-        if len(small) > len(big):
-            small, big = big, small
-        if not small:
-            return MultiPoly.zero()
-        _check_product_range(small, big)
-        out: dict[int, int] = {}
-        get = out.get
-        big_items = big.items()
-        for ka, ca in small.items():
-            for kb, cb in big_items:
-                key = ka + kb
-                new = get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                elif key in out:
-                    del out[key]
-        return MultiPoly._from_dict(out)
+        return MultiPoly.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """The sum of ``a * b`` over the ``(a, b)`` pairs, accumulated in one term dict.
+
+        The smaller operand of each pair is the outer loop.  A coefficient
+        that cancels stays until one sweep at the end, run only if one did.
+        """
+        out: dict[int, int] = {}
+        for a, b in pairs:
+            small, big = a._terms, b._terms
+            if len(small) > len(big):
+                small, big = big, small
+            if not small:
+                continue
+            _check_product_range(small, big)
+            rows, big_items = iter(small.items()), big.items()
+            if not out:
+                # the first row: its keys ka + kb are distinct
+                ka, ca = next(rows)
+                out = ({ka + kb: cb for kb, cb in big_items} if ca == 1
+                       else {ka + kb: ca * cb for kb, cb in big_items})
+            get = out.get
+            for ka, ca in rows:
+                if ca == 1:
+                    for kb, cb in big_items:
+                        key = ka + kb
+                        out[key] = get(key, 0) + cb
+                else:
+                    for kb, cb in big_items:
+                        key = ka + kb
+                        out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        return cls._from_dict(out)
 
     # -- maps out of the ring ----------------------------------------------
 
@@ -381,11 +399,18 @@ def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     # term of its product with den past EXP_LIMIT.
     high = tuple(EXP_LIMIT + l - max(k >> s & EXP_LIMIT for k in den_terms)
                  for s, l in zip(_FIELD_SHIFTS, low))
+    from heapq import heapify, heappop, heappush
     quot: dict[int, int] = {}
     rem = dict(num._terms)
+    # A max-heap of the remainder's keys, negated.  Each step adds keys below
+    # the one it cancels, so a key gone from the remainder is just skipped.
+    heap = [-key for key in rem]
+    heapify(heap)
     while rem:
-        re = max(rem)
-        rc = rem[re]
+        re = -heappop(heap)
+        rc = rem.get(re)
+        if rc is None:
+            continue
         exps = _unpack(re)
         # Field by field: the sign of the whole difference re - lead cannot
         # tell whether the leading monomial divides re.
@@ -398,11 +423,15 @@ def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
         quot[shift] = qc
         for key, c in den_terms.items():
             key += shift
-            new = rem.get(key, 0) - qc * c
-            if new:
-                rem[key] = new
-            elif key in rem:
-                del rem[key]
+            if key in rem:
+                new = rem[key] - qc * c
+                if new:
+                    rem[key] = new
+                else:
+                    del rem[key]
+            else:
+                rem[key] = -qc * c
+                heappush(heap, -key)
     return MultiPoly._from_dict(quot)
 
 
@@ -514,17 +543,30 @@ class UniPoly(_Poly):
             return UniPoly(tuple(c * other for c in self._coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return UniPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+        return UniPoly.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs: Iterable[tuple["UniPoly", "UniPoly"]]) -> "UniPoly":
+        """The sum of ``a * b`` over the ``(a, b)`` pairs, accumulated in one coefficient list.
+
+        Each coefficient of the shorter operand adds its multiple of the
+        longer one to a slice of the list.
+        """
+        out: list[int] = []
+        for a, b in pairs:
+            short, long = a._coeffs, b._coeffs
+            if len(short) > len(long):
+                short, long = long, short
+            width = len(long)
+            out += [0] * (len(short) + width - 1 - len(out))
+            for i, c in enumerate(short):
+                if c == 1:
+                    out[i:i + width] = [x + y for x, y in zip(out[i:i + width], long)]
+                elif c:
+                    out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], long)]
+        return cls(out)
 
     # -- evaluation, composition -------------------------------------------
 

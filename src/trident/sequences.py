@@ -61,9 +61,9 @@ def _digit_row(d: int, s, b, coeffs):
     if d == 2:
         return s2 * s
     if d == 1:
-        return s1 * s + wxz * b
+        return type(s).sum_of_products(((s1, s), (wxz, b)))
     if d == 0:
-        return s + t * b
+        return type(s).sum_of_products(((s.one(), s), (t, b)))
     return s2 * b
 
 
@@ -130,18 +130,17 @@ def s_poly_product(n: int) -> MultiPoly:
     if n > PRODUCT_CAP:
         raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
     # coeffs[i] is the coefficient of q**i, truncated at degree n
-    coeffs = [MultiPoly.one()] + [MultiPoly.zero()] * n
+    one = MultiPoly.one()
+    coeffs = [one] + [MultiPoly.zero()] * n
     power = 1
     while power <= n:
         for factor in ([(power, VAR_W)], [(power, VAR_X)], [(power, VAR_Y), (2 * power, VAR_Z)]):
             # times 1 + sum(c * q**e), in place: highest degree first, so each
             # coefficient reads the lower ones before they are updated
-            for i in range(n, -1, -1):
-                acc = coeffs[i]
-                for e, c in factor:
-                    if e <= i:
-                        acc = acc + c * coeffs[i - e]
-                coeffs[i] = acc
+            for i in range(n, power - 1, -1):
+                terms = [(c, coeffs[i - e]) for e, c in factor if e <= i and coeffs[i - e]]
+                if terms:
+                    coeffs[i] = MultiPoly.sum_of_products([(one, coeffs[i])] + terms)
         power *= 3
     return coeffs[n]
 

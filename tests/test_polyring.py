@@ -30,6 +30,15 @@ def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(acc)
 
 
+def naive_up_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    """O(mn) convolution of the coefficient tuples, accumulated by degree."""
+    acc: dict = {}
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            acc[i + j] = acc.get(i + j, 0) + ca * cb
+    return UniPoly(acc.get(d, 0) for d in range(max(acc, default=-1) + 1))
+
+
 def naive_substitute(p: MultiPoly, weights) -> UniPoly:
     """Term-wise substitution by repeated multiplication with the images t^weight."""
     images = [UniPoly.monomial(a) for a in weights]
@@ -187,6 +196,38 @@ def test_mul_matches_naive_oracle(a, b):
     assert a * b == naive_mul(a, b)
 
 
+@settings(max_examples=150)
+@given(st.lists(st.tuples(multi_polys, multi_polys), min_size=1, max_size=3))
+def test_sum_of_products_matches_naive(pairs):
+    total = MultiPoly.sum_of_products(pairs)
+    expected = MultiPoly.zero()
+    for a, b in pairs:
+        expected = expected + naive_mul(a, b)
+    assert total == expected
+    assert all(t.coeff for t in total.terms())
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(uni_polys, uni_polys), min_size=1, max_size=3))
+def test_uni_sum_of_products_matches_naive(pairs):
+    total = UniPoly.sum_of_products(pairs)
+    expected = UniPoly.zero()
+    for a, b in pairs:
+        expected = expected + naive_up_mul(a, b)
+    assert total == expected
+    assert not total.coeffs or total.coeffs[-1]
+
+
+def test_sum_of_products_cancels_to_zero():
+    # (x + y)(x - y) + y*y - x*x: every coefficient cancels, none is kept
+    x, y = V["x"], V["y"]
+    total = MultiPoly.sum_of_products([(x + y, x - y), (y, y), (-x, x)])
+    assert total == MultiPoly.zero() and len(total) == 0
+    z = UniPoly.x()
+    total = UniPoly.sum_of_products([(z + 1, z - 1), (UniPoly.one(), UniPoly.one()), (-z, z)])
+    assert total == UniPoly.zero() and total.coeffs == ()
+
+
 @settings(max_examples=100)
 @given(multi_polys, multi_polys, multi_polys)
 def test_ring_axioms(a, b, c):
@@ -260,6 +301,14 @@ def test_mp_divide_exact_compares_fields():
     assert err.value.remainder_degree == 5
     with pytest.raises(NotDivisible):
         mp_divide_exact(V["w"] * V["z"] ** 3, V["x"] * V["z"])
+
+
+def test_mp_divide_exact_leads_with_a_new_key():
+    # x^2 - y^2 over x - y: the first step leaves xy - y^2, whose leading
+    # term xy is a key the dividend never had
+    x, y = V["x"], V["y"]
+    assert mp_divide_exact(x * x - y * y, x - y) == x + y
+    assert mp_divide_exact((x - y) ** 5, x - y) == (x - y) ** 4
 
 
 @settings(max_examples=150)

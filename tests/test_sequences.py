@@ -9,7 +9,7 @@ from fixtures import TABLE1
 from trident import sequences
 from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
-from trident.polyring import MultiPoly, NotDivisible, mp_divide_exact
+from trident.polyring import EXP_LIMIT, MultiPoly, NotDivisible, mp_divide_exact
 from trident.sequences import (PRODUCT_CAP, S1, S2, VAR_W, VAR_X, VAR_Y, VAR_Z, W1, W2,
                                closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
                                s_poly_product, scalar_qr)
@@ -186,6 +186,14 @@ def test_counts_at_subsequence_indices():
         q, r = scalar_qr(n)
         assert count_partitions((3**n - 3) // 2) == q
         assert count_partitions((3**n - 1) // 2) == r
+
+
+def test_digit_row_refuses_exponent_overflow():
+    # S1 * s in row 1 and T * b in row 0 would push w past the exponent limit
+    top = VAR_W ** EXP_LIMIT
+    for d, s, b in ((1, top, MultiPoly.one()), (0, MultiPoly.one(), top)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sequences._digit_row(d, s, b, sequences.DIGIT_COEFFS)
 
 
 def test_generating_functions():
