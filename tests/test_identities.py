@@ -1,5 +1,6 @@
 """Cross-sequence identities, divisibility, and mutation tests of the harness."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,6 +115,24 @@ def test_mutation_breaks_prop61():
 def test_mutation_breaks_telescoping():
     report = verify_telescoping(5, q_provider=perturbed_multi(q_poly, 2))
     assert not report.ok and report.witness is not None
+
+
+# sha256 of json.dumps([list(status.items()), witness]) of verify_telescoping(12)
+# under the default providers and two perturbed ones.
+TELESCOPING_DIGESTS = {
+    "default": "a63384ea0a2788550e2bbf97cc86137f43988bd06c7a8d56ab3968360dac42a6",
+    "q[5]": "7741c5aeef42450d8855d27b8f9d55f1c97dc5c9900eef155e768b546b8b639c",
+    "r[3]": "e7563ede0f13f49155a2105173725dfe4da9d2c6ccd989d9e8bc50023bc03fa1",
+}
+
+
+def test_telescoping_reports_pinned_by_digest():
+    providers = {"default": {}, "q[5]": {"q_provider": perturbed_multi(q_poly, 5)},
+                 "r[3]": {"r_provider": perturbed_multi(r_poly, 3)}}
+    for name, kwargs in providers.items():
+        report = verify_telescoping(12, **kwargs)
+        payload = json.dumps([list(report.status.items()), report.witness])
+        assert hashlib.sha256(payload.encode()).hexdigest() == TELESCOPING_DIGESTS[name], name
 
 
 def test_mutation_breaks_divisibility():

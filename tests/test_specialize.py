@@ -98,6 +98,13 @@ def test_shifted_forms_are_pure_binomials():
             assert c == (0 if (n - j) % 2 else math.comb(n, n - j))
 
 
+def test_shifted_forms_pinned_by_digest():
+    # sha256 of the json list of [q, r] serializations for n <= 40
+    values = [[q.to_strings(), r.to_strings()] for q, r in map(q1_r1_shifted, range(41))]
+    digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+    assert digest == "f97d2715221d039369b4a3fe5b7d18e38be3ee429d15505b7aba0ee92043f179"
+
+
 def test_reduced_q2_values():
     assert reduced_q2(1) == UniPoly.one()
     assert reduced_q2(2) == UniPoly((3, 0, 3))
