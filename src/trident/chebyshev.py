@@ -18,6 +18,7 @@ each term, which together give the analytic form wherever b > 0.
 from __future__ import annotations
 
 import enum
+import math
 
 from .polyring import UniPoly
 from .report import Report
@@ -32,7 +33,6 @@ class ChebKind(enum.Enum):
 
 
 _TWO_V = UniPoly((0, 2))
-_DEGREE_ONE = {ChebKind.FIRST: UniPoly.x(), ChebKind.SECOND: _TWO_V}
 
 
 def two_term(a, b, u0, u1, n: int):
@@ -51,12 +51,24 @@ def two_term(a, b, u0, u1, n: int):
 
 
 def chebyshev(kind: ChebKind, n: int) -> UniPoly:
-    """T_n or U_n as an exact integer polynomial, by the shared recurrence.
+    """T_n or U_n as an exact integer polynomial, from its coefficient formula.
 
-    Its own seeds, not ``dickson_E``/``dickson_D`` at (2v, 1): ``verify_prop35``
-    checks those against it.
+    U_n(v) = sum_k (-1)^k C(n-k, k) (2v)^(n-2k); for T_n = (U_n - U_{n-2}) / 2
+    the binomial becomes C(n-k, k) + C(n-k-1, k-1), halved, and T_0 = 1.
+    No recurrence: ``verify_prop35`` checks ``dickson_E``/``dickson_D`` at
+    (2v, 1) against it.
     """
-    return two_term(_TWO_V, 1, UniPoly.one(), _DEGREE_ONE[kind], n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return UniPoly.one()
+    first = kind is ChebKind.FIRST
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = math.comb(n - k, k) + (math.comb(n - k - 1, k - 1) if first and k else 0)
+        c = c << (n - 2 * k) >> first
+        coeffs[n - 2 * k] = -c if k % 2 else c
+    return UniPoly(coeffs)
 
 
 def dickson_E(n: int, a, b):

@@ -51,23 +51,18 @@ def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     report = Report(f"1..{n_max}")
-    s1_pows = [MultiPoly.one()]
-    a_pows = [MultiPoly.one()]
-    for _ in range(n_max):
-        s1_pows.append(s1_pows[-1] * S1)
-        a_pows.append(a_pows[-1] * TRIPLE_COEFF)
+    # The sums over n as running sums: sum_N = (w+x+y) sum_{N-1} + Q_{N-1},
+    # and likewise with wxy+wz+xz and R.
+    s1_pow, r_sum, q_sum = MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero()
     for N in range(1, n_max + 1):
-        acc = MultiPoly.zero()
-        for n in range(1, N + 1):
-            acc = acc + s1_pows[N - n] * q_provider(n - 1)
-        rhs = s1_pows[N] + WXZ * acc
+        s1_pow = s1_pow * S1
+        r_sum = S1 * r_sum + q_provider(N - 1)
+        rhs = s1_pow + WXZ * r_sum
         lhs = r_provider(N)
         report.record(f"r-telescope N={N}", lhs == rhs, lhs, rhs)
-        acc = MultiPoly.zero()
-        for n in range(1, N + 1):
-            acc = acc + a_pows[N - n] * r_provider(n - 1)
+        q_sum = TRIPLE_COEFF * q_sum + r_provider(N - 1)
         lhs2 = q_provider(N)
-        report.record(f"q-telescope N={N}", lhs2 == acc, lhs2, acc)
+        report.record(f"q-telescope N={N}", lhs2 == q_sum, lhs2, q_sum)
     return report
 
 

@@ -504,12 +504,6 @@ class UniPoly(_Poly):
         """True iff the coefficient list equals its own reversal (and nonzero)."""
         return bool(self._coeffs) and self._coeffs == self._coeffs[::-1]
 
-    def l1_norm(self) -> int:
-        return sum(abs(c) for c in self._coeffs)
-
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self._coeffs), default=0)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Union["UniPoly", int]) -> "UniPoly":
@@ -568,22 +562,16 @@ class UniPoly(_Poly):
                     out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], long)]
         return cls(out)
 
-    # -- evaluation, composition -------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point):
         """Horner evaluation at an int, float or complex point."""
         return horner(self._coeffs, point)
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """The composition self(inner(t)), exact."""
-        acc = UniPoly.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + c
-        return acc
-
     def shift_argument(self, offset: int) -> "UniPoly":
-        """Replace the variable by (variable + offset)."""
-        return self.compose(UniPoly((offset, 1)))
+        """Replace the variable by (variable + offset), by Horner over ``UniPoly``."""
+        # horner starts from the int 0, which it would return for the zero polynomial
+        return horner(self._coeffs, UniPoly((offset, 1))) if self else self
 
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(k * c for k, c in enumerate(self._coeffs) if k))

@@ -35,9 +35,6 @@ ROOT_TOL = 1e-13
 ROOT_SEED = 42
 LOCUS_TOL = 1e-9
 
-class DomainError(ValueError):
-    """A Chebyshev zero fell outside the open interval (-1, 1)."""
-
 
 class NoConvergence(Exception):
     """The simultaneous iteration failed to reach the requested tolerance."""
@@ -346,30 +343,10 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
         points = _finder_points(poly, DEFAULT_MAX_ITER)
     else:
         kind, offset, to_points = zero_map
-        points = []
-        for v in chebyshev_zeros(kind, n + offset):
-            if abs(v) >= 1.0:
-                raise DomainError(f"Chebyshev zero {v} outside (-1, 1)")
-            points.extend(to_points(v))
+        points = [z for v in chebyshev_zeros(kind, n + offset) for z in to_points(v)]
         if len(points) != poly.degree():
             raise AssertionError("explicit zero count disagrees with the polynomial degree")
     return _zero_report(spec.value, family, n, poly, points, origin, locus), poly
-
-
-def match_multisets(a: list[complex], b: list[complex]) -> float:
-    """Largest matched-pair distance between two zero multisets.
-
-    Greedy nearest-neighbor matching; exact for the well-separated zero
-    sets this package compares (separation far above the match distances).
-    """
-    if len(a) != len(b):
-        return math.inf
-    remaining = list(b)
-    worst = 0.0
-    for u in a:
-        best_idx = min(range(len(remaining)), key=lambda i: abs(u - remaining[i]))
-        worst = max(worst, abs(u - remaining.pop(best_idx)))
-    return worst
 
 
 def backward_scale(poly: UniPoly, z: complex) -> float:

@@ -1,4 +1,4 @@
-"""Frozen reference data for the test suite.
+"""Frozen reference data for the test suite, and one zero-set comparison.
 
 Polynomial tables are transcribed as explicit term records so every
 comparison is coefficient-for-coefficient against an independent source,
@@ -6,6 +6,8 @@ never against package output.  4-variable terms are (exp_w, exp_x, exp_y,
 exp_z, coeff); single-variable polynomials are ascending coefficient
 tuples.
 """
+
+import math
 
 # The 4-variable counting polynomials for n = 0..6.
 TABLE1 = {
@@ -75,3 +77,19 @@ Q6_OVER_Q3_Z3 = (8, 18, 18, 28)
 
 # The six partitions of 3, rendered, in the package's enumeration order.
 PARTITIONS_OF_3 = ["3", "3~", "3-", "1+1+1~", "1+1+1-", "1+1-+1~"]
+
+
+def match_multisets(a: list[complex], b: list[complex]) -> float:
+    """Largest matched-pair distance between two zero multisets.
+
+    Greedy nearest-neighbor matching; exact for the well-separated zero
+    sets the tests compare (separation far above the match distances).
+    """
+    if len(a) != len(b):
+        return math.inf
+    remaining = list(b)
+    worst = 0.0
+    for u in a:
+        best_idx = min(range(len(remaining)), key=lambda i: abs(u - remaining[i]))
+        worst = max(worst, abs(u - remaining.pop(best_idx)))
+    return worst

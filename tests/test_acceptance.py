@@ -12,7 +12,7 @@ import pytest
 
 from fixtures import (Q6_OVER_Q3_Z3, Q6_Z3_FACTORS, R6_Z1_FACTORS,
                       SEQUENCE_COUNTS, TABLE1, TABLE2_Q, TABLE2_R, TABLE3,
-                      TABLE4)
+                      TABLE4, match_multisets)
 from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
 from trident.identities import (verify_divisibility, verify_prop61,
                                 verify_surprising, verify_telescoping)
@@ -22,8 +22,7 @@ from trident.sequences import s_poly, s_poly_product
 from trident.specialize import (PALINDROMIC_PRESETS, SpecId, profile_from_oracle,
                                 q1_r1_closed, q1_r1_shifted, spec_family,
                                 structural_check)
-from trident.zeros import (backward_scale, match_multisets, verify_locus,
-                           zeros_explicit, zeros_general)
+from trident.zeros import backward_scale, verify_locus, zeros_explicit, zeros_general
 
 
 class Budget:

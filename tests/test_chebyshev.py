@@ -147,6 +147,17 @@ def test_package_attribute_is_the_module(monkeypatch):
     assert verify_prop35(0).failures == ["E_0(2v, 1) != U_0(v)"]
 
 
+def test_bridge_compares_two_computations(monkeypatch):
+    # T_n and U_n come from their coefficient formula, not from two_term, so
+    # a two_term that is off by one reaches only the Dickson side
+    import trident.chebyshev as module
+    two_term = module.two_term
+    monkeypatch.setattr(module, "two_term", lambda *args: two_term(*args) + 1)
+    failures = verify_prop35(3).failures
+    assert "E_3(2v, 1) != U_3(v)" in failures
+    assert "D_3(2v, 1) != 2 T_3(v)" in failures
+
+
 def test_bridge_weight_check_names_companion(monkeypatch):
     import trident.chebyshev as module
     monkeypatch.setattr(module, "dickson_D", lambda n, a, b: dickson_D(n, a, b) * a)

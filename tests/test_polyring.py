@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from trident.polyring import (EXP_LIMIT, DivisionByZeroPolynomial, MultiPoly,
-                              NotDivisible, UniPoly, mp_divide_exact, poly_substitute,
-                              up_divide_exact, up_gcd, up_square_free)
+                              NotDivisible, UniPoly, horner, mp_divide_exact,
+                              poly_substitute, up_divide_exact, up_gcd, up_square_free)
 
 
 # ---------------------------------------------------------------- oracles
@@ -388,8 +388,12 @@ def test_palindrome_matches_reversal(p):
 def test_compose_and_shift():
     square = UniPoly((1, 2, 1))        # (z+1)^2
     assert square.shift_argument(-1) == UniPoly((0, 0, 1))
+    assert UniPoly((7,)).shift_argument(3) == UniPoly((7,))
+    assert UniPoly.zero().shift_argument(3) == UniPoly.zero()
+    assert isinstance(UniPoly.zero().shift_argument(3), UniPoly)
     inner = UniPoly((1, 0, 1))         # z^2 + 1
-    assert UniPoly((0, 0, 1)).compose(inner) == inner * inner
+    # composition is horner over UniPoly, the route shift_argument takes
+    assert horner((0, 0, 1), inner) == inner * inner
 
 
 def test_degree_and_normalization():
