@@ -27,33 +27,36 @@ def _records_digests() -> dict[str, str]:
             s = p.stats()
             partitions.append([p.render(), [[d.over, d.tilde, d.plain] for d in p.digits],
                                [s.overlined, s.tilded, s.singles, s.pairs]])
-    zero_rows = []
+    zero_rows = {"zeros_finder": [], "zeros_lucas": []}
     for spec in SpecId:
         for family in ("q", "r"):
             for n in range(2, 13):
                 if spec_family(spec, family, n).degree() < 1:
                     continue
                 zr, poly = zeros_of(spec, family, n)
-                zero_rows.append([zr.spec, zr.family, zr.n, _floats(zr.points),
-                                  _floats(zr.residuals), _floats(zr.locus_distances),
-                                  zr.origin_multiplicity, poly.to_strings()])
+                route = "zeros_finder" if family == "r" and spec is not SpecId.Z1 else "zeros_lucas"
+                zero_rows[route].append([zr.spec, zr.family, zr.n, _floats(zr.points),
+                                         _floats(zr.residuals), _floats(zr.locus_distances),
+                                         zr.origin_multiplicity, poly.to_strings()])
     locus_rows = []
     for spec in dict.fromkeys(spec for spec, _ in LOCI):
         for n in range(2, 11):
             report = verify_locus(spec, n)
             locus_rows.append([spec.value, n, list(report.status.items()),
                                [[key, repr(v)] for key, v in report.margins.items()]])
-    return {"partitions": _digest(partitions), "zeros": _digest(zero_rows),
-            "loci": _digest(locus_rows)}
+    return {"partitions": _digest(partitions), "loci": _digest(locus_rows),
+            **{route: _digest(rows) for route, rows in zero_rows.items()}}
 
 
 # sha256 of the json lists: every partition of 40, 121 and 364 with its
 # rendering, digit records and statistics; every non-constant member's
-# zeros_of report and reduced polynomial for 2 <= n <= 12, floats as reprs;
-# every claimed locus's verify_locus status and margins for n <= 10.
+# zeros_of report and reduced polynomial for 2 <= n <= 12, floats as reprs,
+# in two lists: the r families other than z1, and every other member; every
+# claimed locus's verify_locus status and margins for n <= 10.
 PINNED_RECORD_DIGESTS = {
     "partitions": "9a930904b762bc2c5330d73b85da50c795ff77f7a8566026f234eb486e5f5f5a",
-    "zeros": "98a09146c570544d20a22f984fb8432ee653ea07c5b2d0de40ff10ac6980dfc7",
+    "zeros_finder": "a554dd53f730d3725a6c1d73891891f67ff7b3a2259bebc046189489eda80786",
+    "zeros_lucas": "46629702258bc6deb39c028936131dbd6e82aa4c7879dfb7903550654b6fe3fe",
     "loci": "756fd25b61f109ad5050711d1654b0ad016b3b03dbd078ea5f1720555bfeb799",
 }
 
