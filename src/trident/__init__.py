@@ -23,8 +23,7 @@ from .specialize import (CoefficientProfile, SpecId, partition_statistic,
                          profile, profile_from_oracle, q1_r1_closed,
                          q1_r1_shifted, reduced_q2, spec_family, spec_images,
                          structural_check)
-from .zeros import (NoConvergence, ZeroReport, chebyshev_zeros, verify_locus,
-                    zeros_explicit, zeros_general)
+from .zeros import NoConvergence, ZeroReport, verify_locus, zeros_explicit, zeros_general
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "CoefficientProfile", "SpecId", "partition_statistic", "profile",
     "profile_from_oracle", "q1_r1_closed", "q1_r1_shifted", "reduced_q2",
     "spec_family", "spec_images", "structural_check",
-    "NoConvergence", "ZeroReport", "chebyshev_zeros",
-    "verify_locus", "zeros_explicit", "zeros_general",
+    "NoConvergence", "ZeroReport", "verify_locus", "zeros_explicit", "zeros_general",
     "__version__",
 ]

@@ -193,11 +193,10 @@ def _check_structural(top):
                                         for n in range(1, top + 1) for spec in specs))}
 
 
-def _check_locus(nloc, npre):
+def _check_locus(top):
     specs = dict.fromkeys(spec for spec, _ in LOCI)
-    return {"": _merged(f"z-specs n <= {nloc}, presets n <= {npre}",
-                        ((f"{spec.value} n={n}: ", verify_locus(spec, n)) for spec in specs
-                         for n in range(2, (npre if spec in PALINDROMIC_PRESETS else nloc) + 1)))}
+    return {"": _merged(f"n <= {top}", ((f"{spec.value} n={n}: ", verify_locus(spec, n))
+                                        for spec in specs for n in range(2, top + 1)))}
 
 
 def _check_oracle(nor, ncnt):
@@ -223,7 +222,7 @@ VERIFICATIONS = (
     ("gf", lambda n: {"": gf_check(n)}, (8,), (15,)),
     ("prop35", _check_prop35, (6,), (12,)),
     ("structural", _check_structural, (8,), (16,)),
-    ("locus", _check_locus, (8, 6), (20, 10)),
+    ("locus", _check_locus, (12,), (40,)),
     ("oracle", _check_oracle, (20, 60), (60, 200)),
 )
 

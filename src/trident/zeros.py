@@ -1,13 +1,16 @@
 """Zero computation and locus verification for the specialized families.
 
-``LOCI`` is the one table of zero facts, one row per (spec, family) that
-claims a locus: its JSON parameters, distance, strict margin and, for the
-z1, z2 and z3 families, whose zeros come from Chebyshev zeros, the
-explicit map.  ``zeros_of`` is the one route from a family member to its
-zeros: the row's map where it has one, else the exact square-free part
-through the Aberth-Ehrlich simultaneous root finder, which
-``zeros_general`` runs on any polynomial and which also cross-checks the
-maps.  The claimed loci, checked by ``verify_locus``:
+Every q family is a Lucas sequence, Q_n = E_{n-1}(a, b) over the images
+(a, b) of (W1, W2): its member is the product of the factors
+a^2 - 4 cos^2(k pi / n) b, 1 <= k < n / 2, times a at even n (Lucas 1878).
+So is every r family with 2 R_n = D_n(a, b), with the angles
+(2k - 1) pi / (2n) and a at odd n.  ``zeros_of`` takes the zeros of these
+families from the factors, and those of every other member from its exact
+square-free part through the Aberth-Ehrlich root finder, which
+``zeros_general`` runs on any polynomial.  ``LOCI`` is the one table of
+zero facts, one row per (spec, family) that claims a locus: its JSON
+parameters, distance and strict margin.  The claimed loci, checked by
+``verify_locus``:
 
   * (1, 1, z, 1): every zero on the vertical line Re = -2, nonreal except
     a single zero at -2 for even q-indices and odd r-indices;
@@ -19,14 +22,18 @@ maps.  The claimed loci, checked by ``verify_locus``:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
+from contextlib import suppress
+from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
-from .chebyshev import ChebKind
-from .polyring import UniPoly, horner, split_origin, up_square_free
+from .polyring import (NotDivisible, UniPoly, horner, poly_substitute, split_origin,
+                       up_divide_exact, up_gcd, up_square_free)
 from .report import Report
-from .specialize import SpecId, spec_family
+from .sequences import S1, TRIPLE_COEFF
+from .specialize import SpecId, spec_family, spec_images
 
 DEFAULT_MAX_ITER = 500
 # The root finder's relative stopping tolerance and the seed of its start
@@ -74,19 +81,15 @@ class Locus(NamedTuple):
     failure messages use and ``distance(z)`` the distance of a point to the
     locus.  ``margin``, when set, is a strict open condition on top of the
     locus: (key in ``Report.margins``, the claim as text, a function
-    that is positive exactly where the claim holds).  ``zero_map``, when
-    set, gives the zeros of the member at index n explicitly: (Chebyshev
-    kind, index offset, a function taking each zero v of that kind's
-    polynomial of index n + offset, all in (-1, 1), to its points).
-    ``real_zero_parity``, when set, claims a single real zero at the
-    indices n with n % 2 equal to it and none at the others.
+    that is positive exactly where the claim holds).  ``real_zero_parity``,
+    when set, claims a single real zero at the indices n with n % 2 equal
+    to it and none at the others.
     """
 
     params: dict
     name: str
     distance: Callable[[complex], float]
     margin: Optional[tuple[str, str, Callable[[complex], float]]] = None
-    zero_map: Optional[tuple[ChebKind, int, Callable[[float], tuple[complex, ...]]]] = None
     real_zero_parity: Optional[int] = None
 
 
@@ -94,24 +97,6 @@ def _circle_or_negative_axis(z: complex) -> float:
     circle = abs(abs(z) - 1.0)
     axis = abs(z.imag) if z.real <= 0 else abs(z)
     return min(circle, axis)
-
-
-# The explicit maps: the zeros attached to one Chebyshev zero v in (-1, 1).
-def _line_point(v: float) -> tuple[complex, ...]:
-    return (complex(-2.0, v / math.sqrt(1.0 - v * v)),)
-
-
-def _unit_circle_pair(v: float) -> tuple[complex, ...]:
-    re = 2.0 * math.sqrt(2.0) / 3.0 * v
-    im = math.sqrt(1.0 - 8.0 / 9.0 * v * v)
-    return complex(re, im), complex(re, -im)
-
-
-def _shifted_circle_point(v: float) -> tuple[complex, ...]:
-    u = v * v
-    re = -(4.0 - 5.0 * u) / (8.0 - 6.0 * u)
-    im = math.copysign(math.sqrt(28.0 * u - 25.0 * u * u), v) / (8.0 - 6.0 * u)
-    return (complex(re, im),)
 
 
 _LINE = Locus({"type": "line", "re": -2.0}, "the line Re = -2",
@@ -123,57 +108,31 @@ _CIRCLE_OR_AXIS = Locus(
     "the unit circle and negative real axis", _circle_or_negative_axis)
 
 LOCI: dict[tuple[SpecId, str], Locus] = {
-    (SpecId.Z1, "q"): _LINE._replace(zero_map=(ChebKind.SECOND, -1, _line_point),
-                                     real_zero_parity=0),
-    (SpecId.Z1, "r"): _LINE._replace(zero_map=(ChebKind.FIRST, 0, _line_point),
-                                     real_zero_parity=1),
+    (SpecId.Z1, "q"): _LINE._replace(real_zero_parity=0),
+    (SpecId.Z1, "r"): _LINE._replace(real_zero_parity=1),
     (SpecId.Z2, "q"): Locus(
         {"type": "circle", "center": [0.0, 0.0], "radius": 1.0,
          "constraint": "|Im(z)| > 1/3"},
         "the unit circle", lambda z: abs(abs(z) - 1.0),
-        ("im_above_third", "|Im| > 1/3", lambda z: abs(z.imag) - 1.0 / 3.0),
-        (ChebKind.SECOND, -1, _unit_circle_pair)),
+        ("im_above_third", "|Im| > 1/3", lambda z: abs(z.imag) - 1.0 / 3.0)),
     (SpecId.Z3, "q"): Locus(
         {"type": "circle", "center": [0.375, 0.0], "radius": 0.875,
          "constraint": "Re(z) < 1/2"},
         "the circle |z - 3/8| = 7/8", lambda z: abs(abs(z - complex(0.375, 0.0)) - 0.875),
-        ("re_below_half", "Re < 1/2", lambda z: 0.5 - z.real),
-        (ChebKind.SECOND, -1, _shifted_circle_point)),
+        ("re_below_half", "Re < 1/2", lambda z: 0.5 - z.real)),
     (SpecId.P3, "q"): _CIRCLE_OR_AXIS,
     (SpecId.P5, "q"): _CIRCLE_OR_AXIS,
     (SpecId.P6, "q"): _CIRCLE_OR_AXIS,
 }
 
-# The rows with a zero map, by the tag ``zeros_explicit`` takes.
+# The rows that report the member's whole zero at the origin, by the tag
+# ``zeros_explicit`` takes; every other row reports its square-free part's.
 EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
                   "z2": (SpecId.Z2, "q"), "z3": (SpecId.Z3, "q")}
 
 
-def chebyshev_zeros(kind, n: int) -> list[float]:
-    """The n real zeros of T_n or U_n, in descending order.
-
-    The zeros are cos((k+1) pi / (n+1)) for the second kind and
-    cos((2k+1) pi / (2n)) for the first; the list is built from its
-    positive half so that the sign symmetry (and the zero at the origin
-    for odd n) is exact in floating point.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if kind is ChebKind.SECOND:
-        positive = [math.cos((k + 1) * math.pi / (n + 1)) for k in range(n // 2)]
-    elif kind is ChebKind.FIRST:
-        positive = [math.cos((2 * k + 1) * math.pi / (2 * n)) for k in range(n // 2)]
-    else:
-        raise ValueError(f"unknown Chebyshev kind {kind!r}")
-    middle = [0.0] if n % 2 else []
-    return positive + middle + [-v for v in reversed(positive)]
-
-
 def zeros_explicit(spec: str, n: int) -> ZeroReport:
-    """The zeros of the explicit family ``spec`` at index ``n``, by ``zeros_of``.
-
-    ``spec`` is one of ``z1q``, ``z1r``, ``z2``, ``z3``.
-    """
+    """``zeros_of`` of the row tagged ``spec`` (z1q, z1r, z2 or z3) at index ``n``."""
     if spec not in EXPLICIT_SPECS:
         raise ValueError(f"spec must be one of {tuple(EXPLICIT_SPECS)}")
     return zeros_of(*EXPLICIT_SPECS[spec], n)[0]
@@ -184,8 +143,8 @@ _EPS = 2.0 ** -52
 
 def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list[complex]:
     d = len(coeffs) - 1
-    if d == 1:
-        return [-coeffs[0] / coeffs[1]]
+    if d <= 1:
+        return [-coeffs[0] / coeffs[1]] if d else []
     deriv = [k * coeffs[k] for k in range(1, d + 1)]
     abs_coeffs = [abs(c) for c in coeffs]
 
@@ -284,21 +243,19 @@ def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
 
 def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[complex],
                  origin: int, locus: Optional[Locus]) -> ZeroReport:
-    """The one builder of a ZeroReport: residuals on ``poly``, distances to ``locus``."""
+    """The one builder of a ZeroReport: points sorted by (re, im), residuals
+    on ``poly`` by Horner over its coefficients as floats, distances to ``locus``."""
+    points = sorted(points, key=lambda z: (z.real, z.imag))
+    coeffs = [float(c) for c in poly.coeffs]
     distances = None if locus is None else [locus.distance(z) for z in points]
-    return ZeroReport(family, spec, n, points, [abs(poly.evaluate(z)) for z in points],
+    return ZeroReport(family, spec, n, points, [abs(horner(coeffs, z)) for z in points],
                       distances, origin)
 
 
 def _finder_points(poly: UniPoly, max_iter: int) -> list[complex]:
-    # The zeros of ``poly``, which has none at the origin, sorted by (re, im).
-    points: list[complex] = []
-    if poly.degree() >= 1:
-        coeffs = [complex(c) for c in poly.coeffs]
-        points = [_newton_polish(poly, z)
-                  for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
-    points.sort(key=lambda z: (z.real, z.imag))
-    return points
+    # The polished zeros of ``poly``, which has none at the origin.
+    coeffs = [complex(c) for c in poly.coeffs]
+    return [_newton_polish(poly, z) for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
 
 
 def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
@@ -321,32 +278,87 @@ def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
                         _finder_points(reduced, max_iter), origin, None)
 
 
+@functools.cache
+def _lucas(spec: SpecId) -> tuple[tuple[int, ...], tuple[int, ...], UniPoly, UniPoly, bool]:
+    """The factor data of ``spec``, from (a, b) = ``spec_images(spec)`` and g = gcd(a, b).
+
+    Returns the coefficients of N and D, with N / D = a^2 / b in lowest
+    terms; a / g and g, each with its zero at the origin split off; and
+    whether the r family is a Lucas sequence too.
+    """
+    a, b = spec_images(spec)
+    g, h = up_gcd(a, b), up_gcd(a * a, b)
+    return (up_divide_exact(a * a, h).coeffs, up_divide_exact(b, h).coeffs,
+            split_origin(up_divide_exact(a, g))[1], split_origin(g)[1],
+            not poly_substitute(S1 - TRIPLE_COEFF, spec.weights))
+
+
+def _roots(coeffs) -> list[complex]:
+    # The zeros of one polynomial with no zero at the origin, in floats: by
+    # the quadratic formula at degree 2, so that conjugates are exact (and
+    # real roots free of cancellation); in z^2 where every odd coefficient
+    # is 0; else by the simultaneous iteration.
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        s = cmath.sqrt(b * b - 4.0 * a * c)
+        if s.imag:
+            return [(-b + s) / (2.0 * a), (-b - s) / (2.0 * a)]
+        q = -0.5 * (b + math.copysign(s.real, b))
+        return [complex(q / a), complex(c / q)]
+    if len(coeffs) > 3 and not any(coeffs[1::2]):
+        return [z for w in _roots(coeffs[::2]) for r in (cmath.sqrt(w),) for z in (r, -r)]
+    return _aberth([complex(c) for c in coeffs], ROOT_TOL, DEFAULT_MAX_ITER, ROOT_SEED)
+
+
+def _lucas_points(spec: SpecId, family: str, n: int) -> list[complex]:
+    # The zeros of the factors N - 4 cos^2(t) D at the angles t = j pi / (2n),
+    # 0 < j < n, j even for q and odd for r; of a / g where j = n has that
+    # parity (the factor at t = pi / 2 is a itself); and of g, once.
+    num, den, a_rest, g_rest, _ = _lucas(spec)
+    first = 2 if family == "q" else 1
+    points = []
+    for j in range(first, n, 2):
+        x = 4.0 * math.cos(j * math.pi / (2 * n)) ** 2
+        points += _roots([p - x * d for p, d in zip_longest(num, den, fillvalue=0)])
+    if (n - first) % 2 == 0:
+        points += _roots(a_rest.coeffs)
+    return points + _roots(g_rest.coeffs)
+
+
 def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     """Zeros of one family member, and the polynomial they are zeros of.
 
-    A ``LOCI`` row with a zero map gives the zeros of the member from
-    Chebyshev zeros.  Every other member goes through its exact square-free
-    part, since preset members can carry high-multiplicity factors such as
-    powers of z + 1, and the general root finder.  On both routes the zero
-    at the origin is split off first; the returned polynomial is what is
-    left, and the residuals are taken on it.  Locus distances come from
-    ``LOCI`` where the family claims a locus.  A constant member has no
-    zeros and raises ValueError.
+    The Lucas families take their points from the factors of ``_lucas``,
+    and their polynomial is the member with its zero at the origin split
+    off and each zero of g left simple.  Every other member takes the
+    general root finder on its square-free part, the zero at the origin
+    split off.  Residuals are taken on the returned polynomial.  The
+    ``EXPLICIT_SPECS`` rows report the member's multiplicity at the origin,
+    every other row that of the square-free part.  A constant member has
+    no zeros and raises ValueError.
     """
     member = spec_family(spec, family, n)
     if member.degree() < 1:
         raise ValueError(f"{spec.value}/{family} member {n} has no zeros")
-    locus = LOCI.get((spec, family))
-    zero_map = locus.zero_map if locus is not None else None
-    origin, poly = split_origin(member if zero_map else up_square_free(member))
-    if zero_map is None:
-        points = _finder_points(poly, DEFAULT_MAX_ITER)
-    else:
-        kind, offset, to_points = zero_map
-        points = [z for v in chebyshev_zeros(kind, n + offset) for z in to_points(v)]
+    *_, g_rest, pure_r = _lucas(spec)
+    if family == "q" or pure_r:
+        origin, poly = split_origin(member)
+        if g_rest.degree() >= 1:
+            # g divides every member: divide it out while it divides, put it back once
+            with suppress(NotDivisible):
+                while True:
+                    poly = up_divide_exact(poly, g_rest)
+            poly = poly * g_rest
+        points = _lucas_points(spec, family, n)
         if len(points) != poly.degree():
-            raise AssertionError("explicit zero count disagrees with the polynomial degree")
-    return _zero_report(spec.value, family, n, poly, points, origin, locus), poly
+            raise AssertionError("Lucas zero count disagrees with the polynomial degree")
+    else:
+        origin, poly = split_origin(up_square_free(member))
+        points = _finder_points(poly, DEFAULT_MAX_ITER)
+    if (spec, family) not in EXPLICIT_SPECS.values():
+        origin = min(origin, 1)
+    return _zero_report(spec.value, family, n, poly, points, origin,
+                        LOCI.get((spec, family))), poly
 
 
 def backward_scale(poly: UniPoly, z: complex) -> float:

@@ -138,9 +138,10 @@ def test_zeros_preset_route(capsys):
 
 ZEROS_GOLDEN_SPECS = (("z1", "q", 9), ("z1", "r", 9), ("z2", "q", 9), ("z3", "q", 9),
                       ("p1", "q", 9), ("p3", "q", 9), ("p5", "q", 9))
-# General-route members of degree 39, 47 and 59.  p3 q is left out at these
-# indices: its double-precision zeros drift off the claimed locus (n >= 20).
-ZEROS_GOLDEN_HIGH_SPECS = (("p5", "q", 20), ("p4", "q", 24), ("p2", "q", 30))
+# Lucas-route members of degree 39 to 59, p3 q among them from the index
+# where the square-free finder once left its zeros off the claimed locus.
+ZEROS_GOLDEN_HIGH_SPECS = (("p5", "q", 20), ("p4", "q", 24), ("p2", "q", 30),
+                           ("p3", "q", 22))
 
 
 def zeros_golden_text(capsys, members) -> str:
@@ -155,21 +156,20 @@ def zeros_golden_text(capsys, members) -> str:
 
 
 def test_zeros_golden_file(capsys):
-    # byte lock on the zero floats of both routes: the explicit maps (z1,
-    # z2, z3) and the general root finder (p1, p3, p5)
+    # byte lock on the zero floats of the Lucas factors (z1 q and r, z2, z3,
+    # p1, p3, p5)
     golden = (Path(__file__).parent / "data" / "zeros_golden.txt").read_text()
     assert zeros_golden_text(capsys, ZEROS_GOLDEN_SPECS) == golden
 
 
 def test_zeros_golden_high_degree_file(capsys):
-    # byte lock at higher degree, where the exact polishing does most work;
-    # the bytes were produced by the earlier rational-arithmetic polishing
+    # byte lock at higher degree: 9 to 14 Lucas factors per member
     golden = (Path(__file__).parent / "data" / "zeros_golden_high.txt").read_text()
     assert zeros_golden_text(capsys, ZEROS_GOLDEN_HIGH_SPECS) == golden
 
 
 def test_zeros_z1_r_first_member(capsys):
-    # z + 2: the one zero of T_1, 0, maps to -2 on the line Re = -2
+    # z + 2: the one factor at n = 1 is a / g = 2z + 4, with its zero at -2
     code, out, _ = run_capture(capsys, ["zeros", "--spec", "z1", "--family", "r", "--n", "1"])
     assert code == 0
     assert out == "family,n,re,im,residual,locus_distance\nr,1,-2,0,0,0\n"

@@ -51,13 +51,14 @@ def _records_digests() -> dict[str, str]:
 # sha256 of the json lists: every partition of 40, 121 and 364 with its
 # rendering, digit records and statistics; every non-constant member's
 # zeros_of report and reduced polynomial for 2 <= n <= 12, floats as reprs,
-# in two lists: the r families other than z1, and every other member; every
-# claimed locus's verify_locus status and margins for n <= 10.
+# in two lists: the r families other than z1, which take the root finder,
+# and every other member, which takes the Lucas factors; every claimed
+# locus's verify_locus status and margins for n <= 10.
 PINNED_RECORD_DIGESTS = {
     "partitions": "9a930904b762bc2c5330d73b85da50c795ff77f7a8566026f234eb486e5f5f5a",
     "zeros_finder": "a554dd53f730d3725a6c1d73891891f67ff7b3a2259bebc046189489eda80786",
-    "zeros_lucas": "46629702258bc6deb39c028936131dbd6e82aa4c7879dfb7903550654b6fe3fe",
-    "loci": "756fd25b61f109ad5050711d1654b0ad016b3b03dbd078ea5f1720555bfeb799",
+    "zeros_lucas": "808aa8dcf46de09f86df1c3dad06966b5ca4c9fc6a644f23cc56439c82724710",
+    "loci": "d5e8269511bd3eec04c09c5549d5eac81e2602323627f64f585868adcd8c6767",
 }
 
 

@@ -1,4 +1,4 @@
-"""Explicit zero maps, the simultaneous root finder, and locus verification."""
+"""The Lucas factor route, the simultaneous root finder, and locus verification."""
 
 import cmath
 import math
@@ -6,12 +6,11 @@ import math
 import pytest
 
 from fixtures import match_multisets
-from trident.chebyshev import ChebKind, chebyshev
-from trident.polyring import UniPoly, up_square_free
-from trident.specialize import SpecId, reduced_q2, spec_family
-from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, backward_scale,
-                           chebyshev_zeros, verify_locus, zeros_explicit,
-                           zeros_general, zeros_of)
+from trident.polyring import UniPoly, split_origin, up_divide_exact, up_square_free
+from trident.specialize import SpecId, reduced_q2, spec_family, spec_images
+from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, _lucas, _lucas_points,
+                           backward_scale, verify_locus, zeros_explicit, zeros_general,
+                           zeros_of)
 
 
 def quadratic_roots(c0: int, c1: int, c2: int) -> list[complex]:
@@ -30,36 +29,7 @@ def family_poly(tag: str, n: int) -> UniPoly:
     return spec_family(SpecId.Z3, "q", n)
 
 
-# -------------------------------------------------------- Chebyshev zeros
-
-def test_chebyshev_zero_fixtures():
-    assert chebyshev_zeros(ChebKind.SECOND, 1) == [0.0]
-    u2 = chebyshev_zeros(ChebKind.SECOND, 2)
-    assert u2 == pytest.approx([0.5, -0.5])
-    t2 = chebyshev_zeros(ChebKind.FIRST, 2)
-    assert t2 == pytest.approx([math.sqrt(2) / 2, -math.sqrt(2) / 2])
-
-
-def test_chebyshev_zeros_annihilate_polynomials():
-    for kind in ChebKind:
-        for n in range(1, 16):
-            poly = chebyshev(kind, n)
-            zs = chebyshev_zeros(kind, n)
-            assert len(zs) == n
-            assert zs == sorted(zs, reverse=True)
-            for v in zs:
-                assert abs(v) < 1.0
-                assert abs(poly.evaluate(v)) < 1e-9 * sum(abs(c) for c in poly.coeffs)
-
-
-def test_chebyshev_zeros_sign_symmetric():
-    for kind in ChebKind:
-        for n in (4, 7, 12):
-            zs = chebyshev_zeros(kind, n)
-            assert zs == [-v for v in reversed(zs)]
-
-
-# --------------------------------------------------------- explicit maps
+# ------------------------------------------------------ explicit rows
 
 def test_explicit_z1q_quadratic_fixture():
     report = zeros_explicit("z1q", 3)
@@ -97,7 +67,7 @@ def test_explicit_degenerate_and_bounds():
     # the z1 q member at n = 1 is the constant 1, refused as the CLI refuses it
     with pytest.raises(ValueError, match="has no zeros"):
         zeros_explicit("z1q", 1)
-    # z + 2: the one zero of T_1 maps to -2
+    # z + 2: at odd r-indices the factor a / g = 2z + 4 gives -2
     assert zeros_explicit("z1r", 1).points == [-2 + 0j]
     with pytest.raises(ValueError):
         zeros_explicit("z1r", 0)
@@ -108,9 +78,20 @@ def test_explicit_degenerate_and_bounds():
 
 
 def test_explicit_tags_are_the_map_rows():
-    # each tag names a LOCI row with a zero map, and each such row has one tag
-    mapped = [key for key, locus in LOCI.items() if locus.zero_map is not None]
-    assert sorted(EXPLICIT_SPECS.values(), key=str) == sorted(mapped, key=str)
+    # each tag names a LOCI row of a z-spec, and each such row has one tag;
+    # a tagged row counts the member's whole degree, zero at the origin
+    # included, while every other Lucas row counts its square-free part's
+    z_rows = [key for key in LOCI if key[0] in (SpecId.Z1, SpecId.Z2, SpecId.Z3)]
+    assert sorted(EXPLICIT_SPECS.values(), key=str) == sorted(z_rows, key=str)
+    for spec, family in (*EXPLICIT_SPECS.values(), (SpecId.P2, "q"), (SpecId.P4, "q")):
+        report, _ = zeros_of(spec, family, 9)
+        member = spec_family(spec, family, 9)
+        origin = split_origin(member)[0]
+        if (spec, family) in EXPLICIT_SPECS.values():
+            assert report.origin_multiplicity == origin
+            assert len(report.points) + origin == member.degree()
+        else:
+            assert origin > 1 and report.origin_multiplicity == 1
 
 
 def test_zeros_explicit_is_zeros_of():
@@ -214,27 +195,45 @@ def test_general_finder_recovers_z2_origin_multiplicity():
 
 
 def test_zero_map_count_guard(monkeypatch):
-    # a zero map whose index offset is one too high gives two zeros more
-    # than the member has
-    kind, offset, to_points = LOCI[(SpecId.Z2, "q")].zero_map
-    monkeypatch.setitem(LOCI, (SpecId.Z2, "q"), LOCI[(SpecId.Z2, "q")]._replace(
-        zero_map=(kind, offset + 1, to_points)))
-    with pytest.raises(AssertionError, match="explicit zero count"):
+    # a Lucas point list one short of the polynomial's degree is refused
+    monkeypatch.setattr("trident.zeros._lucas_points",
+                        lambda *args: _lucas_points(*args)[:-1])
+    with pytest.raises(AssertionError, match="Lucas zero count"):
         zeros_of(SpecId.Z2, "q", 5)
+
+
+@pytest.fixture
+def fresh_lucas():
+    _lucas.cache_clear()
+    yield
+    _lucas.cache_clear()
+
+
+def test_lucas_corrupted_factor_trips_count_guard(monkeypatch, fresh_lucas):
+    # a b off by a factor z^2 raises the degree of every factor N - 4c D
+    # from 2 to 4, so the points outnumber the member's zeros
+    monkeypatch.setattr("trident.zeros.spec_images", lambda spec: (
+        spec_images(spec)[0], spec_images(spec)[1] * UniPoly.monomial(2)))
+    with pytest.raises(AssertionError, match="Lucas zero count"):
+        zeros_of(SpecId.Z3, "q", 5)
 
 
 def test_zeros_of_routes():
     # both routes label the report the same way and return the polynomial
-    # whose zeros the points are, with the zero at the origin split off (the
-    # square-free part of p2 q keeps one factor z); the residuals are taken
-    # on that polynomial
-    p2_square_free = up_square_free(spec_family(SpecId.P2, "q", 9))
+    # whose zeros the points are, with the zero at the origin split off;
+    # a Lucas row's polynomial is the member itself, with each zero of
+    # g = gcd(a, b) left simple (g = 1 + z for p5), and a finder row's the
+    # square-free part (which for p2 r keeps one factor z); the residuals
+    # are taken on that polynomial
+    p2_r = up_square_free(spec_family(SpecId.P2, "r", 9))
     for spec, family, poly, origin in (
             (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9), 0),
             (SpecId.Z2, "q", reduced_q2(9), 8),
-            (SpecId.P2, "q", UniPoly(p2_square_free.coeffs[1:]), 1),
-            (SpecId.P3, "q", up_square_free(spec_family(SpecId.P3, "q", 9)), 0),
-            (SpecId.P1, "q", up_square_free(spec_family(SpecId.P1, "q", 9)), 0)):
+            (SpecId.P2, "q", split_origin(spec_family(SpecId.P2, "q", 9))[1], 1),
+            (SpecId.P3, "q", spec_family(SpecId.P3, "q", 9), 0),
+            (SpecId.P1, "q", spec_family(SpecId.P1, "q", 9), 0),
+            (SpecId.P2, "r", UniPoly(p2_r.coeffs[1:]), 1),
+            (SpecId.P1, "r", up_square_free(spec_family(SpecId.P1, "r", 9)), 0)):
         report, got = zeros_of(spec, family, 9)
         assert (report.spec, report.family, report.n) == (spec.value, family, 9)
         assert got == poly and poly.coeff(0) != 0, (spec, family)
@@ -243,12 +242,35 @@ def test_zeros_of_routes():
         for z in report.points:
             assert abs(poly.evaluate(z)) < 1e-7 * backward_scale(poly, z), (spec, z)
         assert (report.locus_distances is None) == ((spec, family) not in LOCI)
+    # p5 q carries g = 1 + z to a high power; its polynomial divides the
+    # member and keeps -1 as a simple zero
+    member = spec_family(SpecId.P5, "q", 9)
+    report, got = zeros_of(SpecId.P5, "q", 9)
+    assert got.degree() == up_square_free(member).degree() == len(report.points)
+    up_divide_exact(member, got)
+    assert got.evaluate(-1) == 0 != up_divide_exact(got, UniPoly((1, 1))).evaluate(-1)
     # the general route is the root finder at its default tolerance and seed
-    general = zeros_general(up_square_free(spec_family(SpecId.P1, "q", 9)))
-    assert zeros_of(SpecId.P1, "q", 9)[0].points == general.points
+    general = zeros_general(up_square_free(spec_family(SpecId.P1, "r", 9)))
+    assert zeros_of(SpecId.P1, "r", 9)[0].points == general.points
     for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
         with pytest.raises(ValueError, match="has no zeros"):
             zeros_of(spec, family, n)
+
+
+def test_lucas_route_agrees_with_square_free_finder():
+    # every q family and z1 r, against the root finder on the square-free part
+    worst = 0.0
+    for spec in SpecId:
+        for family in ("q", "r") if spec is SpecId.Z1 else ("q",):
+            for n in range(2, 17):
+                member = spec_family(spec, family, n)
+                if member.degree() < 1:
+                    continue
+                lucas = zeros_of(spec, family, n)[0]
+                general = zeros_general(up_square_free(member))
+                assert lucas.origin_multiplicity >= general.origin_multiplicity
+                worst = max(worst, match_multisets(lucas.points, general.points))
+    assert worst < 1e-8
 
 
 # ------------------------------------------------------------------ loci
@@ -281,6 +303,22 @@ def test_locus_presets():
     # the negative-real segment is recorded, not asserted against endpoints
     margins = verify_locus(SpecId.P5, 5).margins
     assert margins["real_zero_min"] <= margins["real_zero_max"] < 0
+
+
+def test_locus_p3_high_indices():
+    # the square-free finder left these zeros off the circle: 0.0064 at
+    # n = 22 and 0.87 at n = 60
+    for n in (22, 26, 60):
+        report = verify_locus(SpecId.P3, n)
+        assert report.ok, (n, report.failures[:3])
+
+
+def test_locus_p5_p6_high_indices():
+    # the square-free finder left these zeros 5.4e-4 off at n = 30
+    for spec in (SpecId.P5, SpecId.P6):
+        for n in (30, 40):
+            report = verify_locus(spec, n)
+            assert report.ok, (spec, n, report.failures[:3])
 
 
 def test_locus_rejects_unclaimed():
