@@ -19,14 +19,13 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .chebyshev import verify_prop35
-from .identities import (verify_divisibility, verify_prop61, verify_surprising,
-                         verify_telescoping)
+from .identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
+                         verify_surprising, verify_telescoping)
 from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
                      enumerate_partitions, oracle_poly)
 from .report import Report
 from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
-from .specialize import (PALINDROMIC_PRESETS, SpecId, profile, spec_family,
-                         structural_check)
+from .specialize import STRUCTURE, SpecId, profile, spec_family, structural_check
 from .zeros import LOCI, NoConvergence, verify_locus, zeros_of
 
 ENV_CAP = "TRIDENT_CAP"
@@ -179,7 +178,8 @@ def _merged(param_range: str, parts) -> Report:
     report = Report(param_range)
     for prefix, part in parts:
         report.witness = report.witness or part.witness
-        report.status.update((prefix + label, passed) for label, passed in part.status.items())
+        for label, passed in part.status.items():
+            report.status[prefix + label] = passed
     return report
 
 
@@ -188,9 +188,8 @@ def _check_prop35(top):
 
 
 def _check_structural(top):
-    specs = (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS)
     return {"": _merged(f"n <= {top}", ((f"{spec.value} n={n}: ", structural_check(spec, n))
-                                        for n in range(1, top + 1) for spec in specs))}
+                                        for n in range(1, top + 1) for spec in STRUCTURE))}
 
 
 def _check_locus(top):
@@ -217,7 +216,7 @@ VERIFICATIONS = (
     ("prop61", lambda n: {"": verify_prop61(n)}, (6,), (12,)),
     ("telescoping", lambda n: {"": verify_telescoping(n)}, (6,), (12,)),
     ("divisibility", lambda n: {f"-{spec.value}": verify_divisibility(spec, n)
-                                for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3)}, (12,), (24,)),
+                                for spec in DIVISIBILITY_SPECS}, (12,), (24,)),
     ("surprising", lambda n: {"": verify_surprising(n)}, (12,), (40,)),
     ("gf", lambda n: {"": gf_check(n)}, (8,), (15,)),
     ("prop35", _check_prop35, (6,), (12,)),

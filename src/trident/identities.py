@@ -19,6 +19,9 @@ from .specialize import SpecId, q1_r1_closed, spec_family
 MultiProvider = Callable[[int], MultiPoly]
 UniProvider = Callable[[int], UniPoly]
 
+# The substitutions whose q family is claimed to be a divisibility sequence.
+DIVISIBILITY_SPECS = (SpecId.Z1, SpecId.Z2, SpecId.Z3)
+
 
 def verify_prop61(n_max: int, q_provider: MultiProvider = q_poly,
                   r_provider: MultiProvider = r_poly) -> Report:
@@ -86,8 +89,9 @@ def verify_divisibility(spec: SpecId, n_max: int,
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if spec not in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
-        raise ValueError("divisibility is claimed for the z1, z2, z3 substitutions")
+    if spec not in DIVISIBILITY_SPECS:
+        raise ValueError("divisibility is claimed for the "
+                         + ", ".join(s.value for s in DIVISIBILITY_SPECS) + " substitutions")
     provider = family_provider or (lambda n: spec_family(spec, "q", n))
     report = Report(f"m|n, n<=2..{n_max}")
     for n in range(2, n_max + 1):

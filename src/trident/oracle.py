@@ -50,8 +50,8 @@ class DigitRecord(NamedTuple):
 class ColoredPartition(NamedTuple):
     """A restricted colored base-3 partition, as one ``DigitRecord`` per power.
 
-    ``digits[j]`` describes the copies of ``3**j``; trailing all-zero
-    records are trimmed.
+    ``digits[j]`` describes the copies of ``3**j``; a partition never ends
+    in an all-zero record.
     """
 
     digits: tuple[DigitRecord, ...]
@@ -140,10 +140,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPar
 
     def recurse(m: int) -> None:
         if m == 0:
-            digits = list(prefix)
-            while digits and digits[-1].total() == 0:
-                digits.pop()
-            results.append(ColoredPartition(tuple(digits)))
+            results.append(ColoredPartition(tuple(prefix)))
             return
         r = m % 3
         choices = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .oracle import PartitionStats, enumerate_partitions
 from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute, split_origin
@@ -69,8 +69,6 @@ _WEIGHTS: dict[SpecId, tuple[int, int, int, int]] = {
     SpecId.P5: (0, 1, 1, 2),
     SpecId.P6: (1, 0, 1, 2),
 }
-
-PALINDROMIC_PRESETS = (SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6)
 
 # One (R, Q) pair memo per distinct image of the digit-matrix entries: P5
 # and P6 share one, since every M_d is invariant under w <-> x.
@@ -197,59 +195,46 @@ def profile_from_oracle(spec: SpecId, family: str, n: int) -> CoefficientProfile
     return CoefficientProfile(family=family, spec=spec, n=n, coeffs=counts)
 
 
-def structural_check(spec: SpecId, n: int) -> Report:
-    """Check the claimed degree/coefficient/palindromy structure at index ``n``.
+# The claimed structure of the family members, in the order verify runs it:
+# per spec, one row per claim, (family, claim, f(member, n) -> (found, claimed)),
+# with the rows of one family adjacent.
+STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], ...]] = {
+    SpecId.Z1: (("q", "degree", lambda p, n: (p.degree(), n - 1)),
+                ("q", "constant", lambda p, n: (p.coeff(0), (3**n - 1) // 2)),
+                ("q", "leading", lambda p, n: (p.coeff(n - 1), n)),
+                ("r", "degree", lambda p, n: (p.degree(), n)),
+                ("r", "constant", lambda p, n: (p.coeff(0), (3**n + 1) // 2)),
+                ("r", "leading", lambda p, n: (p.coeff(n), 1))),
+    SpecId.Z2: (("q", "degree", lambda p, n: (p.degree(), 3 * (n - 1))),
+                ("q", "lowest degree",
+                 lambda p, n: (next(d for d, c in enumerate(p.coeffs) if c), n - 1)),
+                ("q", "palindromic after reduction",
+                 lambda p, n: (split_origin(p)[1].is_palindromic(), True)),
+                ("q", "leading", lambda p, n: (p.coeff(3 * (n - 1)), 3 ** (n - 1))),
+                ("q", "exponent parities",
+                 lambda p, n: ({d for d in (0, 1) if any(p.coeffs[d::2])}, {(n - 1) % 2}))),
+    SpecId.Z3: (("q", "degree", lambda p, n: (p.degree(), n - 1)),
+                ("q", "leading", lambda p, n: (p.coeff(n - 1), (3**n - 1) // 2)),
+                ("q", "constant", lambda p, n: (p.coeff(0), 2 ** (n - 1)))),
+    **dict.fromkeys((SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6),
+                    (("q", "palindromic", lambda p, n: (p.is_palindromic(), True)),)),
+}
 
-    Each violated claim is recorded under its message.
-    """
+
+def structural_check(spec: SpecId, n: int) -> Report:
+    """Record each ``STRUCTURE`` row of ``spec`` that fails at index ``n`` as
+    "<family> <claim> <found> != <claimed>", reading each family's member once."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    report = Report(f"{spec.value} n={n}")
-
-    def fail(message: str) -> None:
-        report.record(message, False)
-
-    if spec is SpecId.Z1:
-        q = spec_family(spec, "q", n)
-        r = spec_family(spec, "r", n)
-        if q.degree() != n - 1:
-            fail(f"q degree {q.degree()} != {n - 1}")
-        if q.coeff(0) != (3**n - 1) // 2:
-            fail(f"q constant {q.coeff(0)} != (3^{n}-1)/2")
-        if q.coeff(n - 1) != n:
-            fail(f"q leading {q.coeff(n - 1)} != {n}")
-        if r.degree() != n:
-            fail(f"r degree {r.degree()} != {n}")
-        if r.coeff(0) != (3**n + 1) // 2:
-            fail(f"r constant {r.coeff(0)} != (3^{n}+1)/2")
-        if r.coeff(n) != 1:
-            fail("r is not monic")
-    elif spec is SpecId.Z2:
-        p = spec_family(spec, "q", n)
-        low, reduced = split_origin(p)
-        if p.degree() != 3 * (n - 1):
-            fail(f"degree {p.degree()} != {3 * (n - 1)}")
-        if low != n - 1:
-            fail(f"lowest-degree term {low} != {n - 1}")
-        if not reduced.is_palindromic():
-            fail("not palindromic after reduction")
-        if p.coeff(3 * (n - 1)) != 3 ** (n - 1):
-            fail(f"leading coefficient != 3^{n - 1}")
-        parity = (n - 1) % 2
-        if any(c and d % 2 != parity for d, c in enumerate(p.coeffs)):
-            fail("exponent parities are mixed")
-    elif spec is SpecId.Z3:
-        p = spec_family(spec, "q", n)
-        if p.degree() != n - 1:
-            fail(f"degree {p.degree()} != {n - 1}")
-        if p.coeff(n - 1) != (3**n - 1) // 2:
-            fail(f"leading coefficient != (3^{n}-1)/2")
-        if p.coeff(0) != 2 ** (n - 1):
-            fail(f"constant coefficient != 2^{n - 1}")
-    elif spec in PALINDROMIC_PRESETS:
-        p = spec_family(spec, "q", n)
-        if not p.is_palindromic():
-            fail("not palindromic")
-    else:
+    rows = STRUCTURE.get(spec)
+    if rows is None:
         raise ValueError(f"no structural claims for spec {spec.value}")
+    report = Report(f"{spec.value} n={n}")
+    member_family = None
+    for family, claim, measure in rows:
+        if family != member_family:
+            member_family, member = family, spec_family(spec, family, n)
+        found, claimed = measure(member, n)
+        if found != claimed:
+            report.record(f"{family} {claim} {found} != {claimed}", False)
     return report

@@ -36,10 +36,11 @@ from .sequences import S1, TRIPLE_COEFF
 from .specialize import SpecId, spec_family, spec_images
 
 DEFAULT_MAX_ITER = 500
-# The root finder's relative stopping tolerance and the seed of its start
-# jitter; the tolerance of the locus and residual checks.
+# The root finder's relative stopping tolerance, the seed of its start jitter
+# and its exact Newton polishing steps; the tolerance of the locus and residual checks.
 ROOT_TOL = 1e-13
 ROOT_SEED = 42
+POLISH_STEPS = 3
 LOCUS_TOL = 1e-9
 
 
@@ -141,14 +142,14 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
 _EPS = 2.0 ** -52
 
 
-def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list[complex]:
+def _aberth(coeffs: list[complex], max_iter: int) -> list[complex]:
     d = len(coeffs) - 1
     if d <= 1:
         return [-coeffs[0] / coeffs[1]] if d else []
     deriv = [k * coeffs[k] for k in range(1, d + 1)]
     abs_coeffs = [abs(c) for c in coeffs]
 
-    rng = random.Random(seed)
+    rng = random.Random(ROOT_SEED)
     radius = (1.0 + max(abs(c / coeffs[d]) for c in coeffs[:d])) ** (1.0 / d)
     zs = []
     for k in range(d):
@@ -180,7 +181,7 @@ def _aberth(coeffs: list[complex], tol: float, max_iter: int, seed: int) -> list
             zs[k] = zk - step
             worst = max(worst, abs(step) / (1.0 + abs(zs[k])))
         trace.append(worst)
-        if all(frozen) or worst < tol:
+        if all(frozen) or worst < ROOT_TOL:
             return zs
     raise NoConvergence(len(trace), trace)
 
@@ -205,8 +206,8 @@ def _dyadic_eval(coeffs: tuple[int, ...], a: int, b: int, k: int) -> tuple[int, 
     return p_re, p_im, d_re, d_im
 
 
-def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
-    """Refine one simple root by Newton steps with exact polynomial evaluation.
+def _newton_polish(poly: UniPoly, z: complex) -> complex:
+    """Refine one simple root by ``POLISH_STEPS`` Newton steps, evaluated exactly.
 
     Every double is a dyadic rational (a + ib) 2^-k, so P and P' are
     evaluated exactly in integers and the Newton step is formed as one
@@ -221,7 +222,7 @@ def _newton_polish(poly: UniPoly, z: complex, steps: int = 3) -> complex:
     a, b, k = _dyadic(z)
     p_re, p_im, d_re, d_im = _dyadic_eval(coeffs, a, b, k)
     best_res, best_exp = p_re * p_re + p_im * p_im, scale * k
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         denom = d_re * d_re + d_im * d_im
         if denom == 0:
             break
@@ -255,7 +256,7 @@ def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[com
 def _finder_points(poly: UniPoly, max_iter: int) -> list[complex]:
     # The polished zeros of ``poly``, which has none at the origin.
     coeffs = [complex(c) for c in poly.coeffs]
-    return [_newton_polish(poly, z) for z in _aberth(coeffs, ROOT_TOL, max_iter, ROOT_SEED)]
+    return [_newton_polish(poly, z) for z in _aberth(coeffs, max_iter)]
 
 
 def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
@@ -307,7 +308,7 @@ def _roots(coeffs) -> list[complex]:
         return [complex(q / a), complex(c / q)]
     if len(coeffs) > 3 and not any(coeffs[1::2]):
         return [z for w in _roots(coeffs[::2]) for r in (cmath.sqrt(w),) for z in (r, -r)]
-    return _aberth([complex(c) for c in coeffs], ROOT_TOL, DEFAULT_MAX_ITER, ROOT_SEED)
+    return _aberth([complex(c) for c in coeffs], DEFAULT_MAX_ITER)
 
 
 def _lucas_points(spec: SpecId, family: str, n: int) -> list[complex]:

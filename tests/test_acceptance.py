@@ -14,14 +14,13 @@ from fixtures import (Q6_OVER_Q3_Z3, Q6_Z3_FACTORS, R6_Z1_FACTORS,
                       SEQUENCE_COUNTS, TABLE1, TABLE2_Q, TABLE2_R, TABLE3,
                       TABLE4, match_multisets)
 from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_prop35
-from trident.identities import (verify_divisibility, verify_prop61,
+from trident.identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
                                 verify_surprising, verify_telescoping)
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
 from trident.sequences import s_poly, s_poly_product
-from trident.specialize import (PALINDROMIC_PRESETS, SpecId, profile_from_oracle,
-                                q1_r1_closed, q1_r1_shifted, spec_family,
-                                structural_check)
+from trident.specialize import (STRUCTURE, SpecId, profile_from_oracle, q1_r1_closed,
+                                q1_r1_shifted, spec_family, structural_check)
 from trident.zeros import backward_scale, verify_locus, zeros_explicit, zeros_general
 
 
@@ -122,11 +121,7 @@ def test_criterion_6_section4_identities():
 def test_criterion_7_structural_claims():
     with Budget("7 structural claims", 5.0):
         for n in range(1, 17):
-            for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
-                report = structural_check(spec, n)
-                assert report.ok, (spec.value, n, report.failures)
-        for n in range(1, 16):
-            for spec in PALINDROMIC_PRESETS:
+            for spec in STRUCTURE:
                 report = structural_check(spec, n)
                 assert report.ok, (spec.value, n, report.failures)
 
@@ -158,7 +153,7 @@ def test_criterion_9_section6_suite():
     with Budget("9 cross-sequence suite", 60.0):
         assert verify_prop61(12).ok
         assert verify_telescoping(12).ok
-        for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
+        for spec in DIVISIBILITY_SPECS:
             assert verify_divisibility(spec, 24).ok, spec.value
         q6 = spec_family(SpecId.Z3, "q", 6)
         expected = UniPoly.one()

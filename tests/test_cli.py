@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 
 from fixtures import PARTITIONS_OF_3
-from trident import identities, specialize
+from trident import identities, oracle, specialize
 from trident.cli import run
 from trident.specialize import SpecId, spec_family
 
@@ -274,6 +274,22 @@ def test_verify_failure_path(tmp_path, capsys, monkeypatch):
     code, out, _ = run_capture(capsys, argv + ["--out", str(target)])
     assert (code, out) == (1, "")
     assert target.read_text() == "FAIL  surprising  (difference n=3)\nFAILURES PRESENT\n"
+
+
+def test_verify_oracle_count_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr("trident.cli.count_partitions",
+                        lambda n: oracle.count_partitions(n) + 1)
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "oracle"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL  oracle  (count mismatch at n=0)", "FAILURES PRESENT"]
+
+
+def test_verify_oracle_polynomial_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr("trident.cli.oracle_poly", lambda n: oracle.oracle_poly(n) + 1)
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "oracle"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL  oracle  (polynomial mismatch at n=0)",
+                                "FAILURES PRESENT"]
 
 
 def test_verify_merged_group_names_index(capsys, monkeypatch):

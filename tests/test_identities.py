@@ -6,7 +6,7 @@ import json
 import pytest
 
 from fixtures import Q6_OVER_Q3_Z3, Q6_Z3_FACTORS, R6_Z1_FACTORS, TABLE1
-from trident.identities import (verify_divisibility, verify_prop61,
+from trident.identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
                                 verify_surprising, verify_telescoping)
 from trident.polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
 from trident.sequences import q_poly, r_poly
@@ -44,7 +44,7 @@ def test_telescoping_range():
 
 
 def test_divisibility_all_specs():
-    for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3):
+    for spec in DIVISIBILITY_SPECS:
         report = verify_divisibility(spec, 24)
         assert report.ok, (spec, report.failures)
         assert report.status["q[1] | q[24]"]

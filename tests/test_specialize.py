@@ -9,10 +9,9 @@ import pytest
 from fixtures import TABLE2_Q, TABLE2_R, TABLE3, TABLE4
 from trident.polyring import UniPoly, poly_substitute
 from trident.sequences import q_poly, r_poly
-from trident.specialize import (PALINDROMIC_PRESETS, SpecId, partition_statistic,
-                                profile, profile_from_oracle, q1_r1_closed,
-                                q1_r1_shifted, reduced_q2, spec_family,
-                                spec_images, structural_check)
+from trident.specialize import (STRUCTURE, SpecId, partition_statistic, profile,
+                                profile_from_oracle, q1_r1_closed, q1_r1_shifted,
+                                reduced_q2, spec_family, spec_images, structural_check)
 from trident.zeros import zeros_of
 
 ALL_SPECS = list(SpecId)
@@ -167,9 +166,28 @@ def test_profiles_match_oracle_all_specs():
 
 def test_structural_checks_hold():
     for n in range(1, 17):
-        for spec in (SpecId.Z1, SpecId.Z2, SpecId.Z3, *PALINDROMIC_PRESETS):
+        for spec in STRUCTURE:
             report = structural_check(spec, n)
             assert report.ok, (spec, n, report.failures)
+
+
+def test_every_structure_row_can_fail(monkeypatch):
+    # for 2 <= n <= 8 each claim fails, under its own label, when the member
+    # p is replaced by at least one of 2p, z p and p + 1
+    real_family = spec_family
+    caught = set()
+    for corrupt in (lambda p: 2 * p, lambda p: UniPoly.x() * p, lambda p: p + 1):
+        monkeypatch.setattr("trident.specialize.spec_family",
+                            lambda spec, family, n, corrupt=corrupt:
+                            corrupt(real_family(spec, family, n)))
+        for spec, rows in STRUCTURE.items():
+            for n in range(2, 9):
+                failures = structural_check(spec, n).failures
+                caught.update((spec, family, claim, n) for family, claim, _ in rows
+                              if any(f.startswith(f"{family} {claim} ") for f in failures))
+    claims = [(spec, family, claim, n) for spec, rows in STRUCTURE.items()
+              for family, claim, _ in rows for n in range(2, 9)]
+    assert [c for c in claims if c not in caught] == []
 
 
 def test_structural_check_rejects_unclaimed_spec():

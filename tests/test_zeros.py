@@ -334,6 +334,26 @@ def test_locus_real_zero_parity_is_a_row_fact(monkeypatch):
     assert verify_locus(SpecId.Z1, 4).failures == ["z1q: expected 0 real zero(s), found 1"]
 
 
+def test_locus_off_locus_zero_is_recorded(monkeypatch):
+    # a distance that puts every point off the line fails at each point,
+    # under the family's tag: z1 claims a locus for both families
+    row = LOCI[SpecId.Z1, "q"]
+    monkeypatch.setitem(LOCI, (SpecId.Z1, "q"), row._replace(distance=lambda z: 1.0))
+    points = zeros_of(SpecId.Z1, "q", 4)[0].points
+    assert verify_locus(SpecId.Z1, 4).failures == [f"z1q: zero {z} off the line Re = -2"
+                                                   for z in points]
+
+
+def test_locus_margin_violation_is_recorded(monkeypatch):
+    # a margin negative everywhere fails once, and its value is kept
+    row = LOCI[SpecId.Z3, "q"]
+    key, claim, _ = row.margin
+    monkeypatch.setitem(LOCI, (SpecId.Z3, "q"), row._replace(margin=(key, claim, lambda z: -0.5)))
+    report = verify_locus(SpecId.Z3, 5)
+    assert report.failures == ["Re < 1/2 violated (margin -5.000e-01)"]
+    assert report.margins["re_below_half"] == -0.5
+
+
 def test_locus_residual_gate_reads_the_report(monkeypatch):
     real_zeros_of = zeros_of
 
