@@ -3,9 +3,9 @@
 Every subcommand emits deterministic output (identical argv and
 configuration produce byte-identical bytes, including the seeded jitter of
 the root finder).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 cap or convergence error, 141 stdout closed by its reader.
-``COMMANDS`` is the one table of subcommands; ``run`` writes the lines an
-emitter returns to stdout, or to ``--out`` once the command has completed.
+error, 3 cap, convergence or float-range error, 141 stdout closed by its
+reader.  ``COMMANDS`` is the one table of subcommands; ``run`` writes the
+lines an emitter returns to stdout, or to ``--out`` once it has completed.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _emit_poly(args) -> list[str]:
 
 
 def _emit_spec(args) -> list[str]:
-    spec = SpecId.from_string(args.spec)
+    spec = SpecId(args.spec)
     return _emit_members(args, {"command": "spec", "spec": args.spec, "family": args.family},
                          lambda n: spec_family(spec, args.family, n), "coeffs",
                          lambda p: p.to_strings(), "n,degree,coeff",
@@ -130,7 +130,7 @@ def _emit_enumerate(args) -> list[str]:
 
 def _emit_profile(args) -> list[str]:
     n, = _indices(args)
-    prof = profile(SpecId.from_string(args.spec), args.family, n)
+    prof = profile(SpecId(args.spec), args.family, n)
     items = sorted(prof.coeffs.items())
     if args.format == "json":
         return [json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
@@ -140,7 +140,7 @@ def _emit_profile(args) -> list[str]:
 
 def _emit_zeros(args) -> list[str]:
     n, = _indices(args)
-    spec = SpecId.from_string(args.spec)
+    spec = SpecId(args.spec)
     report, _ = zeros_of(spec, args.family, n)
     locus = LOCI.get((spec, args.family)) if args.locus else None
     params = locus.params if locus is not None else None
@@ -341,7 +341,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceeded, NoConvergence) as exc:
+    except (CapExceeded, NoConvergence, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     try:

@@ -2,29 +2,24 @@
 
 Every check here is an equality of polynomials with integer coefficients
 and is decided exactly; nothing in this module touches floating point.
-Verifiers accept injectable sequence providers so the harness itself can be
-mutation-tested: perturbing a single coefficient of any input must surface
-as a failure with a serialized witness.
+The verifiers read the sequences through this module's names ``q_poly``,
+``r_poly`` and ``spec_family``, which the mutation tests patch: perturbing
+a single coefficient of any input must surface as a failure with a
+serialized witness.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from .polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
 from .report import Report
 from .sequences import S1, TRIPLE_COEFF, WXZ, q_poly, r_poly
 from .specialize import SpecId, q1_r1_closed, spec_family
 
-MultiProvider = Callable[[int], MultiPoly]
-UniProvider = Callable[[int], UniPoly]
-
 # The substitutions whose q family is claimed to be a divisibility sequence.
 DIVISIBILITY_SPECS = (SpecId.Z1, SpecId.Z2, SpecId.Z3)
 
 
-def verify_prop61(n_max: int, q_provider: MultiProvider = q_poly,
-                  r_provider: MultiProvider = r_poly) -> Report:
+def verify_prop61(n_max: int) -> Report:
     """The two first-order couplings between the q- and r-sequences.
 
     For 1 <= n <= n_max:  wxz * Q_n = R_{n+1} - (w+x+y) R_n  and
@@ -34,17 +29,16 @@ def verify_prop61(n_max: int, q_provider: MultiProvider = q_poly,
         raise ValueError("n_max must be at least 1")
     report = Report(f"1..{n_max}")
     for n in range(1, n_max + 1):
-        lhs = WXZ * q_provider(n)
-        rhs = r_provider(n + 1) - S1 * r_provider(n)
+        lhs = WXZ * q_poly(n)
+        rhs = r_poly(n + 1) - S1 * r_poly(n)
         report.record(f"qr-coupling n={n}", lhs == rhs, lhs, rhs)
-        lhs2 = r_provider(n)
-        rhs2 = q_provider(n + 1) - TRIPLE_COEFF * q_provider(n)
+        lhs2 = r_poly(n)
+        rhs2 = q_poly(n + 1) - TRIPLE_COEFF * q_poly(n)
         report.record(f"rq-coupling n={n}", lhs2 == rhs2, lhs2, rhs2)
     return report
 
 
-def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
-                       r_provider: MultiProvider = r_poly) -> Report:
+def verify_telescoping(n_max: int) -> Report:
     """The telescoped closed forms of both sequences.
 
     For 1 <= N <= n_max:
@@ -59,12 +53,12 @@ def verify_telescoping(n_max: int, q_provider: MultiProvider = q_poly,
     s1_pow, r_sum, q_sum = MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero()
     for N in range(1, n_max + 1):
         s1_pow = s1_pow * S1
-        r_sum = S1 * r_sum + q_provider(N - 1)
+        r_sum = S1 * r_sum + q_poly(N - 1)
         rhs = s1_pow + WXZ * r_sum
-        lhs = r_provider(N)
+        lhs = r_poly(N)
         report.record(f"r-telescope N={N}", lhs == rhs, lhs, rhs)
-        q_sum = TRIPLE_COEFF * q_sum + r_provider(N - 1)
-        lhs2 = q_provider(N)
+        q_sum = TRIPLE_COEFF * q_sum + r_poly(N - 1)
+        lhs2 = q_poly(N)
         report.record(f"q-telescope N={N}", lhs2 == q_sum, lhs2, q_sum)
     return report
 
@@ -78,8 +72,7 @@ def _divides(den: UniPoly, num: UniPoly) -> bool:
     return True
 
 
-def verify_divisibility(spec: SpecId, n_max: int,
-                        family_provider: Optional[UniProvider] = None) -> Report:
+def verify_divisibility(spec: SpecId, n_max: int) -> Report:
     """Divisibility of the specialized q-family along divisor pairs.
 
     Checks Q_m | Q_n (exact integer quotient) for every 1 <= m < n <= n_max
@@ -92,12 +85,11 @@ def verify_divisibility(spec: SpecId, n_max: int,
     if spec not in DIVISIBILITY_SPECS:
         raise ValueError("divisibility is claimed for the "
                          + ", ".join(s.value for s in DIVISIBILITY_SPECS) + " substitutions")
-    provider = family_provider or (lambda n: spec_family(spec, "q", n))
     report = Report(f"m|n, n<=2..{n_max}")
     for n in range(2, n_max + 1):
         for m in range(1, n):
             if n % m == 0:
-                qn, qm = provider(n), provider(m)
+                qn, qm = spec_family(spec, "q", n), spec_family(spec, "q", m)
                 report.record(f"q[{m}] | q[{n}]", _divides(qm, qn), qn, qm)
     if spec is SpecId.Z1:
         r6 = spec_family(spec, "r", 6)
@@ -109,8 +101,7 @@ def verify_divisibility(spec: SpecId, n_max: int,
     return report
 
 
-def verify_surprising(n_max: int, q_provider: Optional[UniProvider] = None,
-                      r_provider: Optional[UniProvider] = None) -> Report:
+def verify_surprising(n_max: int) -> Report:
     """The binomial sum/difference relations of the (1, 1, z, 1) families.
 
     For 0 <= n <= n_max, exactly:  R - Q = (z+1)^n, R + Q = (z+3)^n,
@@ -118,13 +109,11 @@ def verify_surprising(n_max: int, q_provider: Optional[UniProvider] = None,
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    qp = q_provider or (lambda n: spec_family(SpecId.Z1, "q", n))
-    rp = r_provider or (lambda n: spec_family(SpecId.Z1, "r", n))
     report = Report(f"0..{n_max}")
     z_plus_1 = UniPoly((1, 1))
     z_plus_3 = UniPoly((3, 1))
     for n in range(n_max + 1):
-        q, r = qp(n), rp(n)
+        q, r = spec_family(SpecId.Z1, "q", n), spec_family(SpecId.Z1, "r", n)
         diff, total = r - q, r + q
         report.record(f"difference n={n}", diff == z_plus_1**n, diff, z_plus_1**n)
         report.record(f"sum n={n}", total == z_plus_3**n, total, z_plus_3**n)

@@ -169,4 +169,4 @@ def oracle_poly(n: int) -> MultiPoly:
     for partition in enumerate_partitions(n):
         stats = partition.stats()
         counts[stats] = counts.get(stats, 0) + 1
-    return MultiPoly(counts)
+    return MultiPoly((*stats, c) for stats, c in counts.items())

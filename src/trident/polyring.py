@@ -28,7 +28,7 @@ function, so shared instances are safe to use concurrently.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 Exponents = tuple[int, int, int, int]
 
@@ -160,37 +160,30 @@ def _render(terms: Iterable[tuple[str, int]]) -> str:
 class MultiPoly(_Poly):
     """Sparse 4-variable polynomial with integer coefficients.
 
-    Construct from a mapping ``{(i, j, k, l): coeff}`` or an iterable of
-    ``(i, j, k, l, coeff)`` records; zero coefficients are dropped and
-    exponents must lie in ``0..EXP_LIMIT``.  Supports ``+ - * **`` with
-    other ``MultiPoly`` values and with plain ints.
+    Construct from an iterable of ``(i, j, k, l, coeff)`` records; zero
+    coefficients are dropped and exponents must lie in ``0..EXP_LIMIT``.
+    Supports ``+ - * **`` with other ``MultiPoly`` values and with plain ints.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[Exponents, int], Iterable[tuple], None] = None):
+    def __init__(self, terms: Iterable[tuple] = ()):
         data: dict[int, int] = {}
-        if terms is not None:
-            items: Iterable[tuple]
-            if isinstance(terms, Mapping):
-                items = ((e[0], e[1], e[2], e[3], c) for e, c in terms.items())
-            else:
-                items = terms
-            for i, j, k, l, c in items:
-                if i < 0 or j < 0 or k < 0 or l < 0:
-                    raise ValueError("negative exponent in monomial")
-                top = max(i, j, k, l)
-                if top > EXP_LIMIT:
-                    raise _too_large(top)
-                c = int(c)
-                if c == 0:
-                    continue
-                key = _pack(i, j, k, l)
-                new = data.get(key, 0) + c
-                if new:
-                    data[key] = new
-                elif key in data:
-                    del data[key]
+        for i, j, k, l, c in terms:
+            if i < 0 or j < 0 or k < 0 or l < 0:
+                raise ValueError("negative exponent in monomial")
+            top = max(i, j, k, l)
+            if top > EXP_LIMIT:
+                raise _too_large(top)
+            c = int(c)
+            if c == 0:
+                continue
+            key = _pack(i, j, k, l)
+            new = data.get(key, 0) + c
+            if new:
+                data[key] = new
+            elif key in data:
+                del data[key]
         self._terms = data
 
     # -- constructors ------------------------------------------------------
@@ -582,10 +575,10 @@ class UniPoly(_Poly):
         """Serialization: decimal coefficient strings ascending by degree."""
         return [str(c) for c in self._coeffs]
 
-    def pretty(self, var: str = "z") -> str:
-        """Readable rendering, highest degree first, e.g. ``3z^2+12z+13``."""
+    def pretty(self) -> str:
+        """Readable rendering in ``z``, highest degree first, e.g. ``3z^2+12z+13``."""
         cs = self._coeffs
-        return _render((_power(var, k), cs[k]) for k in reversed(range(len(cs))) if cs[k])
+        return _render((_power("z", k), cs[k]) for k in reversed(range(len(cs))) if cs[k])
 
 
 def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:

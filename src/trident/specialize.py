@@ -47,14 +47,6 @@ class SpecId(enum.Enum):
         """The exponents of the images of w, x, y and z."""
         return _WEIGHTS[self]
 
-    @classmethod
-    def from_string(cls, name: str) -> "SpecId":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown spec {name!r}; expected one of "
-                             + ", ".join(s.value for s in cls)) from None
-
 
 # (w, x, y, z) -> (1, 1, z, z^2) is the weight vector (0, 0, 1, 2).
 _WEIGHTS: dict[SpecId, tuple[int, int, int, int]] = {
@@ -112,8 +104,6 @@ def q1_r1_closed(n: int) -> tuple[UniPoly, UniPoly]:
     Returns (((z+3)^n - (z+1)^n) / 2, ((z+3)^n + (z+1)^n) / 2); both halves
     are exact because the two expansions agree coefficient-wise mod 2.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     plus3 = binomial_power(3, n)
     plus1 = binomial_power(1, n)
     return _halved(plus3 - plus1), _halved(plus3 + plus1)

@@ -35,9 +35,9 @@ from .report import Report
 from .sequences import S1, TRIPLE_COEFF
 from .specialize import SpecId, spec_family, spec_images
 
+# The root finder's iteration cap, relative stopping tolerance, start jitter seed
+# and exact Newton polishing steps; the tolerance of the locus and residual checks.
 DEFAULT_MAX_ITER = 500
-# The root finder's relative stopping tolerance, the seed of its start jitter
-# and its exact Newton polishing steps; the tolerance of the locus and residual checks.
 ROOT_TOL = 1e-13
 ROOT_SEED = 42
 POLISH_STEPS = 3
@@ -142,7 +142,7 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
 _EPS = 2.0 ** -52
 
 
-def _aberth(coeffs: list[complex], max_iter: int) -> list[complex]:
+def _aberth(coeffs: list[complex]) -> list[complex]:
     d = len(coeffs) - 1
     if d <= 1:
         return [-coeffs[0] / coeffs[1]] if d else []
@@ -158,7 +158,7 @@ def _aberth(coeffs: list[complex], max_iter: int) -> list[complex]:
 
     frozen = [False] * d
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         worst = 0.0
         for k in range(d):
             if frozen[k]:
@@ -253,13 +253,13 @@ def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[com
                       distances, origin)
 
 
-def _finder_points(poly: UniPoly, max_iter: int) -> list[complex]:
+def _finder_points(poly: UniPoly) -> list[complex]:
     # The polished zeros of ``poly``, which has none at the origin.
     coeffs = [complex(c) for c in poly.coeffs]
-    return [_newton_polish(poly, z) for z in _aberth(coeffs, max_iter)]
+    return [_newton_polish(poly, z) for z in _aberth(coeffs)]
 
 
-def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
+def zeros_general(p: UniPoly) -> ZeroReport:
     """All complex zeros of ``p`` by Aberth-Ehrlich simultaneous iteration.
 
     Exact zeros at the origin (trailing zero coefficients) are split off
@@ -268,15 +268,15 @@ def zeros_general(p: UniPoly, max_iter: int = DEFAULT_MAX_ITER) -> ZeroReport:
     seeded by ``ROOT_SEED``; iteration stops when every root either reaches
     the floating-point noise floor of the evaluation or moves less than
     ``ROOT_TOL`` relatively, and raises NoConvergence (with the correction
-    trace) after ``max_iter`` iterations otherwise.  Simple roots are then
-    polished by Newton steps with exact dyadic integer evaluation to remove
-    evaluation noise.
+    trace) after ``DEFAULT_MAX_ITER`` iterations otherwise.  Simple roots
+    are then polished by Newton steps with exact dyadic integer evaluation
+    to remove evaluation noise.
     """
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
     origin, reduced = split_origin(p)
     return _zero_report("general", "", p.degree(), reduced,
-                        _finder_points(reduced, max_iter), origin, None)
+                        _finder_points(reduced), origin, None)
 
 
 @functools.cache
@@ -308,7 +308,7 @@ def _roots(coeffs) -> list[complex]:
         return [complex(q / a), complex(c / q)]
     if len(coeffs) > 3 and not any(coeffs[1::2]):
         return [z for w in _roots(coeffs[::2]) for r in (cmath.sqrt(w),) for z in (r, -r)]
-    return _aberth([complex(c) for c in coeffs], DEFAULT_MAX_ITER)
+    return _aberth([complex(c) for c in coeffs])
 
 
 def _lucas_points(spec: SpecId, family: str, n: int) -> list[complex]:
@@ -355,7 +355,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
             raise AssertionError("Lucas zero count disagrees with the polynomial degree")
     else:
         origin, poly = split_origin(up_square_free(member))
-        points = _finder_points(poly, DEFAULT_MAX_ITER)
+        points = _finder_points(poly)
     if (spec, family) not in EXPLICIT_SPECS.values():
         origin = min(origin, 1)
     return _zero_report(spec.value, family, n, poly, points, origin,
@@ -404,7 +404,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
             key, claim, measure = locus.margin
             margin = min((measure(z) for z in zr.points), default=math.inf)
             if margin <= 0:
-                report.record(f"{claim} violated (margin {margin:.3e})", False)
+                report.record(f"{tag}{claim} violated (margin {margin:.3e})", False)
             report.margins[key] = margin
         if locus.real_zero_parity is not None:
             real_zeros = [z for z in zr.points if z.imag == 0.0]
@@ -421,6 +421,6 @@ def verify_locus(spec: SpecId, n: int) -> Report:
         for z, res in zip(zr.points, zr.residuals):
             scale = backward_scale(poly, z)
             if res >= LOCUS_TOL * scale:
-                report.record(f"residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} * scale "
-                              f"{scale:.3e}", False)
+                report.record(f"{tag}residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} "
+                              f"* scale {scale:.3e}", False)
     return report

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 
 from fixtures import PARTITIONS_OF_3
-from trident import identities, oracle, specialize
+from trident import oracle, specialize
 from trident.cli import run
 from trident.specialize import SpecId, spec_family
 
@@ -254,12 +254,11 @@ def test_verify_json_schema(capsys):
 def test_verify_failure_path(tmp_path, capsys, monkeypatch):
     # a failing check ends the run with exit 1 and its report still printed,
     # or written to --out; here the z1 q member at n = 3 is off by one
-    def mutant(n):
-        member = spec_family(SpecId.Z1, "q", n)
-        return member + 1 if n == 3 else member
+    def mutant(spec, family, n):
+        member = spec_family(spec, family, n)
+        return member + 1 if (spec, family, n) == (SpecId.Z1, "q", 3) else member
 
-    monkeypatch.setattr("trident.cli.verify_surprising",
-                        lambda n: identities.verify_surprising(n, q_provider=mutant))
+    monkeypatch.setattr("trident.identities.spec_family", mutant)
     argv = ["verify", "--quick", "--only", "surprising"]
     code, out, _ = run_capture(capsys, argv)
     assert code == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from trident.polyring import UniPoly, up_gcd, up_square_free
 from trident.specialize import SpecId, spec_family
-from trident.zeros import DEFAULT_MAX_ITER, EXPLICIT_SPECS, _aberth, _newton_polish
+from trident.zeros import EXPLICIT_SPECS, _aberth, _newton_polish
 
 GENERAL_ROUTE = [(spec, family) for spec in SpecId for family in ("q", "r")
                  if (spec, family) not in EXPLICIT_SPECS.values()]
@@ -39,7 +39,7 @@ def test_polish_matches_fraction_reference():
             reduced = UniPoly(sf.coeffs[origin:])
             if reduced.degree() < 1:
                 continue
-            zs = _aberth([complex(c) for c in reduced.coeffs], DEFAULT_MAX_ITER)
+            zs = _aberth([complex(c) for c in reduced.coeffs])
             if n > 6:
                 zs = [zs[n % len(zs)]]
             for z in zs:

@@ -93,32 +93,36 @@ def test_surprising_range():
 
 # ------------------------------------------------------- mutation testing
 
-def perturbed_multi(provider, index):
+def perturbed_multi(sequence, index):
     """Add one stray monomial to the polynomial at one index."""
     def wrapped(n):
-        p = provider(n)
+        p = sequence(n)
         if n == index:
             return p + MultiPoly([(0, 0, 0, 7, 1)])
         return p
     return wrapped
 
 
-def test_mutation_breaks_prop61():
-    report = verify_prop61(5, q_provider=perturbed_multi(q_poly, 3))
+def test_mutation_breaks_prop61(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr("trident.identities.q_poly", perturbed_multi(q_poly, 3))
+        report = verify_prop61(5)
     assert not report.ok
     witness = json.loads(report.witness)
     assert "lhs" in witness and "rhs" in witness
-    report = verify_prop61(5, r_provider=perturbed_multi(r_poly, 4))
+    monkeypatch.setattr("trident.identities.r_poly", perturbed_multi(r_poly, 4))
+    report = verify_prop61(5)
     assert not report.ok
 
 
-def test_mutation_breaks_telescoping():
-    report = verify_telescoping(5, q_provider=perturbed_multi(q_poly, 2))
+def test_mutation_breaks_telescoping(monkeypatch):
+    monkeypatch.setattr("trident.identities.q_poly", perturbed_multi(q_poly, 2))
+    report = verify_telescoping(5)
     assert not report.ok and report.witness is not None
 
 
 # sha256 of json.dumps([list(status.items()), witness]) of verify_telescoping(12)
-# under the default providers and two perturbed ones.
+# with the sequences as they are and with q_poly or r_poly perturbed.
 TELESCOPING_DIGESTS = {
     "default": "a63384ea0a2788550e2bbf97cc86137f43988bd06c7a8d56ab3968360dac42a6",
     "q[5]": "7741c5aeef42450d8855d27b8f9d55f1c97dc5c9900eef155e768b546b8b639c",
@@ -126,33 +130,38 @@ TELESCOPING_DIGESTS = {
 }
 
 
-def test_telescoping_reports_pinned_by_digest():
-    providers = {"default": {}, "q[5]": {"q_provider": perturbed_multi(q_poly, 5)},
-                 "r[3]": {"r_provider": perturbed_multi(r_poly, 3)}}
-    for name, kwargs in providers.items():
-        report = verify_telescoping(12, **kwargs)
+def test_telescoping_reports_pinned_by_digest(monkeypatch):
+    patches = {"default": (), "q[5]": ("q_poly", perturbed_multi(q_poly, 5)),
+               "r[3]": ("r_poly", perturbed_multi(r_poly, 3))}
+    for name, patch in patches.items():
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(f"trident.identities.{patch[0]}", patch[1])
+            report = verify_telescoping(12)
         payload = json.dumps([list(report.status.items()), report.witness])
         assert hashlib.sha256(payload.encode()).hexdigest() == TELESCOPING_DIGESTS[name], name
 
 
-def test_mutation_breaks_divisibility():
-    def mutant(n):
-        p = spec_family(SpecId.Z3, "q", n)
-        if n == 4:
-            return p + UniPoly((0, 1))
-        return p
-    report = verify_divisibility(SpecId.Z3, 4, family_provider=mutant)
+def perturbed_member(spec, family, index, delta):
+    """``spec_family`` with ``delta`` added to one member."""
+    def wrapped(s, f, n):
+        p = spec_family(s, f, n)
+        return p + delta if (s, f, n) == (spec, family, index) else p
+    return wrapped
+
+
+def test_mutation_breaks_divisibility(monkeypatch):
+    monkeypatch.setattr("trident.identities.spec_family",
+                        perturbed_member(SpecId.Z3, "q", 4, UniPoly((0, 1))))
+    report = verify_divisibility(SpecId.Z3, 4)
     assert not report.ok
     assert report.failures[0] == "q[2] | q[4]"
 
 
-def test_mutation_breaks_surprising():
-    def mutant(n):
-        p = spec_family(SpecId.Z1, "q", n)
-        if n == 3:
-            return p + UniPoly((1,))
-        return p
-    report = verify_surprising(4, q_provider=mutant)
+def test_mutation_breaks_surprising(monkeypatch):
+    monkeypatch.setattr("trident.identities.spec_family",
+                        perturbed_member(SpecId.Z1, "q", 3, UniPoly((1,))))
+    report = verify_surprising(4)
     assert not report.ok
     assert json.loads(report.witness)["check"].endswith("n=3")
 

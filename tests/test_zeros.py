@@ -161,9 +161,10 @@ def test_general_rejects_constants():
         zeros_general(UniPoly.zero())
 
 
-def test_general_no_convergence_reports_trace():
+def test_general_no_convergence_reports_trace(monkeypatch):
+    monkeypatch.setattr("trident.zeros.DEFAULT_MAX_ITER", 1)
     with pytest.raises(NoConvergence) as err:
-        zeros_general(UniPoly((1, 3, -2, 5, 1, 1, 4)), max_iter=1)
+        zeros_general(UniPoly((1, 3, -2, 5, 1, 1, 4)))
     assert err.value.iterations == 1
     assert len(err.value.trace) == 1
 
@@ -365,6 +366,17 @@ def test_locus_residual_gate_reads_the_report(monkeypatch):
     monkeypatch.setattr("trident.zeros.zeros_of", inflated)
     failures = verify_locus(SpecId.Z3, 5).failures
     assert len(failures) == 1 and failures[0].startswith("residual "), failures
+
+
+def test_locus_residual_labels_name_the_family(monkeypatch):
+    # with a zero tolerance every residual fails; z1 claims a locus for both
+    # families, so each residual label starts with its family's tag
+    monkeypatch.setattr("trident.zeros.LOCUS_TOL", 0.0)
+    residuals = [label for label in verify_locus(SpecId.Z1, 4).failures
+                 if "residual " in label]
+    assert residuals
+    assert all(label.startswith(("z1q: residual ", "z1r: residual ")) for label in residuals)
+    assert {label[:5] for label in residuals} == {"z1q: ", "z1r: "}
 
 
 def test_real_zero_parity_pattern():
