@@ -19,10 +19,8 @@ from .polyring import (DivisionByZeroPolynomial, Monomial4, MultiPoly,
 from .report import Report
 from .sequences import (W1, W2, closed_form_k3n, gf_check, q_poly, r_poly,
                         s_poly, s_poly_product, scalar_qr)
-from .specialize import (CoefficientProfile, SpecId, partition_statistic,
-                         profile, profile_from_oracle, q1_r1_closed,
-                         q1_r1_shifted, reduced_q2, spec_family, spec_images,
-                         structural_check)
+from .specialize import (SpecId, partition_statistic, profile, profile_from_oracle,
+                         q1_r1_closed, spec_family, spec_images, structural_check)
 from .zeros import NoConvergence, ZeroReport, verify_locus, zeros_explicit, zeros_general
 
 __version__ = "0.1.0"
@@ -38,9 +36,8 @@ __all__ = [
     "up_divide_exact", "up_gcd", "up_square_free",
     "W1", "W2", "closed_form_k3n", "gf_check", "q_poly", "r_poly",
     "s_poly", "s_poly_product", "scalar_qr",
-    "CoefficientProfile", "SpecId", "partition_statistic", "profile",
-    "profile_from_oracle", "q1_r1_closed", "q1_r1_shifted", "reduced_q2",
-    "spec_family", "spec_images", "structural_check",
+    "SpecId", "partition_statistic", "profile", "profile_from_oracle",
+    "q1_r1_closed", "spec_family", "spec_images", "structural_check",
     "NoConvergence", "ZeroReport", "verify_locus", "zeros_explicit", "zeros_general",
     "__version__",
 ]

@@ -130,8 +130,7 @@ def _emit_enumerate(args) -> list[str]:
 
 def _emit_profile(args) -> list[str]:
     n, = _indices(args)
-    prof = profile(SpecId(args.spec), args.family, n)
-    items = sorted(prof.coeffs.items())
+    items = sorted(profile(SpecId(args.spec), args.family, n).items())
     if args.format == "json":
         return [json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
                             "n": n, "profile": [{"k": k, "count": str(c)} for k, c in items]})]

@@ -464,12 +464,6 @@ class UniPoly(_Poly):
         """The identity polynomial (the bare variable)."""
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "UniPoly":
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return cls((0,) * degree + (coeff,))
-
     # -- inspection --------------------------------------------------------
 
     @property

@@ -11,8 +11,13 @@ statistic the weights induce: the weighted sum of a partition's
 (overlined, tilde, singles, pairs) counts, which is the z-degree of its
 monomial's image.
 
-The ``(1, 1, z, 1)`` family additionally has closed binomial forms, which
-double as an independent oracle for the recurrence path.
+``profile`` returns these counts as a ``{degree: count}`` dict, and
+``profile_from_oracle`` recounts them from the enumeration.  The
+``(1, 1, z, 1)`` family additionally has closed binomial forms, which
+double as an independent oracle for the recurrence path.  ``STRUCTURE`` is
+the one table of structural claims: degrees, extreme coefficients,
+palindromes, and the pure odd and even binomials that the z1 members
+become when shifted by -2.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .oracle import PartitionStats, enumerate_partitions
-from .polyring import NotDivisible, UniPoly, binomial_power, poly_substitute, split_origin
+from .polyring import UniPoly, binomial_power, poly_substitute, split_origin
 from .report import Report
 from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
 
@@ -109,65 +114,18 @@ def q1_r1_closed(n: int) -> tuple[UniPoly, UniPoly]:
     return _halved(plus3 - plus1), _halved(plus3 + plus1)
 
 
-def q1_r1_shifted(n: int) -> tuple[UniPoly, UniPoly]:
-    """The closed forms with the argument shifted by -2.
-
-    The shift collapses the binomial expansions onto pure odd (q-side) and
-    pure even (r-side) binomial coefficients; that structure is asserted
-    before returning.
-    """
-    q_closed, r_closed = q1_r1_closed(n)
-    q_shift = q_closed.shift_argument(-2)
-    r_shift = r_closed.shift_argument(-2)
-    q_expect = UniPoly.zero()
-    for j in range((n + 1) // 2):
-        q_expect = q_expect + UniPoly.monomial(n - 2 * j - 1, math.comb(n, 2 * j + 1))
-    r_expect = UniPoly.zero()
-    for j in range(n // 2 + 1):
-        r_expect = r_expect + UniPoly.monomial(n - 2 * j, math.comb(n, 2 * j))
-    if q_shift != q_expect or r_shift != r_expect:
-        raise AssertionError("shifted closed forms lost their odd/even binomial structure")
-    return q_shift, r_shift
-
-
-def reduced_q2(n: int) -> UniPoly:
-    """The (z, z, z, z^2) q-family member with its exact power-of-z factor stripped.
-
-    The index-n member is divisible by z^(n-1); the quotient has a nonzero
-    constant term and degree 2(n-1).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    low, reduced = split_origin(spec_family(SpecId.Z2, "q", n))
-    if low < n - 1:
-        raise NotDivisible(low)
-    return reduced
-
-
 def partition_statistic(spec: SpecId, stats: PartitionStats) -> int:
     """The statistic value of one partition under the given substitution."""
     return sum(v * e for v, e in zip(spec.weights, stats))
 
 
-class CoefficientProfile(NamedTuple):
-    """Nonzero coefficients of one specialized family member, keyed by degree."""
-
-    family: str
-    spec: SpecId
-    n: int
-    coeffs: dict[int, int]
+def profile(spec: SpecId, family: str, n: int) -> dict[int, int]:
+    """The nonzero coefficients of the specialized member, as ``{degree: count}``
+    (recurrence path)."""
+    return {d: c for d, c in enumerate(spec_family(spec, family, n).coeffs) if c}
 
 
-def profile(spec: SpecId, family: str, n: int) -> CoefficientProfile:
-    """Coefficient profile of the specialized polynomial (recurrence path)."""
-    p = spec_family(spec, family, n)
-    return CoefficientProfile(
-        family=family, spec=spec, n=n,
-        coeffs={d: c for d, c in enumerate(p.coeffs) if c},
-    )
-
-
-def profile_from_oracle(spec: SpecId, family: str, n: int) -> CoefficientProfile:
+def profile_from_oracle(spec: SpecId, family: str, n: int) -> dict[int, int]:
     """The same profile recomputed by filtering the brute-force enumeration.
 
     Counts partitions of (3^n - 3)/2 (q-side) or (3^n - 1)/2 (r-side) by the
@@ -182,7 +140,13 @@ def profile_from_oracle(spec: SpecId, family: str, n: int) -> CoefficientProfile
     for partition in enumerate_partitions(index):
         k = partition_statistic(spec, partition.stats())
         counts[k] = counts.get(k, 0) + 1
-    return CoefficientProfile(family=family, spec=spec, n=n, coeffs=counts)
+    return counts
+
+
+def _shifted_binomials(n: int, parity: int) -> UniPoly:
+    """The sum of C(n, k) z^(n-k) over the k of the given parity: the z1 members
+    Q_n(z - 2) (odd k) and R_n(z - 2) (even k)."""
+    return UniPoly(math.comb(n, n - d) if (n - d) % 2 == parity else 0 for d in range(n + 1))
 
 
 # The claimed structure of the family members, in the order verify runs it:
@@ -192,9 +156,13 @@ STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], 
     SpecId.Z1: (("q", "degree", lambda p, n: (p.degree(), n - 1)),
                 ("q", "constant", lambda p, n: (p.coeff(0), (3**n - 1) // 2)),
                 ("q", "leading", lambda p, n: (p.coeff(n - 1), n)),
+                ("q", "shifted by -2",
+                 lambda p, n: (p.shift_argument(-2), _shifted_binomials(n, 1))),
                 ("r", "degree", lambda p, n: (p.degree(), n)),
                 ("r", "constant", lambda p, n: (p.coeff(0), (3**n + 1) // 2)),
-                ("r", "leading", lambda p, n: (p.coeff(n), 1))),
+                ("r", "leading", lambda p, n: (p.coeff(n), 1)),
+                ("r", "shifted by -2",
+                 lambda p, n: (p.shift_argument(-2), _shifted_binomials(n, 0)))),
     SpecId.Z2: (("q", "degree", lambda p, n: (p.degree(), 3 * (n - 1))),
                 ("q", "lowest degree",
                  lambda p, n: (next(d for d, c in enumerate(p.coeffs) if c), n - 1)),

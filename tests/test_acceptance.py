@@ -17,10 +17,10 @@ from trident.chebyshev import ChebKind, chebyshev, dickson_D, dickson_E, verify_
 from trident.identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
                                 verify_surprising, verify_telescoping)
 from trident.oracle import count_partitions, oracle_poly
-from trident.polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
+from trident.polyring import MultiPoly, NotDivisible, UniPoly, split_origin, up_divide_exact
 from trident.sequences import s_poly, s_poly_product
 from trident.specialize import (STRUCTURE, SpecId, profile_from_oracle, q1_r1_closed,
-                                q1_r1_shifted, spec_family, structural_check)
+                                spec_family, structural_check)
 from trident.zeros import backward_scale, verify_locus, zeros_explicit, zeros_general
 
 
@@ -109,10 +109,11 @@ def test_criterion_6_section4_identities():
             q, r = q1_r1_closed(n)
             assert q == spec_family(SpecId.Z1, "q", n)
             assert r == spec_family(SpecId.Z1, "r", n)
-            q1_r1_shifted(n)   # asserts the odd/even binomial structure internally
+        for n in range(1, 41):   # the z1 rows, shifted binomial forms included
+            assert structural_check(SpecId.Z1, n).ok, n
         for n in range(1, 5):
-            q_profile = profile_from_oracle(SpecId.Z1, "q", n).coeffs
-            r_profile = profile_from_oracle(SpecId.Z1, "r", n).coeffs
+            q_profile = profile_from_oracle(SpecId.Z1, "q", n)
+            r_profile = profile_from_oracle(SpecId.Z1, "r", n)
             for j in range(n + 1):
                 assert q_profile.get(j, 0) == math.comb(n, j) * (3 ** (n - j) - 1) // 2
                 assert r_profile.get(j, 0) == math.comb(n, j) * (3 ** (n - j) + 1) // 2
@@ -136,11 +137,7 @@ def test_criterion_8_zero_loci():
                                   ("z2", SpecId.Z2, "q"), ("z3", SpecId.Z3, "q")):
             for n in range(2, 21):
                 explicit = zeros_explicit(tag, n)
-                if tag == "z2":
-                    from trident.specialize import reduced_q2
-                    poly = reduced_q2(n)
-                else:
-                    poly = spec_family(spec, family, n)
+                poly = split_origin(spec_family(spec, family, n))[1]
                 general = zeros_general(poly)
                 assert match_multisets(explicit.points, general.points) < 1e-8, (tag, n)
                 for z, res in zip(explicit.points, explicit.residuals):

@@ -1,7 +1,11 @@
-"""Argument guards and the zero-coefficient guard, on paths no other test runs."""
+"""Argument guards, the zero-coefficient guard, foreign operands of the ring
+classes and the package's export list, on paths no other test runs."""
+
+import operator
 
 import pytest
 
+import trident
 from trident.identities import verify_prop61, verify_surprising, verify_telescoping
 from trident.polyring import MultiPoly, UniPoly, binomial_power, up_square_free
 from trident.sequences import closed_form_k3n, gf_check, s_poly_product, scalar_qr
@@ -24,7 +28,6 @@ REFUSED = {
     "q1_r1_closed(-1)": (lambda: q1_r1_closed(-1), "n must be non-negative"),
     "profile_from_oracle(Z1, q, 0)": (lambda: profile_from_oracle(SpecId.Z1, "q", 0),
                                       "at least 1 for the oracle path"),
-    "UniPoly.monomial(-1)": (lambda: UniPoly.monomial(-1), "degree must be non-negative"),
     "up_square_free(5)": (lambda: up_square_free(UniPoly((5,))), "degree at least 1"),
     "binomial_power(3, -1)": (lambda: binomial_power(3, -1), "n must be non-negative"),
     "MultiPoly ** -1": (lambda: MULTI ** -1, "exponent must be a non-negative integer"),
@@ -49,3 +52,29 @@ def test_multipoly_times_zero_has_no_terms():
 @pytest.mark.parametrize("p", [MULTI, UNI], ids=["MultiPoly", "UniPoly"])
 def test_int_minus_poly(p):
     assert (3 - p) + p == 3
+
+
+# Each ring class takes an int or a polynomial of its own class as an
+# operand; anything else, the other ring's polynomials included, is refused.
+FOREIGN = [(p, other) for p in (MULTI, UNI) for other in (1.5, "x", UNI if p is MULTI else MULTI)]
+
+
+@pytest.mark.parametrize("p, other", FOREIGN,
+                         ids=[f"{type(p).__name__}-{type(o).__name__}" for p, o in FOREIGN])
+def test_foreign_operand_is_refused(p, other):
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+    assert (p == other) is False
+    assert (other == p) is False
+
+
+def test_export_list_resolves():
+    # a stale name passes "import trident" and fails only at a star-import
+    assert len(set(trident.__all__)) == len(trident.__all__)
+    assert [name for name in trident.__all__ if not hasattr(trident, name)] == []
+    namespace: dict = {}
+    exec("from trident import *", namespace)
+    assert set(trident.__all__) <= namespace.keys()

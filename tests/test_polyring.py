@@ -41,7 +41,7 @@ def naive_up_mul(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def naive_substitute(p: MultiPoly, weights) -> UniPoly:
     """Term-wise substitution by repeated multiplication with the images t^weight."""
-    images = [UniPoly.monomial(a) for a in weights]
+    images = [UniPoly((0,) * a + (1,)) for a in weights]
     total = UniPoly.zero()
     for t in p.terms():
         term = UniPoly.constant(t.coeff)

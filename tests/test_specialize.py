@@ -7,11 +7,11 @@ import math
 import pytest
 
 from fixtures import TABLE2_Q, TABLE2_R, TABLE3, TABLE4
-from trident.polyring import UniPoly, poly_substitute
+from trident.polyring import UniPoly, poly_substitute, split_origin
 from trident.sequences import q_poly, r_poly
 from trident.specialize import (STRUCTURE, SpecId, partition_statistic, profile,
-                                profile_from_oracle, q1_r1_closed, q1_r1_shifted,
-                                reduced_q2, spec_family, spec_images, structural_check)
+                                profile_from_oracle, q1_r1_closed, spec_family, spec_images,
+                                structural_check)
 from trident.zeros import zeros_of
 
 ALL_SPECS = list(SpecId)
@@ -89,8 +89,13 @@ def test_closed_form_coefficients():
 
 
 def test_shifted_forms_are_pure_binomials():
+    # the z1 rows "shifted by -2" of STRUCTURE, and the same claim checked
+    # coefficient-wise on the closed forms
+    for n in range(1, 41):
+        report = structural_check(SpecId.Z1, n)
+        assert report.ok, (n, report.failures)
     for n in range(41):
-        q_shift, r_shift = q1_r1_shifted(n)
+        q_shift, r_shift = (p.shift_argument(-2) for p in q1_r1_closed(n))
         for j, c in enumerate(q_shift.coeffs):
             assert c == (math.comb(n, n - j) if (n - j) % 2 else 0)
         for j, c in enumerate(r_shift.coeffs):
@@ -99,27 +104,26 @@ def test_shifted_forms_are_pure_binomials():
 
 def test_shifted_forms_pinned_by_digest():
     # sha256 of the json list of [q, r] serializations for n <= 40
-    values = [[q.to_strings(), r.to_strings()] for q, r in map(q1_r1_shifted, range(41))]
+    values = [[q.shift_argument(-2).to_strings(), r.shift_argument(-2).to_strings()]
+              for q, r in map(q1_r1_closed, range(41))]
     digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
     assert digest == "f97d2715221d039369b4a3fe5b7d18e38be3ee429d15505b7aba0ee92043f179"
 
 
 def test_reduced_q2_values():
-    assert reduced_q2(1) == UniPoly.one()
-    assert reduced_q2(2) == UniPoly((3, 0, 3))
-    assert reduced_q2(3) == UniPoly((9, 0, 10, 0, 9))
-    with pytest.raises(ValueError):
-        reduced_q2(0)
+    # the z2 q member is z^(n-1) times a polynomial with nonzero constant term
+    for n, reduced in ((1, (1,)), (2, (3, 0, 3)), (3, (9, 0, 10, 0, 9))):
+        assert split_origin(spec_family(SpecId.Z2, "q", n)) == (n - 1, UniPoly(reduced))
 
 
 def test_reduced_q2_palindromic_symmetry():
     # coefficient symmetry: counts at n-1+j and 3n-3-j agree
     for n in range(1, 13):
-        reduced = reduced_q2(n)
+        full = spec_family(SpecId.Z2, "q", n)
+        reduced = split_origin(full)[1]
         assert reduced.is_palindromic()
         assert reduced.coeff(0) != 0
         assert reduced.degree() == 2 * (n - 1)
-        full = spec_family(SpecId.Z2, "q", n)
         for j in range((n - 1) // 2 + 1):
             assert full.coeff(n - 1 + j) == full.coeff(3 * n - 3 - j)
 
@@ -147,21 +151,19 @@ def test_partition_statistic_worked_example():
 
 def test_profile_worked_examples():
     # four partitions of 3 with no single unmarked part, two with one
-    assert profile(SpecId.Z1, "q", 2).coeffs == {0: 4, 1: 2}
+    assert profile(SpecId.Z1, "q", 2) == {0: 4, 1: 2}
     # partitions of 4 by single unmarked parts: 5, 4, 1
-    assert profile(SpecId.Z1, "r", 2).coeffs == {0: 5, 1: 4, 2: 1}
+    assert profile(SpecId.Z1, "r", 2) == {0: 5, 1: 4, 2: 1}
     # partitions of 3 by unmarked parts plus pairs: two with none, four with one
-    assert profile(SpecId.Z3, "q", 2).coeffs == {0: 2, 1: 4}
+    assert profile(SpecId.Z3, "q", 2) == {0: 2, 1: 4}
 
 
 def test_profiles_match_oracle_all_specs():
     for spec in ALL_SPECS:
         for n in range(1, 5):
-            assert (profile(spec, "q", n).coeffs
-                    == profile_from_oracle(spec, "q", n).coeffs), (spec, n)
+            assert profile(spec, "q", n) == profile_from_oracle(spec, "q", n), (spec, n)
     for n in range(1, 5):
-        assert (profile(SpecId.Z1, "r", n).coeffs
-                == profile_from_oracle(SpecId.Z1, "r", n).coeffs), n
+        assert profile(SpecId.Z1, "r", n) == profile_from_oracle(SpecId.Z1, "r", n), n
 
 
 def test_structural_checks_hold():
@@ -188,6 +190,19 @@ def test_every_structure_row_can_fail(monkeypatch):
     claims = [(spec, family, claim, n) for spec, rows in STRUCTURE.items()
               for family, claim, _ in rows for n in range(2, 9)]
     assert [c for c in claims if c not in caught] == []
+
+
+def test_shifted_rows_catch_an_added_linear_term(monkeypatch):
+    # p + z keeps the degree and the constant and leading coefficients of
+    # every z1 member with n >= 3: of the z1 rows only the two shifted ones
+    # can see it, and both do
+    real_family = spec_family
+    monkeypatch.setattr("trident.specialize.spec_family",
+                        lambda spec, family, n: real_family(spec, family, n) + UniPoly.x())
+    for n in range(3, 17):
+        failures = structural_check(SpecId.Z1, n).failures
+        assert [f.split(" UniPoly(")[0] for f in failures] == [
+            "q shifted by -2", "r shifted by -2"], (n, failures)
 
 
 def test_structural_check_rejects_unclaimed_spec():

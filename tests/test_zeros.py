@@ -7,7 +7,7 @@ import pytest
 
 from fixtures import match_multisets
 from trident.polyring import UniPoly, split_origin, up_divide_exact, up_square_free
-from trident.specialize import SpecId, reduced_q2, spec_family, spec_images
+from trident.specialize import SpecId, spec_family, spec_images
 from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, _lucas, _lucas_points,
                            backward_scale, verify_locus, zeros_explicit, zeros_general,
                            zeros_of)
@@ -25,7 +25,7 @@ def family_poly(tag: str, n: int) -> UniPoly:
     if tag == "z1r":
         return spec_family(SpecId.Z1, "r", n)
     if tag == "z2":
-        return reduced_q2(n)
+        return split_origin(spec_family(SpecId.Z2, "q", n))[1]
     return spec_family(SpecId.Z3, "q", n)
 
 
@@ -214,7 +214,7 @@ def test_lucas_corrupted_factor_trips_count_guard(monkeypatch, fresh_lucas):
     # a b off by a factor z^2 raises the degree of every factor N - 4c D
     # from 2 to 4, so the points outnumber the member's zeros
     monkeypatch.setattr("trident.zeros.spec_images", lambda spec: (
-        spec_images(spec)[0], spec_images(spec)[1] * UniPoly.monomial(2)))
+        spec_images(spec)[0], spec_images(spec)[1] * UniPoly((0, 0, 1))))
     with pytest.raises(AssertionError, match="Lucas zero count"):
         zeros_of(SpecId.Z3, "q", 5)
 
@@ -229,7 +229,7 @@ def test_zeros_of_routes():
     p2_r = up_square_free(spec_family(SpecId.P2, "r", 9))
     for spec, family, poly, origin in (
             (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9), 0),
-            (SpecId.Z2, "q", reduced_q2(9), 8),
+            (SpecId.Z2, "q", family_poly("z2", 9), 8),
             (SpecId.P2, "q", split_origin(spec_family(SpecId.P2, "q", 9))[1], 1),
             (SpecId.P3, "q", spec_family(SpecId.P3, "q", 9), 0),
             (SpecId.P1, "q", spec_family(SpecId.P1, "q", 9), 0),
