@@ -13,9 +13,9 @@ from .identities import (verify_divisibility, verify_prop61, verify_surprising,
                          verify_telescoping)
 from .oracle import (CapExceeded, ColoredPartition, PartitionStats,
                      count_partitions, enumerate_partitions, oracle_poly)
-from .polyring import (DivisionByZeroPolynomial, Monomial4, MultiPoly,
-                       NotDivisible, UniPoly, mp_divide_exact, poly_substitute,
-                       up_divide_exact, up_gcd, up_square_free)
+from .polyring import (DivisionByZeroPolynomial, MultiPoly, NotDivisible, UniPoly,
+                       mp_divide_exact, poly_substitute, up_divide_exact, up_gcd,
+                       up_square_free)
 from .report import Report
 from .sequences import (W1, W2, closed_form_k3n, gf_check, q_poly, r_poly,
                         s_poly, s_poly_product, scalar_qr)
@@ -31,7 +31,7 @@ __all__ = [
     "verify_surprising", "verify_telescoping",
     "CapExceeded", "ColoredPartition", "PartitionStats",
     "count_partitions", "enumerate_partitions", "oracle_poly",
-    "DivisionByZeroPolynomial", "Monomial4", "MultiPoly", "NotDivisible",
+    "DivisionByZeroPolynomial", "MultiPoly", "NotDivisible",
     "UniPoly", "mp_divide_exact", "poly_substitute",
     "up_divide_exact", "up_gcd", "up_square_free",
     "W1", "W2", "closed_form_k3n", "gf_check", "q_poly", "r_poly",

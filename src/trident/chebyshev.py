@@ -107,6 +107,6 @@ def verify_prop35(n: int) -> Report:
         report.record(f"D_{n}(2v, 1) != 2 T_{n}(v)", False)
     for name, companion in (("E", dickson_E), ("D", dickson_D)):
         # w and x stand in for a and b
-        if any(m.exp_w + 2 * m.exp_x != n for m in companion(n, VAR_W, VAR_X)):
+        if any(i + 2 * j != n for i, j, *_ in companion(n, VAR_W, VAR_X).terms()):
             report.record(f"{name}_{n}(a, b) has a term of weight other than {n}", False)
     return report

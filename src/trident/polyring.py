@@ -21,6 +21,10 @@ Two representations, chosen for how the polynomials in this package behave:
   indexed by degree with a nonzero leading coefficient (the zero
   polynomial is the empty tuple).
 
+``MultiPoly.terms()`` and ``UniPoly.coeffs`` return what the constructors
+take, int coefficients only (a float raises TypeError).  ``horner`` is the
+one evaluator of a ``UniPoly``, and ``MultiPoly.evaluate`` of a ``MultiPoly``.
+
 All values are immutable after construction and every operation is a pure
 function, so shared instances are safe to use concurrently.
 """
@@ -28,9 +32,8 @@ function, so shared instances are safe to use concurrently.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Union
-
-Exponents = tuple[int, int, int, int]
+import operator
+from typing import Iterable, Union
 
 VARIABLE_NAMES = ("w", "x", "y", "z")
 
@@ -51,26 +54,12 @@ class DivisionByZeroPolynomial(ZeroDivisionError):
     """Division by the zero polynomial."""
 
 
-class Monomial4(NamedTuple):
-    """One term of a ``MultiPoly``: exponents of ``w, x, y, z`` plus coefficient."""
-
-    exp_w: int
-    exp_x: int
-    exp_y: int
-    exp_z: int
-    coeff: int
-
-    @property
-    def exponents(self) -> Exponents:
-        return (self.exp_w, self.exp_x, self.exp_y, self.exp_z)
-
-
 def _pack(i: int, j: int, k: int, l: int) -> int:
     # Callers guarantee 0 <= each exponent <= EXP_LIMIT.
     return (i + j + k + l) << _DEGREE_SHIFT | i << 48 | j << 32 | k << 16 | l
 
 
-def _unpack(key: int) -> Exponents:
+def _unpack(key: int) -> tuple[int, int, int, int]:
     return (key >> 48 & EXP_LIMIT, key >> 32 & EXP_LIMIT, key >> 16 & EXP_LIMIT,
             key & EXP_LIMIT)
 
@@ -175,7 +164,7 @@ class MultiPoly(_Poly):
             top = max(i, j, k, l)
             if top > EXP_LIMIT:
                 raise _too_large(top)
-            c = int(c)
+            c = operator.index(c)
             if c == 0:
                 continue
             key = _pack(i, j, k, l)
@@ -190,7 +179,8 @@ class MultiPoly(_Poly):
 
     @classmethod
     def constant(cls, c: int) -> "MultiPoly":
-        return cls._from_dict({0: int(c)} if c else {})
+        c = operator.index(c)
+        return cls._from_dict({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -225,20 +215,10 @@ class MultiPoly(_Poly):
             return -1
         return max(self._terms) >> _DEGREE_SHIFT
 
-    def coefficient(self, exponents: Exponents) -> int:
-        i, j, k, l = exponents
-        if not (0 <= i <= EXP_LIMIT and 0 <= j <= EXP_LIMIT
-                and 0 <= k <= EXP_LIMIT and 0 <= l <= EXP_LIMIT):
-            return 0
-        return self._terms.get(_pack(i, j, k, l), 0)
-
-    def terms(self) -> tuple[Monomial4, ...]:
-        """All terms in increasing graded-lex order."""
+    def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The constructor's ``(i, j, k, l, coeff)`` records, in increasing graded-lex order."""
         terms = self._terms
-        return tuple(Monomial4(*_unpack(key), terms[key]) for key in sorted(terms))
-
-    def __iter__(self) -> Iterator[Monomial4]:
-        return iter(self.terms())
+        return tuple((*_unpack(key), terms[key]) for key in sorted(terms))
 
     # -- ring operations ---------------------------------------------------
 
@@ -344,12 +324,12 @@ class MultiPoly(_Poly):
 
     def to_records(self) -> list[list]:
         """Canonical serialization: ``[i, j, k, l, coeff-as-decimal-string]`` per term."""
-        return [[m.exp_w, m.exp_x, m.exp_y, m.exp_z, str(m.coeff)] for m in self.terms()]
+        return [[i, j, k, l, str(c)] for i, j, k, l, c in self.terms()]
 
     def pretty(self) -> str:
         """Readable rendering, highest graded-lex term first, e.g. ``wxy+wz+xz+w+x+y``."""
-        return _render(("".join(map(_power, VARIABLE_NAMES, m.exponents)), m.coeff)
-                       for m in reversed(self.terms()))
+        return _render(("".join(map(_power, VARIABLE_NAMES, exps)), c)
+                       for *exps, c in reversed(self.terms()))
 
 
 def _check_product_range(a: dict[int, int], b: dict[int, int]) -> None:
@@ -450,7 +430,7 @@ class UniPoly(_Poly):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = [operator.index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -458,11 +438,6 @@ class UniPoly(_Poly):
     @classmethod
     def constant(cls, c: int) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        """The identity polynomial (the bare variable)."""
-        return cls((0, 1))
 
     # -- inspection --------------------------------------------------------
 
@@ -548,12 +523,6 @@ class UniPoly(_Poly):
                 elif c:
                     out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], long)]
         return cls(out)
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point):
-        """Horner evaluation at an int, float or complex point."""
-        return horner(self._coeffs, point)
 
     def shift_argument(self, offset: int) -> "UniPoly":
         """Replace the variable by (variable + offset), by Horner over ``UniPoly``."""

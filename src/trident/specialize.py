@@ -1,8 +1,8 @@
 """Single-variable specializations of the 4-variable polynomial sequences.
 
-Each ``SpecId`` fixes a substitution sending (w, x, y, z) to powers of one
-fresh variable (or to 1), stored as its weight vector: the exponents of
-the four images.  Each family member is read off the base-3 digit walk of
+Each ``SpecId`` member is declared with its weight vector: the exponents
+of the images of (w, x, y, z), which go to powers of one fresh variable
+(or to 1).  Each family member is read off the base-3 digit walk of
 ``sequences`` at (3^n - 1)/2, run in one variable over the images of the
 digit-matrix entries: those are always recomputed by substitution, never
 transcribed, and a ring homomorphism commutes with the walk.  The
@@ -34,38 +34,25 @@ from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
 
 
 class SpecId(enum.Enum):
-    """The ten built-in substitutions."""
+    """The ten built-in substitutions; (1, 1, z, z^2) has the weights (0, 0, 1, 2)."""
 
-    Z0 = "z0"
-    Z1 = "z1"
-    Z2 = "z2"
-    Z3 = "z3"
-    P1 = "p1"
-    P2 = "p2"
-    P3 = "p3"
-    P4 = "p4"
-    P5 = "p5"
-    P6 = "p6"
+    Z0 = "z0", (0, 0, 0, 0)
+    Z1 = "z1", (0, 0, 1, 0)
+    Z2 = "z2", (1, 1, 1, 2)
+    Z3 = "z3", (0, 0, 1, 1)
+    P1 = "p1", (1, 1, 0, 0)
+    P2 = "p2", (1, 1, 1, 1)
+    P3 = "p3", (0, 0, 1, 2)
+    P4 = "p4", (1, 1, 1, 0)
+    P5 = "p5", (0, 1, 1, 2)
+    P6 = "p6", (1, 0, 1, 2)
 
-    @property
-    def weights(self) -> tuple[int, int, int, int]:
-        """The exponents of the images of w, x, y and z."""
-        return _WEIGHTS[self]
+    def __new__(cls, value: str, weights: tuple[int, int, int, int]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.weights = weights
+        return member
 
-
-# (w, x, y, z) -> (1, 1, z, z^2) is the weight vector (0, 0, 1, 2).
-_WEIGHTS: dict[SpecId, tuple[int, int, int, int]] = {
-    SpecId.Z0: (0, 0, 0, 0),
-    SpecId.Z1: (0, 0, 1, 0),
-    SpecId.Z2: (1, 1, 1, 2),
-    SpecId.Z3: (0, 0, 1, 1),
-    SpecId.P1: (1, 1, 0, 0),
-    SpecId.P2: (1, 1, 1, 1),
-    SpecId.P3: (0, 0, 1, 2),
-    SpecId.P4: (1, 1, 1, 0),
-    SpecId.P5: (0, 1, 1, 2),
-    SpecId.P6: (1, 0, 1, 2),
-}
 
 # One (R, Q) pair memo per distinct image of the digit-matrix entries: P5
 # and P6 share one, since every M_d is invariant under w <-> x.

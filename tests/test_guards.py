@@ -1,5 +1,6 @@
-"""Argument guards, the zero-coefficient guard, foreign operands of the ring
-classes and the package's export list, on paths no other test runs."""
+"""Argument guards, the zero-coefficient guard, float coefficients and
+foreign operands of the ring classes and the package's export list, on
+paths no other test runs."""
 
 import operator
 
@@ -38,6 +39,23 @@ REFUSED = {
 @pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED.keys())
 def test_refused_with_value_error(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+# A coefficient must be an int: a float is refused, not truncated.
+FLOAT_COEFFICIENTS = {
+    "UniPoly((1.5, 2.9))": lambda: UniPoly((1.5, 2.9)),
+    "UniPoly((0.5,))": lambda: UniPoly((0.5,)),
+    "MultiPoly([(0, 0, 0, 1, 2.5)])": lambda: MultiPoly([(0, 0, 0, 1, 2.5)]),
+    "UniPoly.constant(2.0)": lambda: UniPoly.constant(2.0),
+    "MultiPoly.constant(2.5)": lambda: MultiPoly.constant(2.5),
+    "MultiPoly.constant(0.0)": lambda: MultiPoly.constant(0.0),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_COEFFICIENTS.values(), ids=FLOAT_COEFFICIENTS.keys())
+def test_float_coefficient_is_refused(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 
 

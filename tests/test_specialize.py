@@ -178,7 +178,7 @@ def test_every_structure_row_can_fail(monkeypatch):
     # p is replaced by at least one of 2p, z p and p + 1
     real_family = spec_family
     caught = set()
-    for corrupt in (lambda p: 2 * p, lambda p: UniPoly.x() * p, lambda p: p + 1):
+    for corrupt in (lambda p: 2 * p, lambda p: UniPoly((0, 1)) * p, lambda p: p + 1):
         monkeypatch.setattr("trident.specialize.spec_family",
                             lambda spec, family, n, corrupt=corrupt:
                             corrupt(real_family(spec, family, n)))
@@ -198,7 +198,7 @@ def test_shifted_rows_catch_an_added_linear_term(monkeypatch):
     # can see it, and both do
     real_family = spec_family
     monkeypatch.setattr("trident.specialize.spec_family",
-                        lambda spec, family, n: real_family(spec, family, n) + UniPoly.x())
+                        lambda spec, family, n: real_family(spec, family, n) + UniPoly((0, 1)))
     for n in range(3, 17):
         failures = structural_check(SpecId.Z1, n).failures
         assert [f.split(" UniPoly(")[0] for f in failures] == [

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from fixtures import match_multisets
-from trident.polyring import UniPoly, split_origin, up_divide_exact, up_square_free
+from trident.polyring import UniPoly, horner, split_origin, up_divide_exact, up_square_free
 from trident.specialize import SpecId, spec_family, spec_images
 from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, _lucas, _lucas_points,
                            backward_scale, verify_locus, zeros_explicit, zeros_general,
@@ -239,9 +239,9 @@ def test_zeros_of_routes():
         assert (report.spec, report.family, report.n) == (spec.value, family, 9)
         assert got == poly and poly.coeff(0) != 0, (spec, family)
         assert report.origin_multiplicity == origin
-        assert report.residuals == [abs(poly.evaluate(z)) for z in report.points]
+        assert report.residuals == [abs(horner(poly.coeffs, z)) for z in report.points]
         for z in report.points:
-            assert abs(poly.evaluate(z)) < 1e-7 * backward_scale(poly, z), (spec, z)
+            assert abs(horner(poly.coeffs, z)) < 1e-7 * backward_scale(poly, z), (spec, z)
         assert (report.locus_distances is None) == ((spec, family) not in LOCI)
     # p5 q carries g = 1 + z to a high power; its polynomial divides the
     # member and keeps -1 as a simple zero
@@ -249,7 +249,7 @@ def test_zeros_of_routes():
     report, got = zeros_of(SpecId.P5, "q", 9)
     assert got.degree() == up_square_free(member).degree() == len(report.points)
     up_divide_exact(member, got)
-    assert got.evaluate(-1) == 0 != up_divide_exact(got, UniPoly((1, 1))).evaluate(-1)
+    assert horner(got.coeffs, -1) == 0 != horner(up_divide_exact(got, UniPoly((1, 1))).coeffs, -1)
     # the general route is the root finder at its default tolerance and seed
     general = zeros_general(up_square_free(spec_family(SpecId.P1, "r", 9)))
     assert zeros_of(SpecId.P1, "r", 9)[0].points == general.points
