@@ -15,7 +15,7 @@ count cross-check each other.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .polyring import MultiPoly
 
@@ -88,15 +88,11 @@ class PartitionStats(NamedTuple):
     pairs: int
 
 
-def _digit_choices(c: int) -> list[DigitRecord]:
-    # All (over, tilde, plain) with over+tilde+plain == c, in ascending order.
-    out = []
-    for over in (0, 1):
-        for tilde in (0, 1):
-            plain = c - over - tilde
-            if 0 <= plain <= 2:
-                out.append(DigitRecord(over, tilde, plain))
-    return out
+# _CHOICES[r]: the records whose total is r or r + 3, in ascending order: the
+# copies of its lowest power that a remaining target of r mod 3 can take.
+_CHOICES = tuple(tuple(DigitRecord(over, tilde, c - over - tilde)
+                       for c in (r, r + 3) for over in (0, 1) for tilde in (0, 1)
+                       if 0 <= c - over - tilde <= 2) for r in range(3))
 
 
 def count_partitions(n: int) -> int:
@@ -123,6 +119,15 @@ def count_partitions(n: int) -> int:
     return f
 
 
+def _partitions(m: int, prefix: tuple[DigitRecord, ...]) -> Iterator[ColoredPartition]:
+    """Every partition whose lowest records are ``prefix``, with ``m`` left for the rest."""
+    if m == 0:
+        yield ColoredPartition(prefix)
+    elif m > 0:   # m = -1 when a total of r + 3 overshoots
+        for record in _CHOICES[m % 3]:
+            yield from _partitions((m - record.total()) // 3, prefix + (record,))
+
+
 def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPartition]:
     """All partitions of ``n``, in lexicographic order on digit records from j = 0 up.
 
@@ -134,27 +139,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPar
     total = count_partitions(n)
     if total > cap:
         raise CapExceeded(n, total, cap)
-
-    results: list[ColoredPartition] = []
-    prefix: list[DigitRecord] = []
-
-    def recurse(m: int) -> None:
-        if m == 0:
-            results.append(ColoredPartition(tuple(prefix)))
-            return
-        r = m % 3
-        choices = []
-        for c in (r, r + 3):
-            if c <= 4 and c <= m:
-                choices.extend(_digit_choices(c))
-        choices.sort()
-        for record in choices:
-            prefix.append(record)
-            recurse((m - record.total()) // 3)
-            prefix.pop()
-
-    recurse(n)
-    return results
+    return list(_partitions(n, ()))
 
 
 def oracle_poly(n: int) -> MultiPoly:

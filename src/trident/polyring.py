@@ -555,7 +555,8 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     if not num:
         return UniPoly.zero()
     dn, dd = num.degree(), den.degree()
-    lead = den.coeff(dd)
+    ds = den.coeffs
+    lead = ds[dd]
     rem = list(num.coeffs)
     quot = [0] * (dn - dd + 1) if dn >= dd else []
     for k in range(dn - dd, -1, -1):
@@ -566,8 +567,8 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
             raise NotDivisible(k + dd)
         q = c // lead
         quot[k] = q
-        for i in range(dd + 1):
-            rem[k + i] -= q * den.coeff(i)
+        for i, d in enumerate(ds):
+            rem[k + i] -= q * d
     for d in range(len(rem) - 1, -1, -1):
         if rem[d]:
             raise NotDivisible(d)

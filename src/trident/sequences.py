@@ -174,19 +174,14 @@ def gf_check(truncation: int) -> Report:
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     report = Report(f"degree <= {truncation}")
-    qs = [q_poly(i) for i in range(truncation + 1)]
-    rs = [r_poly(i) for i in range(truncation + 1)]
-    q_expect = [MultiPoly.zero()] * (truncation + 1)
-    q_expect[1] = MultiPoly.one()
-    r_expect = [MultiPoly.zero()] * (truncation + 1)
-    r_expect[0] = MultiPoly.one()
-    r_expect[1] = -TRIPLE_COEFF
-    for label, series, expected in (("q", qs, q_expect), ("r", rs, r_expect)):
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    # each claimed numerator by degree; every higher degree is 0
+    for label, member, numerator in (("q", q_poly, (zero, one)),
+                                     ("r", r_poly, (one, -TRIPLE_COEFF))):
+        # u_{i-2}, u_{i-1}, u_i at series[i], series[i + 1], series[i + 2]
+        series = [zero, zero] + [member(i) for i in range(truncation + 1)]
         for i in range(truncation + 1):
-            acc = series[i]
-            if i >= 1:
-                acc = acc - W1 * series[i - 1]
-            if i >= 2:
-                acc = acc + W2 * series[i - 2]
-            report.record(f"{label}-series degree {i}", acc == expected[i], acc, expected[i])
+            acc = series[i + 2] - W1 * series[i + 1] + W2 * series[i]
+            expected = numerator[i] if i < 2 else zero
+            report.record(f"{label}-series degree {i}", acc == expected, acc, expected)
     return report

@@ -12,7 +12,7 @@ statistic the weights induce: the weighted sum of a partition's
 monomial's image.
 
 ``profile`` returns these counts as a ``{degree: count}`` dict, and
-``profile_from_oracle`` recounts them from the enumeration.  The
+``profile_from_oracle`` recounts them from the oracle polynomial.  The
 ``(1, 1, z, 1)`` family additionally has closed binomial forms, which
 double as an independent oracle for the recurrence path.  ``STRUCTURE`` is
 the one table of structural claims: degrees, extreme coefficients,
@@ -27,7 +27,7 @@ import functools
 import math
 from typing import Callable
 
-from .oracle import PartitionStats, enumerate_partitions
+from .oracle import PartitionStats, oracle_poly
 from .polyring import UniPoly, binomial_power, poly_substitute, split_origin
 from .report import Report
 from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
@@ -46,6 +46,8 @@ class SpecId(enum.Enum):
     P4 = "p4", (1, 1, 1, 0)
     P5 = "p5", (0, 1, 1, 2)
     P6 = "p6", (1, 0, 1, 2)
+
+    __hash__ = object.__hash__   # members are singletons, compared by identity
 
     def __new__(cls, value: str, weights: tuple[int, int, int, int]):
         member = object.__new__(cls)
@@ -113,20 +115,20 @@ def profile(spec: SpecId, family: str, n: int) -> dict[int, int]:
 
 
 def profile_from_oracle(spec: SpecId, family: str, n: int) -> dict[int, int]:
-    """The same profile recomputed by filtering the brute-force enumeration.
+    """The same profile recomputed from the brute-force oracle polynomial.
 
-    Counts partitions of (3^n - 3)/2 (q-side) or (3^n - 1)/2 (r-side) by the
-    statistic induced by the substitution; shares nothing with the
-    recurrence path but the spec's weights.
+    Groups the terms of ``oracle_poly`` at (3^n - 3)/2 (q-side) or
+    (3^n - 1)/2 (r-side) by the statistic induced by the substitution;
+    shares nothing with the recurrence path but the spec's weights.
     """
     _validate_family(family)
     if n < 1:
         raise ValueError("n must be at least 1 for the oracle path")
     index = (3**n - 3) // 2 if family == "q" else (3**n - 1) // 2
     counts: dict[int, int] = {}
-    for partition in enumerate_partitions(index):
-        k = partition_statistic(spec, partition.stats())
-        counts[k] = counts.get(k, 0) + 1
+    for *stats, count in oracle_poly(index).terms():
+        k = partition_statistic(spec, PartitionStats(*stats))
+        counts[k] = counts.get(k, 0) + count
     return counts
 
 

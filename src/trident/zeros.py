@@ -362,8 +362,8 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
                         LOCI.get((spec, family))), poly
 
 
-def backward_scale(poly: UniPoly, z: complex) -> float:
-    """Natural residual scale at ``z``: sum of |c_i| |z|^i.
+def backward_scale(poly: UniPoly, points: list[complex]) -> list[float]:
+    """Natural residual scale at each of ``points``: sum of |c_i| |z|^i.
 
     Coincides with the l1 coefficient norm on the unit circle and is the
     smallest scale against which a double-precision residual at a computed
@@ -371,7 +371,8 @@ def backward_scale(poly: UniPoly, z: complex) -> float:
     unattainably small even for the exact residual of a correctly rounded
     zero.
     """
-    return horner([abs(c) for c in poly.coeffs], abs(z))
+    magnitudes = [abs(c) for c in poly.coeffs]
+    return [horner(magnitudes, abs(z)) for z in points]
 
 
 def verify_locus(spec: SpecId, n: int) -> Report:
@@ -418,8 +419,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
             if reals:
                 report.margins["real_zero_min"] = min(reals)
                 report.margins["real_zero_max"] = max(reals)
-        for z, res in zip(zr.points, zr.residuals):
-            scale = backward_scale(poly, z)
+        for z, res, scale in zip(zr.points, zr.residuals, backward_scale(poly, zr.points)):
             if res >= LOCUS_TOL * scale:
                 report.record(f"{tag}residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} "
                               f"* scale {scale:.3e}", False)

@@ -140,10 +140,10 @@ def test_criterion_8_zero_loci():
                 poly = split_origin(spec_family(spec, family, n))[1]
                 general = zeros_general(poly)
                 assert match_multisets(explicit.points, general.points) < 1e-8, (tag, n)
-                for z, res in zip(explicit.points, explicit.residuals):
-                    assert res < 1e-7 * backward_scale(poly, z), (tag, n)
-                for z, res in zip(general.points, general.residuals):
-                    assert res < 1e-7 * backward_scale(poly, z), (tag, n)
+                for report in (explicit, general):
+                    scales = backward_scale(poly, report.points)
+                    for res, scale in zip(report.residuals, scales):
+                        assert res < 1e-7 * scale, (tag, n)
 
 
 def test_criterion_9_section6_suite():

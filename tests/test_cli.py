@@ -136,36 +136,32 @@ def test_zeros_preset_route(capsys):
     assert all(p["locus_distance"] is not None for p in payload["points"])
 
 
-ZEROS_GOLDEN_SPECS = (("z1", "q", 9), ("z1", "r", 9), ("z2", "q", 9), ("z3", "q", 9),
-                      ("p1", "q", 9), ("p3", "q", 9), ("p5", "q", 9))
-# Lucas-route members of degree 39 to 59, p3 q among them from the index
-# where the square-free finder once left its zeros off the claimed locus.
-ZEROS_GOLDEN_HIGH_SPECS = (("p5", "q", 20), ("p4", "q", 24), ("p2", "q", 30),
-                           ("p3", "q", 22))
-
-
-def zeros_golden_text(capsys, members) -> str:
+def replay_transcript(capsys, name) -> tuple[int, str, str]:
+    """Replay the "$ trident" lines of a transcript whose commands all exit 0:
+    (number of commands, replayed text, the file's text)."""
+    golden = (Path(__file__).parent / "data" / name).read_text()
+    commands = re.findall(r"^\$ trident (.*)$", golden, flags=re.M)
     text = ""
-    for spec, family, n in members:
-        argv = ["zeros", "--spec", spec, "--family", family, "--n", str(n),
-                "--locus", "--format", "csv"]
-        code, out, _ = run_capture(capsys, argv)
-        assert code == 0
-        text += f"$ trident {' '.join(argv)}\n{out}"
-    return text
+    for command in commands:
+        code, out, _ = run_capture(capsys, command.split())
+        assert code == 0, command
+        text += f"$ trident {command}\n{out}"
+    return len(commands), text, golden
 
 
 def test_zeros_golden_file(capsys):
     # byte lock on the zero floats of the Lucas factors (z1 q and r, z2, z3,
     # p1, p3, p5)
-    golden = (Path(__file__).parent / "data" / "zeros_golden.txt").read_text()
-    assert zeros_golden_text(capsys, ZEROS_GOLDEN_SPECS) == golden
+    count, text, golden = replay_transcript(capsys, "zeros_golden.txt")
+    assert count == 7 and text == golden
 
 
 def test_zeros_golden_high_degree_file(capsys):
-    # byte lock at higher degree: 9 to 14 Lucas factors per member
-    golden = (Path(__file__).parent / "data" / "zeros_golden_high.txt").read_text()
-    assert zeros_golden_text(capsys, ZEROS_GOLDEN_HIGH_SPECS) == golden
+    # byte lock at higher degree: Lucas-route members of degree 39 to 59 with
+    # 9 to 14 Lucas factors each, p3 q among them from the index where the
+    # square-free finder once left its zeros off the claimed locus
+    count, text, golden = replay_transcript(capsys, "zeros_golden_high.txt")
+    assert count == 4 and text == golden
 
 
 def test_zeros_z1_r_first_member(capsys):
@@ -205,25 +201,12 @@ def test_tables_golden_file(capsys):
     assert out == golden
 
 
-# The four commands of tests/data/multipoly_golden.txt, whose bytes were
-# produced when MultiPoly still keyed its terms by exponent tuples.
-MULTIPOLY_GOLDEN_COMMANDS = (
-    "q-poly --n 8 --format json",
-    "r-poly --upto 5 --format csv",
-    "s-poly --n 3000 --format pretty",
-    "s-poly --upto 40 --format json",
-)
-
-
 def test_multipoly_golden_file(capsys):
-    # byte lock on term order and serialization of 4-variable output
-    golden = (Path(__file__).parent / "data" / "multipoly_golden.txt").read_text()
-    text = ""
-    for command in MULTIPOLY_GOLDEN_COMMANDS:
-        code, out, _ = run_capture(capsys, command.split())
-        assert code == 0
-        text += f"$ trident {command}\n{out}"
-    assert text == golden
+    # byte lock on term order and serialization of 4-variable output; the
+    # file's bytes were produced when MultiPoly still keyed its terms by
+    # exponent tuples
+    count, text, golden = replay_transcript(capsys, "multipoly_golden.txt")
+    assert count == 4 and text == golden
 
 
 def test_cli_golden_file(capsys):

@@ -116,8 +116,9 @@ def test_explicit_residuals_small():
         for n in range(2, 31):
             report = zeros_explicit(tag, n)
             poly = family_poly(tag, n)
-            for z, res in zip(report.points, report.residuals):
-                assert res < 1e-7 * backward_scale(poly, z), (tag, n, z)
+            scales = backward_scale(poly, report.points)
+            for z, res, scale in zip(report.points, report.residuals, scales):
+                assert res < 1e-7 * scale, (tag, n, z)
 
 
 def test_explicit_residuals_max_coeff_scale_where_attainable():
@@ -240,8 +241,8 @@ def test_zeros_of_routes():
         assert got == poly and poly.coeff(0) != 0, (spec, family)
         assert report.origin_multiplicity == origin
         assert report.residuals == [abs(horner(poly.coeffs, z)) for z in report.points]
-        for z in report.points:
-            assert abs(horner(poly.coeffs, z)) < 1e-7 * backward_scale(poly, z), (spec, z)
+        for z, scale in zip(report.points, backward_scale(poly, report.points)):
+            assert abs(horner(poly.coeffs, z)) < 1e-7 * scale, (spec, z)
         assert (report.locus_distances is None) == ((spec, family) not in LOCI)
     # p5 q carries g = 1 + z to a high power; its polynomial divides the
     # member and keeps -1 as a simple zero
@@ -360,7 +361,7 @@ def test_locus_residual_gate_reads_the_report(monkeypatch):
 
     def inflated(spec, family, n):
         report, poly = real_zeros_of(spec, family, n)
-        report.residuals[0] = 1e6 * backward_scale(poly, report.points[0])
+        report.residuals[0] = 1e6 * backward_scale(poly, report.points[:1])[0]
         return report, poly
 
     monkeypatch.setattr("trident.zeros.zeros_of", inflated)
