@@ -4,8 +4,10 @@ Every subcommand emits deterministic output (identical argv and
 configuration produce byte-identical bytes, including the seeded jitter of
 the root finder).  Exit codes: 0 success, 1 verification failure, 2 usage
 error, 3 cap, convergence or float-range error, 141 stdout closed by its
-reader.  ``COMMANDS`` is the one table of subcommands; ``run`` writes the
-lines an emitter returns to stdout, or to ``--out`` once it has completed.
+reader.  ``COMMANDS`` is the one table of subcommands.  An emitter yields
+its output in pieces as it computes it, a polynomial in pieces of at most
+1024 terms, and ``run`` writes each piece as it arrives: to stdout, or to
+a file beside ``--out`` that replaces it once the command has completed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
-from typing import Callable, NamedTuple
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .chebyshev import verify_prop35
@@ -57,45 +59,85 @@ def _indices(args) -> list[int]:
     return [args.n]
 
 
-def _emit_members(args, head: dict, member, field: str, encode, csv_header: str,
-                  csv_cells) -> list[str]:
-    """One polynomial per index: JSON ``field`` = ``encode(p)``, CSV cells, or pretty rows."""
-    rows = [(n, member(n)) for n in _indices(args)]
+def _per_index(args, compute) -> Iterator[tuple[int, object]]:
+    """``(n, compute(n))`` per index, the first computed at once.
+
+    An emitter calls this before its first piece, so that a refusal by
+    ``compute`` (a negative ``--n``) leaves the output empty.
+    """
+    first, *rest = _indices(args)
+    return chain([(first, compute(first))], ((n, compute(n)) for n in rest))
+
+
+def _joined(sep: str, items) -> Iterator[str]:
+    """``sep.join(items)`` in pieces of at most 1024 items: no piece grows with the answer."""
+    items = iter(items)
+    lead = ""
+    while chunk := list(islice(items, 1024)):
+        yield lead + sep.join(chunk)
+        lead = sep
+
+
+def _emit_members(args, head: dict, member, field: str, json_items, csv_header: str,
+                  csv_lines) -> Iterator[str]:
+    """One polynomial per index, each written as it is computed.
+
+    JSON ``field`` holds ``json_items(p)``, the JSON text of each item; CSV
+    has the lines ``csv_lines(n, p)`` under ``csv_header``; pretty has one
+    line per index.
+    """
+    members = _per_index(args, member)
     if args.format == "json":
-        objs = [{"n": n, field: encode(p)} for n, p in rows]
-        body = objs[0] if args.upto is None else {"rows": objs}
-        return [json.dumps({**head, **body})]
-    if args.format == "csv":
-        return [csv_header] + [",".join(map(str, (n, *cells)))
-                               for n, p in rows for cells in csv_cells(p)]
-    return [f"{n}\t{p.pretty()}" for n, p in rows]
+        # json.dumps({**head, "n": n, field: [...]}), with --upto
+        # json.dumps({**head, "rows": [{"n": n, field: [...]}, ...]})
+        opening = json.dumps(head)[:-1] + (", " if args.upto is None else ', "rows": [{')
+        for n, p in members:
+            yield f'{opening}"n": {n}, "{field}": ['
+            yield from _joined(", ", json_items(p))
+            opening = "]}, {"
+        yield "]}\n" if args.upto is None else "]}]}\n"
+    elif args.format == "csv":
+        yield csv_header
+        for n, p in members:
+            yield from _joined("", csv_lines(n, p))
+    else:
+        for n, p in members:
+            yield f"{n}\t{p.pretty()}\n"
 
 
-def _emit_poly(args) -> list[str]:
+def _emit_poly(args) -> Iterator[str]:
     # Resolved per call rather than bound in COMMANDS, so that a profiler
     # wrapping the module-level names sees these calls.
     member = {"s-poly": s_poly, "q-poly": q_poly, "r-poly": r_poly}[args.command]
-    return _emit_members(args, {"command": args.command}, member, "terms",
-                         lambda p: p.to_records(), "n,exp_w,exp_x,exp_y,exp_z,coeff",
-                         lambda p: p.to_records())
+    return _emit_members(
+        args, {"command": args.command}, member, "terms",
+        lambda p: (f'[{i}, {j}, {k}, {l}, "{c}"]' for i, j, k, l, c in p.terms()),
+        "n,exp_w,exp_x,exp_y,exp_z,coeff\n",
+        lambda n, p: (f"{n},{i},{j},{k},{l},{c}\n" for i, j, k, l, c in p.terms()))
 
 
-def _emit_spec(args) -> list[str]:
+def _emit_spec(args) -> Iterator[str]:
     spec = SpecId(args.spec)
-    return _emit_members(args, {"command": "spec", "spec": args.spec, "family": args.family},
-                         lambda n: spec_family(spec, args.family, n), "coeffs",
-                         lambda p: p.to_strings(), "n,degree,coeff",
-                         lambda p: enumerate(p.coeffs))
+    return _emit_members(
+        args, {"command": "spec", "spec": args.spec, "family": args.family},
+        lambda n: spec_family(spec, args.family, n), "coeffs",
+        lambda p: (f'"{c}"' for c in p.coeffs), "n,degree,coeff\n",
+        lambda n, p: (f"{n},{k},{c}\n" for k, c in enumerate(p.coeffs)))
 
 
-def _emit_scalar(args) -> list[str]:
-    rows = [(n, *scalar_qr(n)) for n in _indices(args)]
+def _emit_scalar(args) -> Iterator[str]:
+    rows = _per_index(args, scalar_qr)
     if args.format == "json":
-        return [json.dumps({"command": "scalar",
-                            "rows": [{"n": n, "q": str(q), "r": str(r)} for n, q, r in rows]})]
-    if args.format == "csv":
-        return ["n,q,r"] + [f"{n},{q},{r}" for n, q, r in rows]
-    return [f"{n}\t{q}\t{r}" for n, q, r in rows]
+        sep = '{"command": "scalar", "rows": ['
+        for n, (q, r) in rows:
+            yield f'{sep}{{"n": {n}, "q": "{q}", "r": "{r}"}}'
+            sep = ", "
+        yield "]}\n"
+    elif args.format == "csv":
+        yield "n,q,r\n"
+        yield from (f"{n},{q},{r}\n" for n, (q, r) in rows)
+    else:
+        yield from (f"{n}\t{q}\t{r}\n" for n, (q, r) in rows)
 
 
 def _list_cap(args) -> int:
@@ -111,65 +153,71 @@ def _list_cap(args) -> int:
     return cap
 
 
-def _emit_enumerate(args) -> list[str]:
+def _emit_enumerate(args) -> Iterator[str]:
     cap = _list_cap(args)
     n, = _indices(args)
     count = count_partitions(n)
-    partitions = None
-    if args.list:
-        partitions = [p.render() for p in enumerate_partitions(n, cap=cap)]
+    partitions = enumerate_partitions(n, cap=cap) if args.list else None
     if args.format == "json":
-        payload = {"command": "enumerate", "n": n, "count": str(count)}
-        if partitions is not None:
-            payload["partitions"] = partitions
-        return [json.dumps(payload)]
-    if args.format == "csv":
-        return ["n,count", f"{n},{count}"] if partitions is None else ["partition", *partitions]
-    return [f"n={n} count={count}", *(partitions or ())]
+        head = json.dumps({"command": "enumerate", "n": n, "count": str(count)})
+        if partitions is None:
+            yield head + "\n"
+        else:
+            yield head[:-1] + ', "partitions": ['
+            yield ", ".join(json.dumps(p.render()) for p in partitions)
+            yield "]}\n"
+    elif args.format == "csv" and partitions is None:
+        yield f"n,count\n{n},{count}\n"
+    else:
+        yield "partition\n" if args.format == "csv" else f"n={n} count={count}\n"
+        yield "".join(p.render() + "\n" for p in partitions or ())
 
 
-def _emit_profile(args) -> list[str]:
+def _emit_profile(args) -> Iterator[str]:
     n, = _indices(args)
     items = sorted(profile(SpecId(args.spec), args.family, n).items())
     if args.format == "json":
-        return [json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
-                            "n": n, "profile": [{"k": k, "count": str(c)} for k, c in items]})]
-    return ["k,count"] + [f"{k},{c}" for k, c in items]
+        yield json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
+                          "n": n, "profile": [{"k": k, "count": str(c)} for k, c in items]}) + "\n"
+    else:
+        yield "k,count\n"
+        yield from (f"{k},{c}\n" for k, c in items)
 
 
-def _emit_zeros(args) -> list[str]:
+def _emit_zeros(args) -> Iterator[str]:
     n, = _indices(args)
     spec = SpecId(args.spec)
     report, _ = zeros_of(spec, args.family, n)
     locus = LOCI.get((spec, args.family)) if args.locus else None
     params = locus.params if locus is not None else None
-    rows = list(zip(report.points, report.residuals,
-                    report.locus_distances or [None] * len(report.points)))
+    rows = zip(report.points, report.residuals,
+               report.locus_distances or [None] * len(report.points))
     if args.format == "json":
         points = [{"re": z.real, "im": z.imag, "residual": res, "locus_distance": dist}
                   for z, res, dist in rows]
-        return [json.dumps({"command": "zeros", "spec": report.spec, "family": report.family,
-                            "n": report.n, "origin_multiplicity": report.origin_multiplicity,
-                            "locus": params, "points": points})]
-    lines = [] if params is None else [f"# locus: {json.dumps(params)}"]
-    lines.append("family,n,re,im,residual,locus_distance")
+        yield json.dumps({"command": "zeros", "spec": report.spec, "family": report.family,
+                          "n": report.n, "origin_multiplicity": report.origin_multiplicity,
+                          "locus": params, "points": points}) + "\n"
+        return
+    if params is not None:
+        yield f"# locus: {json.dumps(params)}\n"
+    yield "family,n,re,im,residual,locus_distance\n"
     for z, res, dist in rows:
-        lines.append(f"{report.family},{report.n},{z.real:.17g},{z.imag:.17g},{res:.17g},"
-                     f"{'' if dist is None else format(dist, '.17g')}")
-    return lines + [f"{report.family},{report.n},0,0,0,"] * report.origin_multiplicity
+        yield (f"{report.family},{report.n},{z.real:.17g},{z.imag:.17g},{res:.17g},"
+               f"{'' if dist is None else format(dist, '.17g')}\n")
+    yield f"{report.family},{report.n},0,0,0,\n" * report.origin_multiplicity
 
 
-def _emit_tables(args) -> list[str]:
-    lines = ["# table 1: four-variable polynomials, n = 0..6"]
-    lines += [f"{n}\t{s_poly(n).pretty()}" for n in range(7)]
-    lines.append("# table 2: spec z1 families q and r, n = 0..5")
-    lines += [f"{n}\t{spec_family(SpecId.Z1, 'q', n).pretty()}"
-              f"\t{spec_family(SpecId.Z1, 'r', n).pretty()}" for n in range(6)]
-    lines.append("# table 3: spec z2 family q, n = 1..7")
-    lines += [f"{n}\t{spec_family(SpecId.Z2, 'q', n).pretty()}" for n in range(1, 8)]
-    lines.append("# table 4: spec z3 family q, n = 1..7")
-    lines += [f"{n}\t{spec_family(SpecId.Z3, 'q', n).pretty()}" for n in range(1, 8)]
-    return lines
+def _emit_tables(args) -> Iterator[str]:
+    yield "# table 1: four-variable polynomials, n = 0..6\n"
+    yield from (f"{n}\t{s_poly(n).pretty()}\n" for n in range(7))
+    yield "# table 2: spec z1 families q and r, n = 0..5\n"
+    yield from (f"{n}\t{spec_family(SpecId.Z1, 'q', n).pretty()}"
+                f"\t{spec_family(SpecId.Z1, 'r', n).pretty()}\n" for n in range(6))
+    yield "# table 3: spec z2 family q, n = 1..7\n"
+    yield from (f"{n}\t{spec_family(SpecId.Z2, 'q', n).pretty()}\n" for n in range(1, 8))
+    yield "# table 4: spec z3 family q, n = 1..7\n"
+    yield from (f"{n}\t{spec_family(SpecId.Z3, 'q', n).pretty()}\n" for n in range(1, 8))
 
 
 def _merged(param_range: str, parts) -> Report:
@@ -241,7 +289,7 @@ def run_verification(quick: bool = False, only: list[str] | None = None) -> list
     return checks
 
 
-def _emit_verify(args) -> list[str]:
+def _emit_verify(args) -> Iterator[str]:
     only = args.only.split(",") if args.only is not None else None
     unknown = [o for o in only or () if o not in VERIFICATION_GROUPS]
     if unknown:
@@ -249,20 +297,20 @@ def _emit_verify(args) -> list[str]:
     checks = run_verification(quick=args.quick, only=only)
     ok = all(c["ok"] for c in checks) and bool(checks)
     if args.format == "json":
-        lines = [json.dumps({"command": "verify", "ok": ok, "checks": checks})]
+        lines = [json.dumps({"command": "verify", "ok": ok, "checks": checks}) + "\n"]
     else:
-        lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['id']}  ({c['detail']})" for c in checks]
-        lines.append("all checks passed" if ok else "FAILURES PRESENT")
+        lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['id']}  ({c['detail']})\n" for c in checks]
+        lines.append("all checks passed\n" if ok else "FAILURES PRESENT\n")
     if not ok:
         raise VerificationFailed(lines)
-    return lines
+    yield from lines
 
 
 class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # keys of OPTIONS
     formats: tuple[str, ...]  # --format choices, the first the default; () for none
-    emit: Callable[[argparse.Namespace], list[str]]
+    emit: Callable[[argparse.Namespace], Iterator[str]]  # the output's pieces
 
 
 # Each option once, as add_argument keywords; a command names those it takes.
@@ -322,17 +370,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to a new file beside ``path``, renamed over it once all are written.
+
+    On any error the new file is removed and ``path`` is left as it was.
+    """
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    sink = open(temporary, "x")
+    try:
+        with sink:
+            sink.writelines(pieces)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code.
+
+    The emitter runs up to its first piece before anything is written, so a
+    refusal leaves stdout empty and an existing ``--out`` file as it was;
+    the rest is written piece by piece as the emitter yields it.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = EXIT_OK
     try:
-        lines, code = COMMANDS[args.command].emit(args), EXIT_OK
-    except VerificationFailed as exc:
-        lines, code = exc.args[0], EXIT_VERIFY_FAILED
+        pieces = COMMANDS[args.command].emit(args)
+        try:
+            pieces = chain([next(pieces, "")], pieces)
+        except VerificationFailed as exc:
+            pieces, code = exc.args[0], EXIT_VERIFY_FAILED
+        if args.out:
+            _write_out(args.out, pieces)
+        else:
+            sys.stdout.writelines(pieces)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         args.print_usage(sys.stderr)   # the usage of the subcommand at fault
@@ -343,13 +420,11 @@ def run(argv: list[str]) -> int:
     except (CapExceeded, NoConvergence, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    try:
-        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not args.out:
+            raise   # stdout: a reader that left early is main's to report
+        print(f"error: {OSError(exc.errno, exc.strerror, args.out)}", file=sys.stderr)
         return EXIT_USAGE
-    with out as sink:
-        sink.writelines(line + "\n" for line in lines)
     return code
 
 

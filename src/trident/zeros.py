@@ -180,7 +180,9 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
             step = newton if denom == 0 else newton / denom
             zs[k] = zk - step
             worst = max(worst, abs(step) / (1.0 + abs(zs[k])))
-        trace.append(worst)
+        trace.append(worst if all(map(cmath.isfinite, zs)) else math.inf)
+        if trace[-1] == math.inf:   # an iterate overflowed: the iteration has broken down
+            raise NoConvergence(len(trace), trace)
         if all(frozen) or worst < ROOT_TOL:
             return zs
     raise NoConvergence(len(trace), trace)
@@ -230,6 +232,8 @@ def _newton_polish(poly: UniPoly, z: complex) -> complex:
         den = denom << k
         candidate = complex((a * denom - (p_re * d_re + p_im * d_im)) / den,
                             (b * denom - (p_im * d_re - p_re * d_im)) / den)
+        if candidate == best:   # the same point cannot have a smaller residual
+            break
         ca, cb, ck = _dyadic(candidate)
         c_re, c_im, cd_re, cd_im = _dyadic_eval(coeffs, ca, cb, ck)
         res, exp = c_re * c_re + c_im * c_im, scale * ck
@@ -344,13 +348,14 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     *_, g_rest, pure_r = _lucas(spec)
     if family == "q" or pure_r:
         origin, poly = split_origin(member)
-        if g_rest.degree() >= 1:
-            # g divides every member: divide it out while it divides, put it back once
-            with suppress(NotDivisible):
-                while True:
-                    poly = up_divide_exact(poly, g_rest)
-            poly = poly * g_rest
         points = _lucas_points(spec, family, n)
+        if g_rest.degree() >= 1:
+            # g divides every member and its zeros are among the points once:
+            # one division by the power of g the points leave over
+            extra = (poly.degree() - len(points)) // g_rest.degree()
+            if extra > 0:
+                with suppress(NotDivisible):
+                    poly = up_divide_exact(poly, g_rest ** extra)
         if len(points) != poly.degree():
             raise AssertionError("Lucas zero count disagrees with the polynomial degree")
     else:

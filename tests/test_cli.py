@@ -13,6 +13,7 @@ import jsonschema
 from fixtures import PARTITIONS_OF_3
 from trident import oracle, specialize
 from trident.cli import run
+from trident.sequences import q_poly
 from trident.specialize import SpecId, spec_family
 
 with resources.files("trident.schemas").joinpath("cli-output.schema.json").open() as fh:
@@ -45,6 +46,22 @@ def test_poly_rows_json(capsys):
     assert len(payload["rows"]) == 4
     assert payload["rows"][0]["terms"] == []          # the zero polynomial
     assert payload["rows"][1]["terms"] == [[0, 0, 0, 0, "1"]]
+
+
+def test_streamed_polynomial_bytes(capsys):
+    # a polynomial is written in pieces of at most 1024 terms (Q_12 has
+    # 2,366); the bytes are those of one json.dumps of its records, or of
+    # its CSV rows, as if it had been encoded whole
+    records = {n: q_poly(n).to_records() for n in range(13)}
+    code, out, _ = run_capture(capsys, ["q-poly", "--n", "12", "--format", "json"])
+    assert (code, out) == (0, json.dumps({"command": "q-poly", "n": 12,
+                                          "terms": records[12]}) + "\n")
+    code, out, _ = run_capture(capsys, ["q-poly", "--upto", "12", "--format", "json"])
+    rows = [{"n": n, "terms": records[n]} for n in range(13)]
+    assert (code, out) == (0, json.dumps({"command": "q-poly", "rows": rows}) + "\n")
+    code, out, _ = run_capture(capsys, ["q-poly", "--upto", "12", "--format", "csv"])
+    assert (code, out) == (0, "n,exp_w,exp_x,exp_y,exp_z,coeff\n" + "".join(
+        ",".join(map(str, (n, *r))) + "\n" for n in range(13) for r in records[n]))
 
 
 def test_scalar_outputs(capsys):
@@ -409,6 +426,75 @@ def test_out_file_kept_when_refused(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert not missing.parent.exists()
+
+
+def test_refusal_writes_nothing(capsys):
+    # the work up to an emitter's first piece runs before anything is
+    # written, so a refusal leaves stdout empty in every format: usage
+    # errors, a cap, and the root finder breaking down (exit 3)
+    cases = [(argv + ["--format", fmt], expect)
+             for argv, expect in ((["q-poly", "--n", "-1"], 2), (["spec", "--n", "-2"], 2),
+                                  (["scalar", "--n", "-1"], 2), (["q-poly", "--upto", "-1"], 2),
+                                  (["enumerate", "--n", "3000", "--list"], 3))
+             for fmt in ("pretty", "csv", "json")]
+    cases += [(["zeros", "--spec", "z3", "--family", "r", "--n", n, "--format", fmt], 3)
+              for n in ("28", "30") for fmt in ("csv", "json")]
+    cases.append((["scalar", "--n", "3", "--format", "xml"], 2))
+    for argv, expect in cases:
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (expect, ""), argv
+        assert err.startswith(("error: ", "usage: ")) and "Traceback" not in err, argv
+
+
+def test_root_finder_breakdown_exits_3():
+    # z3 r from n = 28: the iterates overflow, which is a convergence
+    # failure with one error line, not a usage error or a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for n in ("28", "30"):
+        done = subprocess.run([sys.executable, "-m", "trident.cli", "zeros", "--spec", "z3",
+                               "--family", "r", "--n", n], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(r"error: root finder did not converge in \d+ iterations "
+                            r"\(last correction inf\)\n", done.stderr), done.stderr
+
+
+def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # --out is written to a new file beside the target, renamed over it once
+    # complete: a run refused before its first piece, one that fails while
+    # writing, and one whose rename fails leave neither file behind
+    target = tmp_path / "q.csv"
+    code, out, _ = run_capture(capsys, ["enumerate", "--n", "3000", "--list",
+                                        "--out", str(target)])
+    assert (code, out) == (3, "")
+    assert list(tmp_path.iterdir()) == []
+
+    def failing(n):
+        if n == 3:
+            raise OverflowError("too large")
+        return q_poly(n)
+
+    monkeypatch.setattr("trident.cli.q_poly", failing)
+    for fmt in ("pretty", "csv", "json"):
+        code, out, err = run_capture(capsys, ["q-poly", "--upto", "5", "--format", fmt,
+                                              "--out", str(target)])
+        assert (code, out, err) == (3, "", "error: too large\n")
+        assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    target.mkdir()
+    code, out, err = run_capture(capsys, ["scalar", "--n", "3", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert list(tmp_path.iterdir()) == [target]
+    # a completed run replaces the target and leaves nothing else
+    target.rmdir()
+    target.write_text("old\n")
+    code, out, _ = run_capture(capsys, ["q-poly", "--upto", "5", "--format", "csv",
+                                        "--out", str(target)])
+    assert (code, out) == (0, "")
+    assert target.read_text() == run_capture(capsys, ["q-poly", "--upto", "5",
+                                                      "--format", "csv"])[1]
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_closed_stdout_exits_quietly():

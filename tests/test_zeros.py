@@ -2,11 +2,13 @@
 
 import cmath
 import math
+from contextlib import suppress
 
 import pytest
 
 from fixtures import match_multisets
-from trident.polyring import UniPoly, horner, split_origin, up_divide_exact, up_square_free
+from trident.polyring import (NotDivisible, UniPoly, horner, split_origin, up_divide_exact,
+                              up_square_free)
 from trident.specialize import SpecId, spec_family, spec_images
 from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, _lucas, _lucas_points,
                            backward_scale, verify_locus, zeros_explicit, zeros_general,
@@ -257,6 +259,34 @@ def test_zeros_of_routes():
     for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
         with pytest.raises(ValueError, match="has no zeros"):
             zeros_of(spec, family, n)
+
+
+def test_lucas_polynomial_takes_one_division():
+    # the polynomial of a Lucas row, taken by one division by the power of g
+    # the points leave over, is the one of dividing g out while it divides
+    # and putting it back once (g = 1 + z for p5 and p6, 1 elsewhere)
+    for spec, family in LOCI:
+        g = _lucas(spec)[3]
+        for n in range(61):
+            member = spec_family(spec, family, n)
+            if member.degree() < 1:
+                continue
+            expected = split_origin(member)[1]
+            if g.degree() >= 1:
+                with suppress(NotDivisible):
+                    while True:
+                        expected = up_divide_exact(expected, g)
+                expected = expected * g
+            assert zeros_of(spec, family, n)[1] == expected, (spec, family, n)
+
+
+def test_general_overflow_is_no_convergence():
+    # the z3 r members from n = 28 overflow the simultaneous iteration; a
+    # non-finite iterate ends it as a convergence failure
+    for n in (28, 30):
+        with pytest.raises(NoConvergence) as err:
+            zeros_of(SpecId.Z3, "r", n)
+        assert err.value.trace[-1] == math.inf
 
 
 def test_lucas_route_agrees_with_square_free_finder():
