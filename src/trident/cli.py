@@ -371,17 +371,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(path: str, pieces: Iterable[str]) -> None:
-    """Write ``pieces`` to a new file beside ``path``, renamed over it once all are written.
+    """Write ``pieces`` to ``path``, a file only once all of them are written.
 
-    On any error the new file is removed and ``path`` is left as it was.
+    A regular file, or a path with nothing there yet, is written through a new
+    file beside it (the file a symbolic link names, for a link), which takes
+    the old file's permissions and is renamed over it at the end; on any error
+    the new file is removed and ``path`` is left as it was.  Anything else,
+    such as ``/dev/null`` or a pipe, is written to directly.
     """
-    directory, name = os.path.split(path)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    sink = open(temporary, "x")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w") as sink:
+            sink.writelines(pieces)
+        return
+    directory, name = os.path.split(target)
+    attempt = 0
+    while True:
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            sink = open(temporary, "x")
+            break
+        except FileExistsError:   # left behind by a run that was killed
+            attempt += 1
     try:
         with sink:
+            if os.path.exists(target):
+                os.chmod(sink.fileno(), os.stat(target).st_mode & 0o7777)
             sink.writelines(pieces)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise
@@ -391,8 +408,10 @@ def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code.
 
     The emitter runs up to its first piece before anything is written, so a
-    refusal leaves stdout empty and an existing ``--out`` file as it was;
-    the rest is written piece by piece as the emitter yields it.
+    refusal from the arguments or the first index leaves stdout empty; the
+    rest is written piece by piece as the emitter yields it, and a failure
+    later in a sweep leaves the pieces before it on stdout.  ``--out`` is
+    all or nothing: a refused or failed run leaves an existing file as it was.
     """
     parser = build_parser()
     try:

@@ -25,12 +25,11 @@ import cmath
 import functools
 import math
 import random
-from contextlib import suppress
 from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
-from .polyring import (NotDivisible, UniPoly, horner, poly_substitute, split_origin,
-                       up_divide_exact, up_gcd, up_square_free)
+from .polyring import (UniPoly, horner, poly_substitute, split_origin, up_divide_exact, up_gcd,
+                       up_square_free)
 from .report import Report
 from .sequences import S1, TRIPLE_COEFF
 from .specialize import SpecId, spec_family, spec_images
@@ -180,9 +179,7 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
             step = newton if denom == 0 else newton / denom
             zs[k] = zk - step
             worst = max(worst, abs(step) / (1.0 + abs(zs[k])))
-        trace.append(worst if all(map(cmath.isfinite, zs)) else math.inf)
-        if trace[-1] == math.inf:   # an iterate overflowed: the iteration has broken down
-            raise NoConvergence(len(trace), trace)
+        trace.append(worst)
         if all(frozen) or worst < ROOT_TOL:
             return zs
     raise NoConvergence(len(trace), trace)
@@ -354,8 +351,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
             # one division by the power of g the points leave over
             extra = (poly.degree() - len(points)) // g_rest.degree()
             if extra > 0:
-                with suppress(NotDivisible):
-                    poly = up_divide_exact(poly, g_rest ** extra)
+                poly = up_divide_exact(poly, g_rest ** extra)
         if len(points) != poly.degree():
             raise AssertionError("Lucas zero count disagrees with the polynomial degree")
     else:

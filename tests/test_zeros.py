@@ -280,15 +280,6 @@ def test_lucas_polynomial_takes_one_division():
             assert zeros_of(spec, family, n)[1] == expected, (spec, family, n)
 
 
-def test_general_overflow_is_no_convergence():
-    # the z3 r members from n = 28 overflow the simultaneous iteration; a
-    # non-finite iterate ends it as a convergence failure
-    for n in (28, 30):
-        with pytest.raises(NoConvergence) as err:
-            zeros_of(SpecId.Z3, "r", n)
-        assert err.value.trace[-1] == math.inf
-
-
 def test_lucas_route_agrees_with_square_free_finder():
     # every q family and z1 r, against the root finder on the square-free part
     worst = 0.0
