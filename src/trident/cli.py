@@ -50,6 +50,8 @@ class VerificationFailed(Exception):
 def _indices(args) -> list[int]:
     """The indices a command covers: 0..``--upto`` if given, else ``--n``."""
     if getattr(args, "upto", None) is not None:
+        if args.n is not None:
+            raise UsageError("--n and --upto cannot be combined")
         if args.upto < 0:
             raise UsageError("upto must be non-negative")
         return list(range(args.upto + 1))
@@ -230,46 +232,38 @@ def _merged(param_range: str, parts) -> Report:
     return report
 
 
-def _check_prop35(top):
-    return {"": _merged(f"n <= {top}", ((f"n={n}: ", verify_prop35(n)) for n in range(top + 1)))}
-
-
-def _check_structural(top):
-    return {"": _merged(f"n <= {top}", ((f"{spec.value} n={n}: ", structural_check(spec, n))
-                                        for n in range(1, top + 1) for spec in STRUCTURE))}
-
-
-def _check_locus(top):
-    specs = dict.fromkeys(spec for spec, _ in LOCI)
-    return {"": _merged(f"n <= {top}", ((f"{spec.value} n={n}: ", verify_locus(spec, n))
-                                        for spec in specs for n in range(2, top + 1)))}
-
-
 def _check_oracle(nor, ncnt):
     report = Report(f"terms n <= {nor}, counts n <= {ncnt}")
     for n in range(nor + 1):
         if not (s_poly(n) == s_poly_product(n) == oracle_poly(n)):
             report.record(f"polynomial mismatch at n={n}", False)
     for n in range(ncnt + 1):
-        if s_poly(n).evaluate(1, 1, 1, 1) != count_partitions(n):
+        if sum(c for *_, c in s_poly(n).terms()) != count_partitions(n):
             report.record(f"count mismatch at n={n}", False)
-    return {"": report}
+    return report
 
 
-# The verification battery in report order: (group id, check, quick ranges,
-# full ranges).  A check returns its Reports by id suffix, which tells apart
-# the entries of one group.
+# The verification battery in report order: (group, check id, check, quick
+# ranges, full ranges), where a check returns one Report.  The checks look
+# up this module's names when called, so that patching those names reaches them.
 VERIFICATIONS = (
-    ("prop61", lambda n: {"": verify_prop61(n)}, (6,), (12,)),
-    ("telescoping", lambda n: {"": verify_telescoping(n)}, (6,), (12,)),
-    ("divisibility", lambda n: {f"-{spec.value}": verify_divisibility(spec, n)
-                                for spec in DIVISIBILITY_SPECS}, (12,), (24,)),
-    ("surprising", lambda n: {"": verify_surprising(n)}, (12,), (40,)),
-    ("gf", lambda n: {"": gf_check(n)}, (8,), (15,)),
-    ("prop35", _check_prop35, (6,), (12,)),
-    ("structural", _check_structural, (8,), (16,)),
-    ("locus", _check_locus, (12,), (40,)),
-    ("oracle", _check_oracle, (20, 60), (60, 200)),
+    ("prop61", "prop61", lambda n: verify_prop61(n), (6,), (12,)),
+    ("telescoping", "telescoping", lambda n: verify_telescoping(n), (6,), (12,)),
+    *(("divisibility", f"divisibility-{spec.value}",
+       lambda n, spec=spec: verify_divisibility(spec, n), (12,), (24,))
+      for spec in DIVISIBILITY_SPECS),
+    ("surprising", "surprising", lambda n: verify_surprising(n), (12,), (40,)),
+    ("gf", "gf", lambda n: gf_check(n), (8,), (15,)),
+    ("prop35", "prop35", lambda top: _merged(
+        f"n <= {top}", ((f"n={n}: ", verify_prop35(n)) for n in range(top + 1))), (6,), (12,)),
+    ("structural", "structural", lambda top: _merged(
+        f"n <= {top}", ((f"{spec.value} n={n}: ", structural_check(spec, n))
+                        for n in range(1, top + 1) for spec in STRUCTURE)), (8,), (16,)),
+    ("locus", "locus", lambda top: _merged(
+        f"n <= {top}", ((f"{spec.value} n={n}: ", verify_locus(spec, n))
+                        for spec in dict.fromkeys(spec for spec, _ in LOCI)
+                        for n in range(2, top + 1))), (12,), (40,)),
+    ("oracle", "oracle", _check_oracle, (20, 60), (60, 200)),
 )
 
 VERIFICATION_GROUPS = tuple(group for group, *_ in VERIFICATIONS)
@@ -281,11 +275,11 @@ def run_verification(quick: bool = False, only: list[str] | None = None) -> list
     The detail is a failing entry's first failure, else its parameter range.
     """
     checks: list[dict] = []
-    for group, check, quick_ranges, full_ranges in VERIFICATIONS:
+    for group, check_id, check, quick_ranges, full_ranges in VERIFICATIONS:
         if only is None or group in only:
-            for suffix, report in check(*(quick_ranges if quick else full_ranges)).items():
-                checks.append({"id": group + suffix, "ok": report.ok,
-                               "detail": report.param_range if report.ok else report.failures[0]})
+            report = check(*(quick_ranges if quick else full_ranges))
+            checks.append({"id": check_id, "ok": report.ok,
+                           "detail": report.param_range if report.ok else report.failures[0]})
     return checks
 
 

@@ -23,7 +23,7 @@ Two representations, chosen for how the polynomials in this package behave:
 
 ``MultiPoly.terms()`` and ``UniPoly.coeffs`` return what the constructors
 take, int coefficients only (a float raises TypeError).  ``horner`` is the
-one evaluator of a ``UniPoly``, and ``MultiPoly.evaluate`` of a ``MultiPoly``.
+one evaluator of a ``UniPoly``.
 
 All values are immutable after construction and every operation is a pure
 function, so shared instances are safe to use concurrently.
@@ -305,21 +305,6 @@ class MultiPoly(_Poly):
             out = {key: c for key, c in out.items() if c}
         return cls._from_dict(out)
 
-    # -- maps out of the ring ----------------------------------------------
-
-    def evaluate(self, w, x, y, z):
-        """Evaluate at numeric arguments (int, float or complex); exact at ints."""
-        terms = self._terms
-        if not terms:
-            return 0
-        degree = self.total_degree()
-        pw, px, py, pz = (_powers(v, degree) for v in (w, x, y, z))
-        total = 0
-        for key, c in terms.items():
-            total += (c * pw[key >> 48 & EXP_LIMIT] * px[key >> 32 & EXP_LIMIT]
-                      * py[key >> 16 & EXP_LIMIT] * pz[key & EXP_LIMIT])
-        return total
-
     # -- presentation ------------------------------------------------------
 
     def to_records(self) -> list[list]:
@@ -343,14 +328,6 @@ def _check_product_range(a: dict[int, int], b: dict[int, int]) -> None:
                + max(k >> shift & EXP_LIMIT for k in b))
         if top > EXP_LIMIT:
             raise _too_large(top)
-
-
-def _powers(value, degree: int) -> list:
-    # value**0 .. value**degree; value**0 keeps the type (1, 1.0 or 1+0j).
-    table = [value**0]
-    for _ in range(degree):
-        table.append(table[-1] * value)
-    return table
 
 
 def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:

@@ -125,17 +125,13 @@ LOCI: dict[tuple[SpecId, str], Locus] = {
     (SpecId.P6, "q"): _CIRCLE_OR_AXIS,
 }
 
-# The rows that report the member's whole zero at the origin, by the tag
-# ``zeros_explicit`` takes; every other row reports its square-free part's.
-EXPLICIT_SPECS = {"z1q": (SpecId.Z1, "q"), "z1r": (SpecId.Z1, "r"),
-                  "z2": (SpecId.Z2, "q"), "z3": (SpecId.Z3, "q")}
-
 
 def zeros_explicit(spec: str, n: int) -> ZeroReport:
     """``zeros_of`` of the row tagged ``spec`` (z1q, z1r, z2 or z3) at index ``n``."""
-    if spec not in EXPLICIT_SPECS:
-        raise ValueError(f"spec must be one of {tuple(EXPLICIT_SPECS)}")
-    return zeros_of(*EXPLICIT_SPECS[spec], n)[0]
+    tags = ("z1q", "z1r", "z2", "z3")
+    if spec not in tags:
+        raise ValueError(f"spec must be one of {tags}")
+    return zeros_of(SpecId(spec[:2]), spec[2:] or "q", n)[0]
 
 
 _EPS = 2.0 ** -52
@@ -335,9 +331,9 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     off and each zero of g left simple.  Every other member takes the
     general root finder on its square-free part, the zero at the origin
     split off.  Residuals are taken on the returned polynomial.  The
-    ``EXPLICIT_SPECS`` rows report the member's multiplicity at the origin,
-    every other row that of the square-free part.  A constant member has
-    no zeros and raises ValueError.
+    ``LOCI`` rows report the member's multiplicity at the origin, every
+    other row at most 1.  A constant member has no zeros and raises
+    ValueError.
     """
     member = spec_family(spec, family, n)
     if member.degree() < 1:
@@ -357,7 +353,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
     else:
         origin, poly = split_origin(up_square_free(member))
         points = _finder_points(poly)
-    if (spec, family) not in EXPLICIT_SPECS.values():
+    if (spec, family) not in LOCI:
         origin = min(origin, 1)
     return _zero_report(spec.value, family, n, poly, points, origin,
                         LOCI.get((spec, family))), poly

@@ -275,6 +275,26 @@ def test_verify_failure_path(tmp_path, capsys, monkeypatch):
     assert target.read_text() == "FAIL  surprising  (difference n=3)\nFAILURES PRESENT\n"
 
 
+def test_verify_divisibility_group(capsys, monkeypatch):
+    # the group has one entry per claimed substitution, in order, and a
+    # failure is reported under the entry of its substitution only; here the
+    # z2 q member at n = 4 is off by one
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "divisibility"])
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+        "divisibility-z1", "divisibility-z2", "divisibility-z3"]
+
+    def mutant(spec, family, n):
+        member = spec_family(spec, family, n)
+        return member + 1 if (spec, family, n) == (SpecId.Z2, "q", 4) else member
+
+    monkeypatch.setattr("trident.identities.spec_family", mutant)
+    code, out, _ = run_capture(capsys, ["verify", "--quick", "--only", "divisibility"])
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL  divisibility-z2  (q[2] | q[4])", "FAILURES PRESENT"]
+
+
 def test_verify_oracle_count_mismatch(capsys, monkeypatch):
     monkeypatch.setattr("trident.cli.count_partitions",
                         lambda n: oracle.count_partitions(n) + 1)
@@ -346,6 +366,11 @@ def test_usage_errors(capsys):
     code, _, err = run_capture(capsys, ["enumerate", "--n", "3", "--list", "--cap", "0"])
     assert code == 2
     assert "cap must be positive" in err
+    # --n and --upto together are refused, not --n silently dropped
+    code, out, err = run_capture(capsys, ["q-poly", "--n", "5", "--upto", "1"])
+    assert (code, out) == (2, "")
+    assert "--n and --upto cannot be combined" in err
+    assert "\nusage: trident q-poly " in err
     # a negative --upto is refused like a negative --n, not read as no indices
     for command in ("q-poly", "spec", "scalar"):
         code, out, err = run_capture(capsys, [command, "--upto", "-1"])
@@ -449,6 +474,7 @@ def test_refusal_writes_nothing(capsys):
     cases = [(argv + ["--format", fmt], expect)
              for argv, expect in ((["q-poly", "--n", "-1"], 2), (["spec", "--n", "-2"], 2),
                                   (["scalar", "--n", "-1"], 2), (["q-poly", "--upto", "-1"], 2),
+                                  (["q-poly", "--n", "5", "--upto", "1"], 2),
                                   (["enumerate", "--n", "3000", "--list"], 3))
              for fmt in ("pretty", "csv", "json")]
     cases += [(["zeros", "--spec", "z3", "--family", "r", "--n", n, "--format", fmt], 2)

@@ -111,10 +111,6 @@ class TestMultiPolyBasics:
         p = MultiPoly([(1, 1, 0, 1, 3), (0, 0, 0, 0, -2)])
         assert p.to_records() == [[0, 0, 0, 0, "-2"], [1, 1, 0, 1, "3"]]
 
-    def test_evaluate_at_ones_is_coefficient_sum(self):
-        p = MultiPoly([(1, 2, 0, 1, 4), (0, 0, 3, 0, -1)])
-        assert p.evaluate(1, 1, 1, 1) == 3
-
     def test_power(self):
         p = V["w"] + 1
         assert p**0 == MultiPoly.one()
@@ -177,17 +173,6 @@ def test_terms_graded_lex_round_trip(records):
     assert all(type(t) is tuple and len(t) == 5 and all(type(v) is int for v in t)
                for t in p.terms())
     assert p.total_degree() == max((k[0] for k in keys), default=-1)
-
-
-@settings(max_examples=100)
-@given(multi_polys, st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4))
-def test_evaluate_matches_termwise_sum(p, point):
-    w, x, y, z = point
-    expected = sum(c * w**i * x**j * y**k * z**l for i, j, k, l, c in p.terms())
-    assert p.evaluate(w, x, y, z) == expected
-    value = p.evaluate(0.5, -1.5, 2.0, 1j)
-    assert value == pytest.approx(sum(c * 0.5**i * (-1.5)**j * 2.0**k * 1j**l
-                                      for i, j, k, l, c in p.terms()), abs=1e-9)
 
 
 @settings(max_examples=150)
@@ -260,7 +245,7 @@ def test_substitution_matches_naive(p, weights):
 def test_substitute_all_ones_is_evaluation():
     p = MultiPoly([(1, 1, 0, 0, 2), (0, 0, 1, 2, 5)])
     image = poly_substitute(p, (0, 0, 0, 0))
-    assert image == UniPoly.constant(p.evaluate(1, 1, 1, 1))
+    assert image == UniPoly.constant(sum(c for *_, c in p.terms()))
 
 
 def test_substitute_zero_and_cancelling_images():

@@ -10,9 +10,12 @@ from fixtures import match_multisets
 from trident.polyring import (NotDivisible, UniPoly, horner, split_origin, up_divide_exact,
                               up_square_free)
 from trident.specialize import SpecId, spec_family, spec_images
-from trident.zeros import (EXPLICIT_SPECS, LOCI, NoConvergence, _lucas, _lucas_points,
-                           backward_scale, verify_locus, zeros_explicit, zeros_general,
-                           zeros_of)
+from trident.zeros import (LOCI, NoConvergence, _lucas, _lucas_points, backward_scale,
+                           verify_locus, zeros_explicit, zeros_general, zeros_of)
+
+# The rows ``zeros_explicit`` takes by tag.
+EXPLICIT_TAGS = (("z1q", (SpecId.Z1, "q")), ("z1r", (SpecId.Z1, "r")),
+                 ("z2", (SpecId.Z2, "q")), ("z3", (SpecId.Z3, "q")))
 
 
 def quadratic_roots(c0: int, c1: int, c2: int) -> list[complex]:
@@ -83,21 +86,41 @@ def test_explicit_tags_are_the_map_rows():
     # each tag names a LOCI row of a z-spec, and each such row has one tag;
     # a tagged row counts the member's whole degree, zero at the origin
     # included, while every other Lucas row counts its square-free part's
+    tagged = [row for _, row in EXPLICIT_TAGS]
     z_rows = [key for key in LOCI if key[0] in (SpecId.Z1, SpecId.Z2, SpecId.Z3)]
-    assert sorted(EXPLICIT_SPECS.values(), key=str) == sorted(z_rows, key=str)
-    for spec, family in (*EXPLICIT_SPECS.values(), (SpecId.P2, "q"), (SpecId.P4, "q")):
+    assert sorted(tagged, key=str) == sorted(z_rows, key=str)
+    for spec, family in (*tagged, (SpecId.P2, "q"), (SpecId.P4, "q")):
         report, _ = zeros_of(spec, family, 9)
         member = spec_family(spec, family, 9)
         origin = split_origin(member)[0]
-        if (spec, family) in EXPLICIT_SPECS.values():
+        if (spec, family) in tagged:
             assert report.origin_multiplicity == origin
             assert len(report.points) + origin == member.degree()
         else:
             assert origin > 1 and report.origin_multiplicity == 1
+    # the rule for every member with zeros: a LOCI row reports the whole
+    # multiplicity at the origin, every other row at most 1; p3/p5/p6 q have
+    # no zero there, since W2 vanishes at z = 0 and W1 does not.  The indices
+    # stop at 20 to keep this test under 1 s (n = 30 adds 0.7 s, and there
+    # z3 r meets the finder's NaN, which test_refusal_writes_nothing pins).
+    for spec in SpecId:
+        for family in ("q", "r"):
+            for n in (2, 9, 20):
+                member = spec_family(spec, family, n)
+                if member.degree() < 1:
+                    continue
+                origin = split_origin(member)[0]
+                report, _ = zeros_of(spec, family, n)
+                if (spec, family) in LOCI:
+                    assert report.origin_multiplicity == origin, (spec, family, n)
+                else:
+                    assert report.origin_multiplicity == min(origin, 1), (spec, family, n)
+                if spec in (SpecId.P3, SpecId.P5, SpecId.P6) and family == "q":
+                    assert report.origin_multiplicity == 0, (spec, n)
 
 
 def test_zeros_explicit_is_zeros_of():
-    for tag, (spec, family) in EXPLICIT_SPECS.items():
+    for tag, (spec, family) in EXPLICIT_TAGS:
         for n in range(2, 31):
             report = zeros_explicit(tag, n)
             assert report == zeros_of(spec, family, n)[0], (tag, n)
