@@ -17,8 +17,8 @@ from .polyring import (DivisionByZeroPolynomial, MultiPoly, NotDivisible, UniPol
                        mp_divide_exact, poly_substitute, up_divide_exact, up_gcd,
                        up_square_free)
 from .report import Report
-from .sequences import (W1, W2, closed_form_k3n, gf_check, q_poly, r_poly,
-                        s_poly, s_poly_product, scalar_qr)
+from .sequences import (W1, W2, gf_check, q_poly, r_poly, s_poly, s_poly_product,
+                        scalar_qr)
 from .specialize import (SpecId, partition_statistic, profile, profile_from_oracle,
                          q1_r1_closed, spec_family, spec_images, structural_check)
 from .zeros import NoConvergence, ZeroReport, verify_locus, zeros_explicit, zeros_general
@@ -34,7 +34,7 @@ __all__ = [
     "DivisionByZeroPolynomial", "MultiPoly", "NotDivisible",
     "UniPoly", "mp_divide_exact", "poly_substitute",
     "up_divide_exact", "up_gcd", "up_square_free",
-    "W1", "W2", "closed_form_k3n", "gf_check", "q_poly", "r_poly",
+    "W1", "W2", "gf_check", "q_poly", "r_poly",
     "s_poly", "s_poly_product", "scalar_qr",
     "SpecId", "partition_statistic", "profile", "profile_from_oracle",
     "q1_r1_closed", "spec_family", "spec_images", "structural_check",

@@ -22,7 +22,7 @@ import math
 
 from .polyring import UniPoly
 from .report import Report
-from .sequences import S1, TRIPLE_COEFF, VAR_W, VAR_X, W1, W2, q_poly, r_poly
+from .sequences import R_CORRECTION, VAR_W, VAR_X, W1, W2, q_poly, r_poly
 
 
 class ChebKind(enum.Enum):
@@ -87,7 +87,7 @@ def verify_prop35(n: int) -> Report:
     In the 4-variable ring:
       * the q-sequence at n+1 equals E_n(W1, W2);
       * twice the r-sequence at n equals D_n(W1, W2) plus
-        (w + x + y - wxy - wz - xz) times the q-sequence at n.
+        ``R_CORRECTION`` (w + x + y - wxy - wz - xz) times the q-sequence at n.
 
     In Z[v]: E_n(2v, 1) = U_n(v) and D_n(2v, 1) = 2 T_n(v).  And every term
     a^i b^j of E_n(a, b) and D_n(a, b) has weight i + 2j = n, so
@@ -98,8 +98,7 @@ def verify_prop35(n: int) -> Report:
     report = Report(f"n={n}")
     if q_poly(n + 1) != dickson_E(n, W1, W2):
         report.record(f"E_{n}(W1, W2) != q-sequence at {n + 1}", False)
-    correction = S1 - TRIPLE_COEFF
-    if 2 * r_poly(n) != dickson_D(n, W1, W2) + correction * q_poly(n):
+    if 2 * r_poly(n) != dickson_D(n, W1, W2) + R_CORRECTION * q_poly(n):
         report.record(f"D_{n}(W1, W2) correction identity fails at {n}", False)
     if dickson_E(n, _TWO_V, 1) != chebyshev(ChebKind.SECOND, n):
         report.record(f"E_{n}(2v, 1) != U_{n}(v)", False)

@@ -3,17 +3,19 @@
 Every subcommand emits deterministic output (identical argv and
 configuration produce byte-identical bytes, including the seeded jitter of
 the root finder).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 cap, convergence or float-range error, 141 stdout closed by its
-reader.  ``COMMANDS`` is the one table of subcommands.  An emitter yields
-its output in pieces as it computes it, a polynomial in pieces of at most
-1024 terms, and ``run`` writes each piece as it arrives: to stdout, or to
-a file beside ``--out`` that replaces it once the command has completed.
+error, 3 cap, convergence, float-range or int-to-str digit-limit error,
+141 stdout closed by its reader.  ``COMMANDS`` is the one table of
+subcommands.  An emitter yields its output in pieces as it computes it, a
+polynomial in pieces of at most 1024 terms, and ``run`` writes each piece
+as it arrives: to stdout, or to a file beside ``--out`` that replaces it
+once the command has completed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain, islice
@@ -127,8 +129,24 @@ def _emit_spec(args) -> Iterator[str]:
         lambda n, p: (f"{n},{k},{c}\n" for k, c in enumerate(p.coeffs)))
 
 
+def _digit_check() -> Callable[..., tuple[int, ...]]:
+    """A check that returns its int arguments if ``str`` can convert them all,
+    and raises OverflowError if not: Python's int-to-str digit limit, read
+    once (none where it is 0, or before Python 3.10.7)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**digits if digits else math.inf
+
+    def check(*values: int) -> tuple[int, ...]:
+        if max(map(abs, values)) >= bound:
+            raise OverflowError(f"the answer exceeds the limit ({digits} digits) "
+                                "for integer string conversion")
+        return values
+    return check
+
+
 def _emit_scalar(args) -> Iterator[str]:
-    rows = _per_index(args, scalar_qr)
+    check = _digit_check()
+    rows = _per_index(args, lambda n: check(*scalar_qr(n)))
     if args.format == "json":
         sep = '{"command": "scalar", "rows": ['
         for n, (q, r) in rows:
@@ -158,7 +176,7 @@ def _list_cap(args) -> int:
 def _emit_enumerate(args) -> Iterator[str]:
     cap = _list_cap(args)
     n, = _indices(args)
-    count = count_partitions(n)
+    count, = _digit_check()(count_partitions(n))
     partitions = enumerate_partitions(n, cap=cap) if args.list else None
     if args.format == "json":
         head = json.dumps({"command": "enumerate", "n": n, "count": str(count)})

@@ -619,13 +619,6 @@ def up_square_free(p: UniPoly) -> UniPoly:
     return _primitive(up_divide_exact(p, up_gcd(p, p.derivative())))
 
 
-def binomial_power(constant: int, n: int) -> UniPoly:
-    """The expansion of (variable + constant)**n via binomial coefficients."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return UniPoly(tuple(math.comb(n, j) * constant ** (n - j) for j in range(n + 1)))
-
-
 def poly_substitute(p: MultiPoly, weights: tuple[int, int, int, int]) -> UniPoly:
     """Image of ``p`` under w, x, y, z -> t^a, t^b, t^c, t^d, for ``weights`` (a, b, c, d).
 

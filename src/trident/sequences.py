@@ -49,6 +49,8 @@ DIGIT_COEFFS = (S1, S2, TRIPLE_COEFF, WXZ)
 # sequences obey u_n = W1 u_{n-1} - W2 u_{n-2} with (W1, W2) = (tr M1, det M1).
 W1 = S1 + TRIPLE_COEFF
 W2 = S1 * TRIPLE_COEFF - WXZ
+# The r correction of the Chebyshev bridge: 2 R_n = D_n(W1, W2) + R_CORRECTION * Q_n.
+R_CORRECTION = S1 - TRIPLE_COEFF
 
 # (S(n), S(n-1)) for each index a caller asked for, and no intermediate
 # prefix.  S(-1) = 0 makes index 0 the one seed.
@@ -143,15 +145,6 @@ def s_poly_product(n: int) -> MultiPoly:
                     coeffs[i] = MultiPoly.sum_of_products([(one, coeffs[i])] + terms)
         power *= 3
     return coeffs[n]
-
-
-def closed_form_k3n(k: int, n: int) -> MultiPoly:
-    """S(k-1) times the n-th power of S(2): the closed form at index k*3^n - 1."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return s_poly(k - 1) * S2**n
 
 
 def scalar_qr(n: int) -> tuple[int, int]:

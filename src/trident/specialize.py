@@ -28,7 +28,7 @@ import math
 from typing import Callable
 
 from .oracle import PartitionStats, oracle_poly
-from .polyring import UniPoly, binomial_power, poly_substitute, split_origin
+from .polyring import UniPoly, poly_substitute, split_origin
 from .report import Report
 from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
 
@@ -86,21 +86,23 @@ def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
     return q if family == "q" else r
 
 
-def _halved(p: UniPoly) -> UniPoly:
-    if any(c % 2 for c in p.coeffs):
-        raise AssertionError("expected all-even coefficients")
-    return UniPoly(tuple(c // 2 for c in p.coeffs))
+def _binomial_halves(c: int, d: int, n: int) -> tuple[UniPoly, UniPoly]:
+    """(((z+c)^n - (z+d)^n) / 2, ((z+c)^n + (z+d)^n) / 2), from ``math.comb``.
+
+    Both halves are exact for c and d of one parity: then c^k and d^k agree
+    mod 2, and so do the two expansions coefficient-wise.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    pairs = [(math.comb(n, j) * c ** (n - j), math.comb(n, j) * d ** (n - j))
+             for j in range(n + 1)]
+    return UniPoly((u - v) // 2 for u, v in pairs), UniPoly((u + v) // 2 for u, v in pairs)
 
 
 def q1_r1_closed(n: int) -> tuple[UniPoly, UniPoly]:
-    """Closed binomial forms of the (1, 1, z, 1) families.
-
-    Returns (((z+3)^n - (z+1)^n) / 2, ((z+3)^n + (z+1)^n) / 2); both halves
-    are exact because the two expansions agree coefficient-wise mod 2.
-    """
-    plus3 = binomial_power(3, n)
-    plus1 = binomial_power(1, n)
-    return _halved(plus3 - plus1), _halved(plus3 + plus1)
+    """Closed binomial forms of the (1, 1, z, 1) families:
+    (((z+3)^n - (z+1)^n) / 2, ((z+3)^n + (z+1)^n) / 2)."""
+    return _binomial_halves(3, 1, n)
 
 
 def partition_statistic(spec: SpecId, stats: PartitionStats) -> int:
@@ -132,26 +134,21 @@ def profile_from_oracle(spec: SpecId, family: str, n: int) -> dict[int, int]:
     return counts
 
 
-def _shifted_binomials(n: int, parity: int) -> UniPoly:
-    """The sum of C(n, k) z^(n-k) over the k of the given parity: the z1 members
-    Q_n(z - 2) (odd k) and R_n(z - 2) (even k)."""
-    return UniPoly(math.comb(n, n - d) if (n - d) % 2 == parity else 0 for d in range(n + 1))
-
-
 # The claimed structure of the family members, in the order verify runs it:
 # per spec, one row per claim, (family, claim, f(member, n) -> (found, claimed)),
-# with the rows of one family adjacent.
+# with the rows of one family adjacent.  The z1 members shifted by -2 are
+# their closed forms at z - 2: ((z+1)^n -/+ (z-1)^n) / 2.
 STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], ...]] = {
     SpecId.Z1: (("q", "degree", lambda p, n: (p.degree(), n - 1)),
                 ("q", "constant", lambda p, n: (p.coeff(0), (3**n - 1) // 2)),
                 ("q", "leading", lambda p, n: (p.coeff(n - 1), n)),
                 ("q", "shifted by -2",
-                 lambda p, n: (p.shift_argument(-2), _shifted_binomials(n, 1))),
+                 lambda p, n: (p.shift_argument(-2), _binomial_halves(1, -1, n)[0])),
                 ("r", "degree", lambda p, n: (p.degree(), n)),
                 ("r", "constant", lambda p, n: (p.coeff(0), (3**n + 1) // 2)),
                 ("r", "leading", lambda p, n: (p.coeff(n), 1)),
                 ("r", "shifted by -2",
-                 lambda p, n: (p.shift_argument(-2), _shifted_binomials(n, 0)))),
+                 lambda p, n: (p.shift_argument(-2), _binomial_halves(1, -1, n)[1]))),
     SpecId.Z2: (("q", "degree", lambda p, n: (p.degree(), 3 * (n - 1))),
                 ("q", "lowest degree",
                  lambda p, n: (next(d for d, c in enumerate(p.coeffs) if c), n - 1)),

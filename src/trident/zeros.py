@@ -9,14 +9,8 @@ families from the factors, and those of every other member from its exact
 square-free part through the Aberth-Ehrlich root finder, which
 ``zeros_general`` runs on any polynomial.  ``LOCI`` is the one table of
 zero facts, one row per (spec, family) that claims a locus: its JSON
-parameters, distance and strict margin.  The claimed loci, checked by
-``verify_locus``:
-
-  * (1, 1, z, 1): every zero on the vertical line Re = -2, nonreal except
-    a single zero at -2 for even q-indices and odd r-indices;
-  * (z, z, z, z^2): nonzero zeros on the unit circle with |Im| > 1/3;
-  * (1, 1, z, z): zeros on the circle |z - 3/8| = 7/8 with Re < 1/2;
-  * presets p3/p5/p6: unit circle, or the negative real axis.
+parameters, distance, strict margin and real-zero parity.  The claimed
+loci are its rows, and ``verify_locus`` checks them.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 from .polyring import (UniPoly, horner, poly_substitute, split_origin, up_divide_exact, up_gcd,
                        up_square_free)
 from .report import Report
-from .sequences import S1, TRIPLE_COEFF
+from .sequences import R_CORRECTION
 from .specialize import SpecId, spec_family, spec_images
 
 # The root finder's iteration cap, relative stopping tolerance, start jitter seed
@@ -62,7 +56,9 @@ class ZeroReport(NamedTuple):
     the one with its exact zero at the origin divided out (that zero is
     carried in ``origin_multiplicity``).  ``residuals[i]`` is |P(points[i])| and
     ``locus_distances[i]`` the distance to the claimed locus, when one
-    exists for the family.
+    exists for the family.  On a ``LOCI`` row ``origin_multiplicity`` is the
+    member's own multiplicity at the origin; on every other row it is at
+    most 1.
     """
 
     family: str
@@ -288,7 +284,7 @@ def _lucas(spec: SpecId) -> tuple[tuple[int, ...], tuple[int, ...], UniPoly, Uni
     g, h = up_gcd(a, b), up_gcd(a * a, b)
     return (up_divide_exact(a * a, h).coeffs, up_divide_exact(b, h).coeffs,
             split_origin(up_divide_exact(a, g))[1], split_origin(g)[1],
-            not poly_substitute(S1 - TRIPLE_COEFF, spec.weights))
+            not poly_substitute(R_CORRECTION, spec.weights))
 
 
 def _roots(coeffs) -> list[complex]:

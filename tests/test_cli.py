@@ -1,5 +1,8 @@
 """CLI behavior: formats, schema validity, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -9,10 +12,14 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trident
 from fixtures import PARTITIONS_OF_3
 from trident import oracle, specialize
-from trident.cli import run
+from trident.cli import COMMANDS, VERIFICATION_GROUPS, run
 from trident.sequences import q_poly
 from trident.specialize import SpecId, spec_family
 
@@ -24,6 +31,34 @@ def run_capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Sink:
+    """A stdout that keeps the sha256 of what is written and the start of
+    each piece, not the text: a sweep past the digit limit writes 30 MB."""
+
+    def __init__(self):
+        self.sha256, self.starts = hashlib.sha256(), []
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        self.starts.append(text[:16])
+        return len(text)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self) -> None:
+        pass
+
+
+def run_sunk(argv):
+    """``run(argv)`` with stdout in a ``Sink``; stderr is returned as text."""
+    out, err = Sink(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out, err.getvalue()
 
 
 def run_json(capsys, argv):
@@ -90,6 +125,33 @@ def test_enumerate_index_of_a_thousand_digits(capsys):
     code, out, _ = run_capture(capsys, ["enumerate", "--n", str(n)])
     assert code == 0
     assert out.startswith(f"n={n} count=")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_digit_limit_is_refused_as_a_limit(capsys):
+    # an answer longer than the int-to-str limit (4300 digits by default) is
+    # refused with exit 3 before it is written; a sweep keeps the rows
+    # below it, and scalar's last row within the limit is n = 7142
+    for argv in (["scalar", "--n", "8000"], ["enumerate", "--n", "1" * 4200]):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (3, ""), argv[0]
+        assert err == "error: the answer exceeds the limit (4300 digits) " \
+                      "for integer string conversion\n", argv[0]
+    code, out, err = run_sunk(["scalar", "--upto", "7200", "--format", "csv"])
+    assert code == 3 and err.startswith("error: the answer exceeds the limit")
+    assert out.starts[0] == "n,q,r\n"   # then one piece per row
+    assert [piece.split(",")[0] for piece in out.starts[1:]] == list(map(str, range(7143)))
+    code, out, _ = run_capture(capsys, ["scalar", "--n", "7142"])
+    assert code == 0 and out.startswith("7142\t")
+    # a limit of 0 is none
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run_capture(capsys, ["scalar", "--n", "8000"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and out.startswith("8000\t")
 
 
 def test_spec_json_and_pretty(capsys):
@@ -546,6 +608,12 @@ def test_version_flag(capsys):
     assert out.startswith("trident ")
 
 
+def test_version_matches_pyproject():
+    # tomllib is missing on Python 3.10: the version line is read by regex
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == trident.__version__
+
+
 def test_import_leaves_rational_modules_unloaded():
     # the runtime computes in plain integers and keeps its records as
     # NamedTuples: importing the CLI pulls in neither fractions nor decimal,
@@ -559,3 +627,48 @@ def test_import_leaves_rational_modules_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# The largest index the property below asks of each command: the polynomial
+# commands grow fast with n, and scalar's sweep reaches past the digit limit.
+FUZZ_TOP = {"s-poly": 400, "q-poly": 9, "r-poly": 9, "spec": 32, "profile": 32, "zeros": 32,
+            "scalar": 9000, "enumerate": 400}
+
+
+@st.composite
+def cli_argv(draw):
+    """Every subcommand and an unknown one, each with a random choice of its
+    options at valid and invalid values; verify always runs --quick."""
+    command = draw(st.sampled_from([*COMMANDS, "frobnicate"]))
+    top = FUZZ_TOP.get(command, 32)
+    n = st.integers(-3, top)
+    if command == "enumerate":
+        n = n | st.just(int("1" * 4200))   # its count is past the digit limit
+    values = {"--n": n, "--upto": st.integers(-3, top),
+              "--spec": st.sampled_from([*(s.value for s in SpecId), "zz"]),
+              "--family": st.sampled_from(["q", "r", "x"]),
+              "--format": st.sampled_from(["pretty", "json", "csv", "xml"]),
+              "--cap": st.integers(-2, 10**9)}
+    argv = [command]
+    if command == "verify":
+        groups = [*dict.fromkeys(VERIFICATION_GROUPS), "bogus"]
+        argv += ["--quick", "--only", draw(st.sampled_from(groups))]
+    options = COMMANDS[command].options if command in COMMANDS else ()
+    for flag in (*options, "--format"):
+        if flag not in ("--quick", "--only") and draw(st.booleans()):
+            argv += [flag, str(draw(values[flag]))] if flag in values else [flag]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=cli_argv())
+def test_run_answers_or_refuses_every_argv(argv):
+    # an exit code of the CLI's own, no traceback, the same answer twice in
+    # one process, and nothing on stdout from a refusal of one index
+    code, out, err = run_sunk(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    again, out_again, _ = run_sunk(argv)
+    assert (again, out_again.sha256.digest()) == (code, out.sha256.digest()), argv
+    if code in (2, 3) and "--upto" not in argv:
+        assert not any(out.starts), argv

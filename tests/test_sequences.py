@@ -11,8 +11,7 @@ from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import EXP_LIMIT, MultiPoly, NotDivisible, mp_divide_exact
 from trident.sequences import (PRODUCT_CAP, S1, S2, VAR_W, VAR_X, VAR_Y, VAR_Z, W1, W2,
-                               closed_form_k3n, gf_check, q_poly, r_poly, s_poly,
-                               s_poly_product, scalar_qr)
+                               gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr)
 
 
 def proper_divisor_sum(n: int) -> int:
@@ -74,12 +73,13 @@ def test_mod_three_shift_identity():
 
 
 def test_closed_form_power_of_three():
-    assert closed_form_k3n(1, 2) == S2**2
-    assert closed_form_k3n(1, 0) == MultiPoly.one()
+    # the lemma S(k 3^n - 1) = S(k - 1) S2^n
+    assert s_poly(3**2 - 1) == S2**2
+    assert s_poly(3**0 - 1) == MultiPoly.one()
     assert s_poly(3**4 - 1) == S2**4
     for k in (1, 2, 3, 5):
         for n in range(4):
-            assert closed_form_k3n(k, n) == s_poly(k * 3**n - 1), (k, n)
+            assert s_poly(k - 1) * S2**n == s_poly(k * 3**n - 1), (k, n)
 
 
 def test_subsequence_base_cases():

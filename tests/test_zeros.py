@@ -439,3 +439,35 @@ def test_zero_report_residuals_finite():
     report = zeros_explicit("z1r", 14)
     assert all(math.isfinite(r) for r in report.residuals)
     assert all(math.isfinite(d) for d in report.locus_distances)
+
+
+def locus_points(params):
+    """(point, distance) pairs on the geometry ``params`` describe: each
+    point on it, at distance 0, and moved off it by a known distance."""
+    offsets = (0.0, -0.1, -0.01, 0.01, 0.1)
+    kind = params["type"]
+    if kind == "union":
+        return [pair for part in params["components"] for pair in locus_points(part)]
+    if kind == "line":
+        return [(complex(params["re"] + d, t), abs(d)) for t in (-3.0, 0.0, 0.5, 7.0)
+                for d in offsets]
+    if kind == "circle":
+        # angles at least pi/7 off the real axis, so that a point moved off
+        # the unit circle stays farther from the negative real axis
+        centre = complex(*params["center"])
+        return [(centre + (params["radius"] + d) * cmath.exp(1j * k * math.pi / 7), abs(d))
+                for k in (-6, -4, -1, 1, 3, 5) for d in offsets]
+    if kind == "segment" and params["axis"] == "negative-real":
+        return [(complex(-x, d), abs(d)) for x in (0.25, 2.0, 5.0) for d in offsets]
+    raise AssertionError(f"no geometry for the locus {params}")
+
+
+def test_locus_distance_matches_its_params():
+    # the locus --locus prints (params) and the one verify checks (distance)
+    # are stated apart in each LOCI row: each must describe the other
+    for key, locus in LOCI.items():
+        for z, offset in locus_points(locus.params):
+            if offset:
+                assert abs(locus.distance(z) - offset) <= 1e-12, (key, z)
+            else:
+                assert locus.distance(z) <= 1e-15, (key, z)
