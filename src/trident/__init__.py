@@ -18,7 +18,7 @@ from .polyring import (DivisionByZeroPolynomial, MultiPoly, NotDivisible, UniPol
                        up_square_free)
 from .report import Report
 from .sequences import (W1, W2, gf_check, q_poly, r_poly, s_poly, s_poly_product,
-                        scalar_qr)
+                        s_poly_sweep, scalar_qr)
 from .specialize import (SpecId, partition_statistic, profile, profile_from_oracle,
                          q1_r1_closed, spec_family, spec_images, structural_check)
 from .zeros import NoConvergence, ZeroReport, verify_locus, zeros_explicit, zeros_general
@@ -35,7 +35,7 @@ __all__ = [
     "UniPoly", "mp_divide_exact", "poly_substitute",
     "up_divide_exact", "up_gcd", "up_square_free",
     "W1", "W2", "gf_check", "q_poly", "r_poly",
-    "s_poly", "s_poly_product", "scalar_qr",
+    "s_poly", "s_poly_product", "s_poly_sweep", "scalar_qr",
     "SpecId", "partition_statistic", "profile", "profile_from_oracle",
     "q1_r1_closed", "spec_family", "spec_images", "structural_check",
     "NoConvergence", "ZeroReport", "verify_locus", "zeros_explicit", "zeros_general",

@@ -28,7 +28,7 @@ from .identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
 from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
                      enumerate_partitions, oracle_poly)
 from .report import Report
-from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
+from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, s_poly_sweep, scalar_qr
 from .specialize import STRUCTURE, SpecId, profile, spec_family, structural_check
 from .zeros import LOCI, NoConvergence, verify_locus, zeros_of
 
@@ -63,14 +63,14 @@ def _indices(args) -> list[int]:
     return [args.n]
 
 
-def _per_index(args, compute) -> Iterator[tuple[int, object]]:
-    """``(n, compute(n))`` per index, the first computed at once.
-
-    An emitter calls this before its first piece, so that a refusal by
-    ``compute`` (a negative ``--n``) leaves the output empty.
+def _per_index(args, compute, sweep=None) -> Iterator[tuple[int, object]]:
+    """``(n, compute(n))`` per index, or with ``--upto`` the values of ``sweep(upto)``
+    where one is given.  The first is computed at once: an emitter calls this
+    before its first piece, so that a refusal (a negative ``--n``) leaves the output empty.
     """
-    first, *rest = _indices(args)
-    return chain([(first, compute(first))], ((n, compute(n)) for n in rest))
+    indices = _indices(args)
+    values = sweep(args.upto) if sweep and args.upto is not None else map(compute, indices)
+    return zip(indices, chain([next(values)], values))
 
 
 def _joined(sep: str, items) -> Iterator[str]:
@@ -82,15 +82,14 @@ def _joined(sep: str, items) -> Iterator[str]:
         lead = sep
 
 
-def _emit_members(args, head: dict, member, field: str, json_items, csv_header: str,
+def _emit_members(args, head: dict, members, field: str, json_items, csv_header: str,
                   csv_lines) -> Iterator[str]:
-    """One polynomial per index, each written as it is computed.
+    """The ``(n, polynomial)`` pairs of ``_per_index``, each written as it is computed.
 
     JSON ``field`` holds ``json_items(p)``, the JSON text of each item; CSV
     has the lines ``csv_lines(n, p)`` under ``csv_header``; pretty has one
     line per index.
     """
-    members = _per_index(args, member)
     if args.format == "json":
         # json.dumps({**head, "n": n, field: [...]}), with --upto
         # json.dumps({**head, "rows": [{"n": n, field: [...]}, ...]})
@@ -113,18 +112,24 @@ def _emit_poly(args) -> Iterator[str]:
     # Resolved per call rather than bound in COMMANDS, so that a profiler
     # wrapping the module-level names sees these calls.
     member = {"s-poly": s_poly, "q-poly": q_poly, "r-poly": r_poly}[args.command]
+    sweep = s_poly_sweep if args.command == "s-poly" else None
     return _emit_members(
-        args, {"command": args.command}, member, "terms",
+        args, {"command": args.command}, _per_index(args, member, sweep), "terms",
         lambda p: (f'[{i}, {j}, {k}, {l}, "{c}"]' for i, j, k, l, c in p.terms()),
         "n,exp_w,exp_x,exp_y,exp_z,coeff\n",
         lambda n, p: (f"{n},{i},{j},{k},{l},{c}\n" for i, j, k, l, c in p.terms()))
 
 
 def _emit_spec(args) -> Iterator[str]:
-    spec = SpecId(args.spec)
+    spec, check = SpecId(args.spec), _digit_check()
+
+    def member(n: int):
+        p = spec_family(spec, args.family, n)
+        check(*p.coeffs)
+        return p
     return _emit_members(
         args, {"command": "spec", "spec": args.spec, "family": args.family},
-        lambda n: spec_family(spec, args.family, n), "coeffs",
+        _per_index(args, member), "coeffs",
         lambda p: (f'"{c}"' for c in p.coeffs), "n,degree,coeff\n",
         lambda n, p: (f"{n},{k},{c}\n" for k, c in enumerate(p.coeffs)))
 
@@ -137,7 +142,7 @@ def _digit_check() -> Callable[..., tuple[int, ...]]:
     bound = 10**digits if digits else math.inf
 
     def check(*values: int) -> tuple[int, ...]:
-        if max(map(abs, values)) >= bound:
+        if max(map(abs, values), default=0) >= bound:
             raise OverflowError(f"the answer exceeds the limit ({digits} digits) "
                                 "for integer string conversion")
         return values
@@ -196,6 +201,7 @@ def _emit_enumerate(args) -> Iterator[str]:
 def _emit_profile(args) -> Iterator[str]:
     n, = _indices(args)
     items = sorted(profile(SpecId(args.spec), args.family, n).items())
+    _digit_check()(*(c for _, c in items))
     if args.format == "json":
         yield json.dumps({"command": "profile", "spec": args.spec, "family": args.family,
                           "n": n, "profile": [{"k": k, "count": str(c)} for k, c in items]}) + "\n"

@@ -12,7 +12,9 @@ with S(0) = 1 and S(-1) = 0: base-3 digit d is a 2x2 matrix M_d taking
 (S(m), S(m-1)) to (S(3m+d), S(3m+d-1)).  ``digit_walk`` carries that pair
 over any ring the matrix entries map into; it is the one memoized
 recurrence of the package, serving S, Q and R here and every
-single-variable specialization in ``specialize``.  ``s_poly_product``
+single-variable specialization in ``specialize``.  Its memo keeps S(n-1)
+beside S(n) only for a caller that reads the pair, and ``s_poly_sweep``
+walks 0..N dropping each value no later index reads.  ``s_poly_product``
 expands the defining generating product instead and serves as a
 redundant second path; the enumeration oracle is a third.
 
@@ -23,6 +25,8 @@ them, which ``gf_check`` and the Chebyshev bridge verify against S.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .polyring import MultiPoly
 from .report import Report
@@ -52,9 +56,9 @@ W2 = S1 * TRIPLE_COEFF - WXZ
 # The r correction of the Chebyshev bridge: 2 R_n = D_n(W1, W2) + R_CORRECTION * Q_n.
 R_CORRECTION = S1 - TRIPLE_COEFF
 
-# (S(n), S(n-1)) for each index a caller asked for, and no intermediate
-# prefix.  S(-1) = 0 makes index 0 the one seed.
-_PAIRS: dict[int, tuple[MultiPoly, MultiPoly]] = {0: (MultiPoly.one(), MultiPoly.zero())}
+# S(n) for each index a caller asked for, and S(n - 1) beside it where the
+# caller reads the pair; no intermediate prefix.  S(-1) = 0 and S(0) = 1 seed it.
+_VALUES: dict[int, MultiPoly] = {-1: MultiPoly.zero(), 0: MultiPoly.one()}
 
 
 def _digit_row(d: int, s, b, coeffs):
@@ -69,31 +73,37 @@ def _digit_row(d: int, s, b, coeffs):
     return s2 * b
 
 
-def digit_walk(n: int, coeffs, memo: dict):
-    """(S(n), S(n-1)) in the ring of ``coeffs``, the image of ``DIGIT_COEFFS``.
+def digit_walk(n: int, coeffs, memo: dict, pair: bool = False):
+    """S(n) in the ring of ``coeffs``, the image of ``DIGIT_COEFFS``, or with
+    ``pair`` (S(n), S(n-1)).
 
     Carried digit by digit up the base-3 prefixes of ``n`` from the longest
-    one in ``memo``, which maps an index to its pair and holds at least
-    index 0; the pair at ``n`` is stored there.  Writes are idempotent: no
-    lock.
+    prefix m with S(m) and S(m-1) in ``memo``, which maps an index to its
+    value and holds indices -1 and 0; S(n) is stored there, and S(n-1) too
+    with ``pair``.  Writes are idempotent: no lock.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n in memo and (not pair or n - 1 in memo):
+        return (memo[n], memo[n - 1]) if pair else memo[n]
     digits = []
     m = n
-    while m not in memo:
+    while m and (m not in memo or m - 1 not in memo):   # the seeds end it at 0
         m, d = divmod(m, 3)
         digits.append(d)
-    s, b = memo[m]
-    before = memo.get(n - 1)
+    s, b = memo[m], memo[m - 1]
     for i in reversed(range(len(digits))):
         d = digits[i]
         # S(3m + d) first: its products are the larger, and form before the
-        # other entry is alive.  With S(n-1) memoized the last step forms
-        # S(n) alone and shares that object.
-        s, b = (_digit_row(d, s, b, coeffs),
-                before[0] if i == 0 and before else _digit_row(d - 1, s, b, coeffs))
-    memo[n] = (s, b)
+        # other entry is alive.  The last step forms S(n - 1) only for a
+        # pair without a memoized one.
+        s, b = _digit_row(d, s, b, coeffs), (
+            memo.get(n - 1) if i == 0 and (not pair or n - 1 in memo)
+            else _digit_row(d - 1, s, b, coeffs))
+    memo[n] = s
+    if not pair:
+        return s
+    memo[n - 1] = b
     return s, b
 
 
@@ -101,22 +111,33 @@ def repunit_pair(n: int, coeffs, memo: dict):
     """(R_n, Q_n): the pair at (3^n - 1)/2, whose n base-3 digits are all 1."""
     if n < 0:   # before 3**n, which is a float at negative n
         raise ValueError("n must be non-negative")
-    return digit_walk((3**n - 1) // 2, coeffs, memo)
+    return digit_walk((3**n - 1) // 2, coeffs, memo, pair=True)
 
 
 def s_poly(n: int) -> MultiPoly:
     """The counting polynomial of ``n`` via the base-3 digit walk."""
-    return digit_walk(n, DIGIT_COEFFS, _PAIRS)[0]
+    return digit_walk(n, DIGIT_COEFFS, _VALUES)
+
+
+def s_poly_sweep(upto: int) -> Iterator[MultiPoly]:
+    """S(0), ..., S(upto) in order, over a memo of its own that drops what no
+    later index reads: the values below n//3 - 1, and each above upto//3."""
+    memo = {-1: MultiPoly.zero(), 0: MultiPoly.one()}
+    for n in range(upto + 1):
+        memo.pop(n // 3 - 2, None)   # n//3 - 1 rises by at most one per index
+        yield digit_walk(n, DIGIT_COEFFS, memo)
+        if n > upto // 3:
+            del memo[n]
 
 
 def q_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 3)/2: S(m - 1) at m = (3^n - 1)/2."""
-    return repunit_pair(n, DIGIT_COEFFS, _PAIRS)[1]
+    return repunit_pair(n, DIGIT_COEFFS, _VALUES)[1]
 
 
 def r_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 1)/2."""
-    return repunit_pair(n, DIGIT_COEFFS, _PAIRS)[0]
+    return repunit_pair(n, DIGIT_COEFFS, _VALUES)[0]
 
 
 def s_poly_product(n: int) -> MultiPoly:

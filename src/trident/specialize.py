@@ -56,9 +56,9 @@ class SpecId(enum.Enum):
         return member
 
 
-# One (R, Q) pair memo per distinct image of the digit-matrix entries: P5
-# and P6 share one, since every M_d is invariant under w <-> x.
-_MEMOS: dict[tuple[UniPoly, ...], dict[int, tuple[UniPoly, UniPoly]]] = {}
+# One value memo of the walk per distinct image of the digit-matrix entries:
+# P5 and P6 share one, since every M_d is invariant under w <-> x.
+_MEMOS: dict[tuple[UniPoly, ...], dict[int, UniPoly]] = {}
 
 
 def _validate_family(family: str) -> None:
@@ -73,10 +73,10 @@ def spec_images(spec: SpecId) -> tuple[UniPoly, UniPoly]:
 
 @functools.cache
 def _walk(spec: SpecId) -> tuple[tuple[UniPoly, ...], dict]:
-    """The images of the digit-matrix entries under ``spec``, and their pair memo."""
+    """The images of the digit-matrix entries under ``spec``, and their value memo."""
     coeffs = tuple(poly_substitute(c, spec.weights) for c in DIGIT_COEFFS)
     # setdefault is atomic: racing builders all get the first memo stored
-    return coeffs, _MEMOS.setdefault(coeffs, {0: (UniPoly.one(), UniPoly.zero())})
+    return coeffs, _MEMOS.setdefault(coeffs, {-1: UniPoly.zero(), 0: UniPoly.one()})
 
 
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:

@@ -132,8 +132,11 @@ def test_enumerate_index_of_a_thousand_digits(capsys):
 def test_digit_limit_is_refused_as_a_limit(capsys):
     # an answer longer than the int-to-str limit (4300 digits by default) is
     # refused with exit 3 before it is written; a sweep keeps the rows
-    # below it, and scalar's last row within the limit is n = 7142
-    for argv in (["scalar", "--n", "8000"], ["enumerate", "--n", "1" * 4200]):
+    # below it, and the last row within the limit is n = 7142 for scalar and
+    # for spec z0, whose members are the scalar pair
+    for argv in (["scalar", "--n", "8000"], ["enumerate", "--n", "1" * 4200],
+                 ["spec", "--spec", "z0", "--n", "8000"],
+                 ["profile", "--spec", "z0", "--n", "8000"]):
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (3, ""), argv[0]
         assert err == "error: the answer exceeds the limit (4300 digits) " \
@@ -142,6 +145,16 @@ def test_digit_limit_is_refused_as_a_limit(capsys):
     assert code == 3 and err.startswith("error: the answer exceeds the limit")
     assert out.starts[0] == "n,q,r\n"   # then one piece per row
     assert [piece.split(",")[0] for piece in out.starts[1:]] == list(map(str, range(7143)))
+    # the spec sweep runs in a process of its own: the z0 pairs it leaves in
+    # the memo (24 MB with their indices) would stay in this one's peak
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "trident.cli", "spec", "--spec", "z0",
+                           "--family", "r", "--upto", "7200", "--format", "csv"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        lines = [line.split(b",")[0] for line in proc.stdout]
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 3 and err.startswith("error: the answer exceeds the limit")
+    assert lines == [b"n"] + [str(n).encode() for n in range(7143)]
     code, out, _ = run_capture(capsys, ["scalar", "--n", "7142"])
     assert code == 0 and out.startswith("7142\t")
     # a limit of 0 is none

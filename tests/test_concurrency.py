@@ -9,8 +9,8 @@ from trident.specialize import SpecId, spec_family
 
 
 def test_concurrent_spec_family_extension():
-    # eight threads race to walk one freshly cleared pair memo; the writes
-    # are idempotent, so it ends with the seed and the requested index only
+    # eight threads race to walk one freshly cleared value memo; the writes
+    # are idempotent, so it ends with the seeds and the requested pair only
     expected = spec_family(SpecId.Z2, "q", 30)
     specialize._walk.cache_clear()
     specialize._MEMOS.clear()
@@ -22,7 +22,8 @@ def test_concurrent_spec_family_extension():
                 lambda _: spec_family(SpecId.Z2, "q", 30), range(8), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert set(specialize._walk(SpecId.Z2)[1]) == {0, (3**30 - 1) // 2}
+    m = (3**30 - 1) // 2
+    assert set(specialize._walk(SpecId.Z2)[1]) == {-1, 0, m - 1, m}
     assert all(value == expected for value in results)
 
 

@@ -104,23 +104,67 @@ def test_three_term_recurrence_reference():
         assert r_poly(n) == two_term(W1, W2, MultiPoly.one(), S1, n), n
 
 
+def fresh_memo(monkeypatch):
+    """Give ``sequences`` an empty value memo for the test, and return it."""
+    memo = {-1: MultiPoly.zero(), 0: MultiPoly.one()}
+    monkeypatch.setattr(sequences, "_VALUES", memo)
+    return memo
+
+
 def test_pair_memo_keeps_requested_indices_only(monkeypatch):
-    monkeypatch.setattr(sequences, "_PAIRS", {0: (MultiPoly.one(), MultiPoly.zero())})
-    r_poly(12)
-    q_poly(12)   # the same pair as R_12, at (3^12 - 1)/2
-    assert len(sequences._PAIRS) == 2
+    memo = fresh_memo(monkeypatch)
+    m = (3**12 - 1) // 2
+    r_poly(12)   # R_12 = S(m) and, beside it, Q_12 = S(m - 1)
+    assert set(memo) == {-1, 0, m - 1, m}
+    q_poly(12)
+    assert set(memo) == {-1, 0, m - 1, m}
     s_poly(3**10 + 5)
-    assert len(sequences._PAIRS) == 3
+    assert set(memo) == {-1, 0, m - 1, m, 3**10 + 5}
 
 
 def test_dense_sweep_shares_the_before_entry(monkeypatch):
-    # with S(n-1) memoized the walk forms S(n) alone: the pair's second
-    # entry is the memoized object itself, so a sweep holds each S once
-    monkeypatch.setattr(sequences, "_PAIRS", {0: (MultiPoly.one(), MultiPoly.zero())})
+    # a dense sweep holds each S once, one value per index; a pair whose
+    # S(n-1) is memoized forms S(n) alone and returns the memoized object
+    memo = fresh_memo(monkeypatch)
     for n in range(200):
         s_poly(n)
-    for n in range(1, 200):
-        assert sequences._PAIRS[n][1] is sequences._PAIRS[n - 1][0], n
+    assert set(memo) == set(range(-1, 200))
+    assert len({id(value) for value in memo.values()}) == len(memo)
+    before = memo[39]
+    r, q = sequences.repunit_pair(4, sequences.DIGIT_COEFFS, memo)   # S(40), S(39)
+    assert q is before and memo[39] is before and r is memo[40]
+
+
+def test_lone_index_forms_one_row_at_its_last_digit(monkeypatch):
+    # from the seeds, each of the six base-3 digits of 3^5 + 5 but the last
+    # forms the pair's two rows; the last forms S(n) alone
+    fresh_memo(monkeypatch)
+    calls = []
+    row = sequences._digit_row
+    monkeypatch.setattr(sequences, "_digit_row",
+                        lambda d, *rest: calls.append(d) or row(d, *rest))
+    n = 3**5 + 5   # 100012 in base 3
+    assert s_poly(n) == oracle_poly(n)
+    assert calls == [1, 0, 0, -1, 0, -1, 0, -1, 1, 0, 2]
+
+
+def test_sweep_matches_s_poly_and_keeps_a_third(monkeypatch):
+    # the sweep's own memo drops what no later index reads: below n//3 - 1,
+    # and above upto//3 once yielded
+    upto = 400
+    expected = [s_poly(n) for n in range(upto + 1)]
+    held = []
+    walk = sequences.digit_walk
+
+    def spy(n, coeffs, memo):
+        value = walk(n, coeffs, memo)
+        held.append((n, min(memo), len(memo)))   # S(n) stored, not yet dropped
+        return value
+    monkeypatch.setattr(sequences, "digit_walk", spy)
+    assert list(sequences.s_poly_sweep(upto)) == expected
+    assert [n for n, _, _ in held] == list(range(upto + 1))
+    assert all(low >= n // 3 - 1 for n, low, _ in held)
+    assert max(size for *_, size in held) <= upto // 3 + 3
 
 
 def test_w_pair_literals():
