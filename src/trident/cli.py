@@ -3,12 +3,12 @@
 Every subcommand emits deterministic output (identical argv and
 configuration produce byte-identical bytes, including the seeded jitter of
 the root finder).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 cap, convergence, float-range or int-to-str digit-limit error,
-141 stdout closed by its reader.  ``COMMANDS`` is the one table of
-subcommands.  An emitter yields its output in pieces as it computes it, a
-polynomial in pieces of at most 1024 terms, and ``run`` writes each piece
-as it arrives: to stdout, or to a file beside ``--out`` that replaces it
-once the command has completed.
+error, 3 cap, convergence, float-range, uncertified-zeros or int-to-str
+digit-limit error, 141 stdout closed by its reader.  ``COMMANDS`` is the
+one table of subcommands.  An emitter yields its output in pieces as it
+computes it, a polynomial in pieces of at most 1024 terms, and ``run``
+writes each piece as it arrives: to stdout, or to a file beside ``--out``
+that replaces it once the command has completed.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .identities import (DIVISIBILITY_SPECS, verify_divisibility, verify_prop61,
 from .oracle import (DEFAULT_LIST_CAP, CapExceeded, count_partitions,
                      enumerate_partitions, oracle_poly)
 from .report import Report
-from .sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, s_poly_sweep, scalar_qr
-from .specialize import STRUCTURE, SpecId, profile, spec_family, structural_check
-from .zeros import LOCI, NoConvergence, verify_locus, zeros_of
+from .sequences import (gf_check, q_poly, r_poly, repunit_sweep, s_poly, s_poly_product,
+                        s_poly_sweep, scalar_qr)
+from .specialize import (STRUCTURE, SpecId, profile, spec_family, spec_family_sweep,
+                         structural_check)
+from .zeros import LOCI, NoConvergence, NotCertified, verify_locus, zeros_of
 
 ENV_CAP = "TRIDENT_CAP"
 
@@ -111,8 +113,11 @@ def _emit_members(args, head: dict, members, field: str, json_items, csv_header:
 def _emit_poly(args) -> Iterator[str]:
     # Resolved per call rather than bound in COMMANDS, so that a profiler
     # wrapping the module-level names sees these calls.
-    member = {"s-poly": s_poly, "q-poly": q_poly, "r-poly": r_poly}[args.command]
-    sweep = s_poly_sweep if args.command == "s-poly" else None
+    member, sweep = {
+        "s-poly": (s_poly, s_poly_sweep),
+        "q-poly": (q_poly, lambda upto: (q for _, q in repunit_sweep(upto))),
+        "r-poly": (r_poly, lambda upto: (r for r, _ in repunit_sweep(upto)))
+    }[args.command]
     return _emit_members(
         args, {"command": args.command}, _per_index(args, member, sweep), "terms",
         lambda p: (f'[{i}, {j}, {k}, {l}, "{c}"]' for i, j, k, l, c in p.terms()),
@@ -123,13 +128,13 @@ def _emit_poly(args) -> Iterator[str]:
 def _emit_spec(args) -> Iterator[str]:
     spec, check = SpecId(args.spec), _digit_check()
 
-    def member(n: int):
-        p = spec_family(spec, args.family, n)
+    def checked(p):
         check(*p.coeffs)
         return p
+    members = _per_index(args, lambda n: checked(spec_family(spec, args.family, n)),
+                         lambda upto: map(checked, spec_family_sweep(spec, args.family, upto)))
     return _emit_members(
-        args, {"command": "spec", "spec": args.spec, "family": args.family},
-        _per_index(args, member), "coeffs",
+        args, {"command": "spec", "spec": args.spec, "family": args.family}, members, "coeffs",
         lambda p: (f'"{c}"' for c in p.coeffs), "n,degree,coeff\n",
         lambda n, p: (f"{n},{k},{c}\n" for k, c in enumerate(p.coeffs)))
 
@@ -213,7 +218,7 @@ def _emit_profile(args) -> Iterator[str]:
 def _emit_zeros(args) -> Iterator[str]:
     n, = _indices(args)
     spec = SpecId(args.spec)
-    report, _ = zeros_of(spec, args.family, n)
+    report = zeros_of(spec, args.family, n)
     locus = LOCI.get((spec, args.family)) if args.locus else None
     params = locus.params if locus is not None else None
     rows = zip(report.points, report.residuals,
@@ -221,17 +226,17 @@ def _emit_zeros(args) -> Iterator[str]:
     if args.format == "json":
         points = [{"re": z.real, "im": z.imag, "residual": res, "locus_distance": dist}
                   for z, res, dist in rows]
-        yield json.dumps({"command": "zeros", "spec": report.spec, "family": report.family,
-                          "n": report.n, "origin_multiplicity": report.origin_multiplicity,
+        yield json.dumps({"command": "zeros", "spec": args.spec, "family": args.family,
+                          "n": n, "origin_multiplicity": report.origin_multiplicity,
                           "locus": params, "points": points}) + "\n"
         return
     if params is not None:
         yield f"# locus: {json.dumps(params)}\n"
     yield "family,n,re,im,residual,locus_distance\n"
     for z, res, dist in rows:
-        yield (f"{report.family},{report.n},{z.real:.17g},{z.imag:.17g},{res:.17g},"
+        yield (f"{args.family},{n},{z.real:.17g},{z.imag:.17g},{res:.17g},"
                f"{'' if dist is None else format(dist, '.17g')}\n")
-    yield f"{report.family},{report.n},0,0,0,\n" * report.origin_multiplicity
+    yield f"{args.family},{n},0,0,0,\n" * report.origin_multiplicity
 
 
 def _emit_tables(args) -> Iterator[str]:
@@ -454,7 +459,7 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceeded, NoConvergence, OverflowError) as exc:
+    except (CapExceeded, NoConvergence, NotCertified, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except OSError as exc:

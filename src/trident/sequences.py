@@ -13,8 +13,9 @@ with S(0) = 1 and S(-1) = 0: base-3 digit d is a 2x2 matrix M_d taking
 over any ring the matrix entries map into; it is the one memoized
 recurrence of the package, serving S, Q and R here and every
 single-variable specialization in ``specialize``.  Its memo keeps S(n-1)
-beside S(n) only for a caller that reads the pair, and ``s_poly_sweep``
-walks 0..N dropping each value no later index reads.  ``s_poly_product``
+beside S(n) only for a caller that reads the pair.  ``s_poly_sweep``
+walks 0..N dropping each value no later index reads, and ``repunit_sweep``
+walks the pairs at (3^n - 1)/2 with M1 alone, holding one.  ``s_poly_product``
 expands the defining generating product instead and serves as a
 redundant second path; the enumeration oracle is a third.
 
@@ -112,6 +113,18 @@ def repunit_pair(n: int, coeffs, memo: dict):
     if n < 0:   # before 3**n, which is a float at negative n
         raise ValueError("n must be non-negative")
     return digit_walk((3**n - 1) // 2, coeffs, memo, pair=True)
+
+
+def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
+    """(R_n, Q_n) for n = 0, ..., upto in the ring of ``coeffs``, each pair from
+    the one before by the rows of M1, since (3^(n+1) - 1)/2 = 3 (3^n - 1)/2 + 1:
+    no memo, one pair held."""
+    ring = type(coeffs[0])
+    r, q = ring.one(), ring.zero()
+    yield r, q
+    for _ in range(upto):
+        r, q = _digit_row(1, r, q, coeffs), _digit_row(0, r, q, coeffs)
+        yield r, q
 
 
 def s_poly(n: int) -> MultiPoly:

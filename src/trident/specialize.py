@@ -25,12 +25,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 from .oracle import PartitionStats, oracle_poly
 from .polyring import UniPoly, poly_substitute, split_origin
 from .report import Report
-from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair
+from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair, repunit_sweep
 
 
 class SpecId(enum.Enum):
@@ -84,6 +84,13 @@ def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
     _validate_family(family)
     r, q = repunit_pair(n, *_walk(spec))
     return q if family == "q" else r
+
+
+def spec_family_sweep(spec: SpecId, family: str, upto: int) -> Iterator[UniPoly]:
+    """``spec_family(spec, family, n)`` for n = 0, ..., upto, by ``repunit_sweep``:
+    the memo of ``spec`` gains nothing."""
+    _validate_family(family)
+    return (q if family == "q" else r for r, q in repunit_sweep(upto, _walk(spec)[0]))
 
 
 def _binomial_halves(c: int, d: int, n: int) -> tuple[UniPoly, UniPoly]:

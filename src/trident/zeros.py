@@ -7,7 +7,8 @@ So is every r family with 2 R_n = D_n(a, b), with the angles
 (2k - 1) pi / (2n) and a at odd n.  ``zeros_of`` takes the zeros of these
 families from the factors, and those of every other member from its exact
 square-free part through the Aberth-Ehrlich root finder, which
-``zeros_general`` runs on any polynomial.  ``LOCI`` is the one table of
+``zeros_general`` runs on any polynomial, and returns those only once the
+Newton inclusion test certifies them.  ``LOCI`` is the one table of
 zero facts, one row per (spec, family) that claims a locus: its JSON
 parameters, distance, strict margin and real-zero parity.  The claimed
 loci are its rows, and ``verify_locus`` checks them.
@@ -49,25 +50,32 @@ class NoConvergence(Exception):
             f"(last correction {last})")
 
 
+class NotCertified(Exception):
+    """Computed zeros that the Newton inclusion test does not certify."""
+
+    def __init__(self, label: str, radius: float):
+        self.radius = radius
+        super().__init__(f"{label}: zeros not certified (worst Newton inclusion radius "
+                         f"{radius:.3e})")
+
+
 class ZeroReport(NamedTuple):
     """Computed zeros of one polynomial plus per-point diagnostics.
 
-    ``points`` has exactly one entry per zero of the reduced polynomial P,
-    the one with its exact zero at the origin divided out (that zero is
-    carried in ``origin_multiplicity``).  ``residuals[i]`` is |P(points[i])| and
-    ``locus_distances[i]`` the distance to the claimed locus, when one
-    exists for the family.  On a ``LOCI`` row ``origin_multiplicity`` is the
-    member's own multiplicity at the origin; on every other row it is at
-    most 1.
+    ``poly`` is the reduced polynomial P, the one with its exact zero at the
+    origin divided out (that zero is carried in ``origin_multiplicity``), and
+    ``points`` has exactly one entry per zero of P.  ``residuals[i]`` is
+    |P(points[i])| and ``locus_distances[i]`` the distance to the claimed
+    locus, when one exists for the family.  On a ``LOCI`` row
+    ``origin_multiplicity`` is the member's own multiplicity at the origin;
+    on every other row it is at most 1.
     """
 
-    family: str
-    spec: str
-    n: int
     points: list[complex]
     residuals: list[float]
-    locus_distances: Optional[list[float]] = None
-    origin_multiplicity: int = 0
+    locus_distances: Optional[list[float]]
+    origin_multiplicity: int
+    poly: UniPoly
 
 
 class Locus(NamedTuple):
@@ -127,7 +135,7 @@ def zeros_explicit(spec: str, n: int) -> ZeroReport:
     tags = ("z1q", "z1r", "z2", "z3")
     if spec not in tags:
         raise ValueError(f"spec must be one of {tags}")
-    return zeros_of(SpecId(spec[:2]), spec[2:] or "q", n)[0]
+    return zeros_of(SpecId(spec[:2]), spec[2:] or "q", n)
 
 
 _EPS = 2.0 ** -52
@@ -197,6 +205,40 @@ def _dyadic_eval(coeffs: tuple[int, ...], a: int, b: int, k: int) -> tuple[int, 
     return p_re, p_im, d_re, d_im
 
 
+def _newton_radius(coeffs: tuple[int, ...], z: complex) -> float:
+    # An upper bound on d |P(z) / P'(z)| from the exact values of
+    # _dyadic_eval, d = len(coeffs) - 1: the disk of that radius about z
+    # holds a zero of P.  The quotient r^2 is rounded once, its root once.
+    a, b, k = _dyadic(z)
+    p_re, p_im, d_re, d_im = _dyadic_eval(coeffs, a, b, k)
+    d = len(coeffs) - 1
+    den = (d_re * d_re + d_im * d_im) << 2 * k
+    try:
+        return math.sqrt(d * d * (p_re * p_re + p_im * p_im) / den) * (1 + 4 * _EPS) + 2.0 ** -500
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _certified(label: str, report: ZeroReport) -> ZeroReport:
+    """``report`` if the Newton inclusion test certifies its points, else NotCertified.
+
+    Each point z gets the radius d |P(z) / P'(z)| on ``report.poly`` of
+    degree d, bounded from above.  The points pass when every radius is at
+    most ``LOCUS_TOL`` (1 + |z|) and the d disks are pairwise disjoint: then
+    each disk holds exactly one zero and every zero is simple (Bini and
+    Fiorentino, Numer. Algorithms 2000).
+    """
+    points, coeffs = report.points, report.poly.coeffs
+    radii = [_newton_radius(coeffs, z) for z in points]
+    if not (len(points) == len(coeffs) - 1
+            and all(r <= LOCUS_TOL * (1.0 + abs(z)) for r, z in zip(radii, points))
+            # the computed distance is within 4 eps of the true one
+            and all(abs(points[i] - points[j]) * (1 - 4 * _EPS) > radii[i] + radii[j]
+                    for i in range(len(points)) for j in range(i))):
+        raise NotCertified(label, max(radii, default=math.inf))
+    return report
+
+
 def _newton_polish(poly: UniPoly, z: complex) -> complex:
     """Refine one simple root by ``POLISH_STEPS`` Newton steps, evaluated exactly.
 
@@ -235,21 +277,14 @@ def _newton_polish(poly: UniPoly, z: complex) -> complex:
     return best
 
 
-def _zero_report(spec: str, family: str, n: int, poly: UniPoly, points: list[complex],
-                 origin: int, locus: Optional[Locus]) -> ZeroReport:
+def _zero_report(poly: UniPoly, points: list[complex], origin: int,
+                 locus: Optional[Locus]) -> ZeroReport:
     """The one builder of a ZeroReport: points sorted by (re, im), residuals
     on ``poly`` by Horner over its coefficients as floats, distances to ``locus``."""
     points = sorted(points, key=lambda z: (z.real, z.imag))
     coeffs = [float(c) for c in poly.coeffs]
     distances = None if locus is None else [locus.distance(z) for z in points]
-    return ZeroReport(family, spec, n, points, [abs(horner(coeffs, z)) for z in points],
-                      distances, origin)
-
-
-def _finder_points(poly: UniPoly) -> list[complex]:
-    # The polished zeros of ``poly``, which has none at the origin.
-    coeffs = [complex(c) for c in poly.coeffs]
-    return [_newton_polish(poly, z) for z in _aberth(coeffs)]
+    return ZeroReport(points, [abs(horner(coeffs, z)) for z in points], distances, origin, poly)
 
 
 def zeros_general(p: UniPoly) -> ZeroReport:
@@ -268,8 +303,8 @@ def zeros_general(p: UniPoly) -> ZeroReport:
     if p.degree() < 1:
         raise ValueError("polynomial must have degree at least 1")
     origin, reduced = split_origin(p)
-    return _zero_report("general", "", p.degree(), reduced,
-                        _finder_points(reduced), origin, None)
+    points = _aberth([complex(c) for c in reduced.coeffs])
+    return _zero_report(reduced, [_newton_polish(reduced, z) for z in points], origin, None)
 
 
 @functools.cache
@@ -319,40 +354,42 @@ def _lucas_points(spec: SpecId, family: str, n: int) -> list[complex]:
     return points + _roots(g_rest.coeffs)
 
 
-def zeros_of(spec: SpecId, family: str, n: int) -> tuple[ZeroReport, UniPoly]:
-    """Zeros of one family member, and the polynomial they are zeros of.
+def zeros_of(spec: SpecId, family: str, n: int) -> ZeroReport:
+    """Zeros of one family member.
 
     The Lucas families take their points from the factors of ``_lucas``,
     and their polynomial is the member with its zero at the origin split
-    off and each zero of g left simple.  Every other member takes the
-    general root finder on its square-free part, the zero at the origin
-    split off.  Residuals are taken on the returned polynomial.  The
-    ``LOCI`` rows report the member's multiplicity at the origin, every
-    other row at most 1.  A constant member has no zeros and raises
-    ValueError.
+    off and each zero of g left simple.  Every other member takes
+    ``zeros_general`` on its square-free part, returned only if
+    ``_certified``, else NotCertified.  The ``LOCI`` rows report the member's
+    multiplicity at the origin, every other row at most 1.  A constant
+    member has no zeros and raises ValueError.
     """
     member = spec_family(spec, family, n)
+    label = f"{spec.value}/{family} member {n}"
     if member.degree() < 1:
-        raise ValueError(f"{spec.value}/{family} member {n} has no zeros")
+        raise ValueError(f"{label} has no zeros")
     *_, g_rest, pure_r = _lucas(spec)
-    if family == "q" or pure_r:
-        origin, poly = split_origin(member)
-        points = _lucas_points(spec, family, n)
-        if g_rest.degree() >= 1:
-            # g divides every member and its zeros are among the points once:
-            # one division by the power of g the points leave over
-            extra = (poly.degree() - len(points)) // g_rest.degree()
-            if extra > 0:
-                poly = up_divide_exact(poly, g_rest ** extra)
-        if len(points) != poly.degree():
-            raise AssertionError("Lucas zero count disagrees with the polynomial degree")
-    else:
-        origin, poly = split_origin(up_square_free(member))
-        points = _finder_points(poly)
+    if family == "r" and not pure_r:
+        square_free = up_square_free(member)
+        try:
+            report = zeros_general(square_free)
+        except ValueError:   # a NaN point, which _dyadic cannot convert
+            raise NotCertified(label, math.nan) from None
+        return _certified(label, report)
+    origin, poly = split_origin(member)
+    points = _lucas_points(spec, family, n)
+    if g_rest.degree() >= 1:
+        # g divides every member and its zeros are among the points once:
+        # one division by the power of g the points leave over
+        extra = (poly.degree() - len(points)) // g_rest.degree()
+        if extra > 0:
+            poly = up_divide_exact(poly, g_rest ** extra)
+    if len(points) != poly.degree():
+        raise AssertionError("Lucas zero count disagrees with the polynomial degree")
     if (spec, family) not in LOCI:
         origin = min(origin, 1)
-    return _zero_report(spec.value, family, n, poly, points, origin,
-                        LOCI.get((spec, family))), poly
+    return _zero_report(poly, points, origin, LOCI.get((spec, family)))
 
 
 def backward_scale(poly: UniPoly, points: list[complex]) -> list[float]:
@@ -388,7 +425,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
         raise ValueError(f"no locus claim for spec {spec.value}")
     report = Report(f"{spec.value} n={n}")
     for family, locus in rows:
-        zr, poly = zeros_of(spec, family, n)
+        zr = zeros_of(spec, family, n)
         # Messages name the family where the spec claims a locus for both.
         tag = f"{spec.value}{family}: " if len(rows) > 1 else ""
         for z, dist in zip(zr.points, zr.locus_distances):
@@ -412,7 +449,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
             if reals:
                 report.margins["real_zero_min"] = min(reals)
                 report.margins["real_zero_max"] = max(reals)
-        for z, res, scale in zip(zr.points, zr.residuals, backward_scale(poly, zr.points)):
+        for z, res, scale in zip(zr.points, zr.residuals, backward_scale(zr.poly, zr.points)):
             if res >= LOCUS_TOL * scale:
                 report.record(f"{tag}residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} "
                               f"* scale {scale:.3e}", False)

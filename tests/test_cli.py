@@ -20,7 +20,7 @@ import trident
 from fixtures import PARTITIONS_OF_3
 from trident import oracle, specialize
 from trident.cli import COMMANDS, VERIFICATION_GROUPS, run
-from trident.sequences import q_poly
+from trident.sequences import q_poly, repunit_sweep
 from trident.specialize import SpecId, spec_family
 
 with resources.files("trident.schemas").joinpath("cli-output.schema.json").open() as fh:
@@ -141,20 +141,12 @@ def test_digit_limit_is_refused_as_a_limit(capsys):
         assert (code, out) == (3, ""), argv[0]
         assert err == "error: the answer exceeds the limit (4300 digits) " \
                       "for integer string conversion\n", argv[0]
-    code, out, err = run_sunk(["scalar", "--upto", "7200", "--format", "csv"])
-    assert code == 3 and err.startswith("error: the answer exceeds the limit")
-    assert out.starts[0] == "n,q,r\n"   # then one piece per row
-    assert [piece.split(",")[0] for piece in out.starts[1:]] == list(map(str, range(7143)))
-    # the spec sweep runs in a process of its own: the z0 pairs it leaves in
-    # the memo (24 MB with their indices) would stay in this one's peak
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    with subprocess.Popen([sys.executable, "-m", "trident.cli", "spec", "--spec", "z0",
-                           "--family", "r", "--upto", "7200", "--format", "csv"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        lines = [line.split(b",")[0] for line in proc.stdout]
-        err = proc.stderr.read().decode()
-    assert proc.returncode == 3 and err.startswith("error: the answer exceeds the limit")
-    assert lines == [b"n"] + [str(n).encode() for n in range(7143)]
+    for argv, header in ((["scalar"], "n,q,r\n"),
+                         (["spec", "--spec", "z0", "--family", "r"], "n,degree,coeff\n")):
+        code, out, err = run_sunk(argv + ["--upto", "7200", "--format", "csv"])
+        assert code == 3 and err.startswith("error: the answer exceeds the limit"), argv[0]
+        assert out.starts[0] == header   # then one piece per row
+        assert [piece.split(",")[0] for piece in out.starts[1:]] == list(map(str, range(7143)))
     code, out, _ = run_capture(capsys, ["scalar", "--n", "7142"])
     assert code == 0 and out.startswith("7142\t")
     # a limit of 0 is none
@@ -543,16 +535,15 @@ def test_out_file_kept_when_refused(tmp_path, capsys):
 def test_refusal_writes_nothing(capsys):
     # the work up to an emitter's first piece runs before anything is
     # written, so a refusal leaves stdout empty in every format: usage
-    # errors, a cap, and the root finder breaking down on z3 r (its NaN
-    # iterates surface as a ValueError, exit 2, until the iteration is made
-    # overflow-free)
+    # errors, a cap, and z3 r zeros that cannot be certified (the root
+    # finder's iterates there are NaN)
     cases = [(argv + ["--format", fmt], expect)
              for argv, expect in ((["q-poly", "--n", "-1"], 2), (["spec", "--n", "-2"], 2),
                                   (["scalar", "--n", "-1"], 2), (["q-poly", "--upto", "-1"], 2),
                                   (["q-poly", "--n", "5", "--upto", "1"], 2),
                                   (["enumerate", "--n", "3000", "--list"], 3))
              for fmt in ("pretty", "csv", "json")]
-    cases += [(["zeros", "--spec", "z3", "--family", "r", "--n", n, "--format", fmt], 2)
+    cases += [(["zeros", "--spec", "z3", "--family", "r", "--n", n, "--format", fmt], 3)
               for n in ("28", "30") for fmt in ("csv", "json")]
     cases.append((["scalar", "--n", "3", "--format", "xml"], 2))
     for argv, expect in cases:
@@ -567,12 +558,13 @@ def test_failed_out_leaves_no_file(tmp_path, capsys, monkeypatch):
     # be replaced, leave neither file behind
     target = tmp_path / "q.csv"
 
-    def failing(n):
-        if n == 3:
-            raise OverflowError("too large")
-        return q_poly(n)
+    def failing(upto):   # the sweep behind q-poly --upto, failing at index 3
+        for n, pair in enumerate(repunit_sweep(upto)):
+            if n == 3:
+                raise OverflowError("too large")
+            yield pair
 
-    monkeypatch.setattr("trident.cli.q_poly", failing)
+    monkeypatch.setattr("trident.cli.repunit_sweep", failing)
     for fmt in ("pretty", "csv", "json"):
         code, out, err = run_capture(capsys, ["q-poly", "--upto", "5", "--format", fmt,
                                               "--out", str(target)])

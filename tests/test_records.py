@@ -33,11 +33,11 @@ def _records_digests() -> dict[str, str]:
             for n in range(2, 13):
                 if spec_family(spec, family, n).degree() < 1:
                     continue
-                zr, poly = zeros_of(spec, family, n)
+                zr = zeros_of(spec, family, n)
                 route = "zeros_finder" if family == "r" and spec is not SpecId.Z1 else "zeros_lucas"
-                zero_rows[route].append([zr.spec, zr.family, zr.n, _floats(zr.points),
+                zero_rows[route].append([spec.value, family, n, _floats(zr.points),
                                          _floats(zr.residuals), _floats(zr.locus_distances),
-                                         zr.origin_multiplicity, poly.to_strings()])
+                                         zr.origin_multiplicity, zr.poly.to_strings()])
     locus_rows = []
     for spec in dict.fromkeys(spec for spec, _ in LOCI):
         for n in range(2, 11):

@@ -167,6 +167,15 @@ def test_sweep_matches_s_poly_and_keeps_a_third(monkeypatch):
     assert max(size for *_, size in held) <= upto // 3 + 3
 
 
+def test_repunit_sweep_is_the_pair_and_keeps_no_memo(monkeypatch):
+    # q-poly and r-poly --upto walk this sweep: M1 from the pair before, with
+    # nothing written to the library memo
+    memo = fresh_memo(monkeypatch)
+    pairs = list(sequences.repunit_sweep(8))
+    assert set(memo) == {-1, 0}
+    assert pairs == [(r_poly(n), q_poly(n)) for n in range(9)]
+
+
 def test_w_pair_literals():
     # (W1, W2) = (tr M1, det M1) against the paper's printed term lists, and
     # W2 against a factored form

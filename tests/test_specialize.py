@@ -9,9 +9,9 @@ import pytest
 from fixtures import TABLE2_Q, TABLE2_R, TABLE3, TABLE4
 from trident.polyring import UniPoly, poly_substitute, split_origin
 from trident.sequences import q_poly, r_poly
-from trident.specialize import (STRUCTURE, SpecId, partition_statistic, profile,
-                                profile_from_oracle, q1_r1_closed, spec_family, spec_images,
-                                structural_check)
+from trident.specialize import (STRUCTURE, SpecId, _walk, partition_statistic, profile,
+                                profile_from_oracle, q1_r1_closed, spec_family,
+                                spec_family_sweep, spec_images, structural_check)
 from trident.zeros import zeros_of
 
 ALL_SPECS = list(SpecId)
@@ -65,10 +65,21 @@ def test_family_validation():
 def test_family_names_are_lower_case():
     # "Q" is not "q": every entry point refuses it rather than answering
     # under the wrong label (zeros_of once took the general route for it)
-    for call in (spec_family, profile, profile_from_oracle, zeros_of):
+    for call in (spec_family, spec_family_sweep, profile, profile_from_oracle, zeros_of):
         for family in ("Q", "R"):
             with pytest.raises(ValueError, match="family must be 'q' or 'r'"):
                 call(SpecId.Z1, family, 5)
+
+
+def test_family_sweep_is_spec_family_and_writes_no_memo():
+    # spec --upto walks this sweep; the spec's library memo gains no entry
+    for spec in SpecId:
+        for family in ("q", "r"):
+            memo = _walk(spec)[1]
+            before = set(memo)
+            swept = list(spec_family_sweep(spec, family, 30))
+            assert set(memo) == before, (spec, family)
+            assert swept == [spec_family(spec, family, n) for n in range(31)], (spec, family)
 
 
 def test_closed_forms_match_recurrence():

@@ -10,8 +10,9 @@ from fixtures import match_multisets
 from trident.polyring import (NotDivisible, UniPoly, horner, split_origin, up_divide_exact,
                               up_square_free)
 from trident.specialize import SpecId, spec_family, spec_images
-from trident.zeros import (LOCI, NoConvergence, _lucas, _lucas_points, backward_scale,
-                           verify_locus, zeros_explicit, zeros_general, zeros_of)
+from trident.zeros import (LOCI, LOCUS_TOL, NoConvergence, NotCertified, _certified, _lucas,
+                           _lucas_points, backward_scale, verify_locus, zeros_explicit,
+                           zeros_general, zeros_of)
 
 # The rows ``zeros_explicit`` takes by tag.
 EXPLICIT_TAGS = (("z1q", (SpecId.Z1, "q")), ("z1r", (SpecId.Z1, "r")),
@@ -90,7 +91,7 @@ def test_explicit_tags_are_the_map_rows():
     z_rows = [key for key in LOCI if key[0] in (SpecId.Z1, SpecId.Z2, SpecId.Z3)]
     assert sorted(tagged, key=str) == sorted(z_rows, key=str)
     for spec, family in (*tagged, (SpecId.P2, "q"), (SpecId.P4, "q")):
-        report, _ = zeros_of(spec, family, 9)
+        report = zeros_of(spec, family, 9)
         member = spec_family(spec, family, 9)
         origin = split_origin(member)[0]
         if (spec, family) in tagged:
@@ -102,15 +103,20 @@ def test_explicit_tags_are_the_map_rows():
     # multiplicity at the origin, every other row at most 1; p3/p5/p6 q have
     # no zero there, since W2 vanishes at z = 0 and W1 does not.  The indices
     # stop at 20 to keep this test under 1 s (n = 30 adds 0.7 s, and there
-    # z3 r meets the finder's NaN, which test_refusal_writes_nothing pins).
+    # z3 r's finder points are refused, which test_refusal_writes_nothing pins).
     for spec in SpecId:
         for family in ("q", "r"):
             for n in (2, 9, 20):
                 member = spec_family(spec, family, n)
                 if member.degree() < 1:
                     continue
+                if (spec, family, n) == (SpecId.P3, "r", 20):
+                    # the finder's points there fail the Newton inclusion test
+                    with pytest.raises(NotCertified, match="p3/r member 20: "):
+                        zeros_of(spec, family, n)
+                    continue
                 origin = split_origin(member)[0]
-                report, _ = zeros_of(spec, family, n)
+                report = zeros_of(spec, family, n)
                 if (spec, family) in LOCI:
                     assert report.origin_multiplicity == origin, (spec, family, n)
                 else:
@@ -123,8 +129,7 @@ def test_zeros_explicit_is_zeros_of():
     for tag, (spec, family) in EXPLICIT_TAGS:
         for n in range(2, 31):
             report = zeros_explicit(tag, n)
-            assert report == zeros_of(spec, family, n)[0], (tag, n)
-            assert (report.spec, report.family, report.n) == (spec.value, family, n)
+            assert report == zeros_of(spec, family, n), (tag, n)
 
 
 def test_conjugate_closure_exact():
@@ -246,12 +251,11 @@ def test_lucas_corrupted_factor_trips_count_guard(monkeypatch, fresh_lucas):
 
 
 def test_zeros_of_routes():
-    # both routes label the report the same way and return the polynomial
-    # whose zeros the points are, with the zero at the origin split off;
-    # a Lucas row's polynomial is the member itself, with each zero of
-    # g = gcd(a, b) left simple (g = 1 + z for p5), and a finder row's the
-    # square-free part (which for p2 r keeps one factor z); the residuals
-    # are taken on that polynomial
+    # both routes carry the polynomial whose zeros the points are, with the
+    # zero at the origin split off; a Lucas row's polynomial is the member
+    # itself, with each zero of g = gcd(a, b) left simple (g = 1 + z for
+    # p5), and a finder row's the square-free part (which for p2 r keeps one
+    # factor z); the residuals are taken on that polynomial
     p2_r = up_square_free(spec_family(SpecId.P2, "r", 9))
     for spec, family, poly, origin in (
             (SpecId.Z1, "r", spec_family(SpecId.Z1, "r", 9), 0),
@@ -261,9 +265,8 @@ def test_zeros_of_routes():
             (SpecId.P1, "q", spec_family(SpecId.P1, "q", 9), 0),
             (SpecId.P2, "r", UniPoly(p2_r.coeffs[1:]), 1),
             (SpecId.P1, "r", up_square_free(spec_family(SpecId.P1, "r", 9)), 0)):
-        report, got = zeros_of(spec, family, 9)
-        assert (report.spec, report.family, report.n) == (spec.value, family, 9)
-        assert got == poly and poly.coeff(0) != 0, (spec, family)
+        report = zeros_of(spec, family, 9)
+        assert report.poly == poly and poly.coeff(0) != 0, (spec, family)
         assert report.origin_multiplicity == origin
         assert report.residuals == [abs(horner(poly.coeffs, z)) for z in report.points]
         for z, scale in zip(report.points, backward_scale(poly, report.points)):
@@ -272,16 +275,44 @@ def test_zeros_of_routes():
     # p5 q carries g = 1 + z to a high power; its polynomial divides the
     # member and keeps -1 as a simple zero
     member = spec_family(SpecId.P5, "q", 9)
-    report, got = zeros_of(SpecId.P5, "q", 9)
+    report = zeros_of(SpecId.P5, "q", 9)
+    got = report.poly
     assert got.degree() == up_square_free(member).degree() == len(report.points)
     up_divide_exact(member, got)
     assert horner(got.coeffs, -1) == 0 != horner(up_divide_exact(got, UniPoly((1, 1))).coeffs, -1)
-    # the general route is the root finder at its default tolerance and seed
+    # the finder route is zeros_general on the square-free part, the root
+    # finder at its default tolerance and seed
     general = zeros_general(up_square_free(spec_family(SpecId.P1, "r", 9)))
-    assert zeros_of(SpecId.P1, "r", 9)[0].points == general.points
+    assert zeros_of(SpecId.P1, "r", 9) == general
     for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
         with pytest.raises(ValueError, match="has no zeros"):
             zeros_of(spec, family, n)
+
+
+def test_certificate_refuses_points_moved_off():
+    # the finder's points of p1 r at n = 9 pass; moved off by 1e-3, each
+    # Newton inclusion radius is far above LOCUS_TOL (1 + |z|)
+    report = zeros_of(SpecId.P1, "r", 9)
+    assert _certified("p1/r member 9", report) is report
+    moved = report._replace(points=[z + 1e-3 for z in report.points])
+    with pytest.raises(NotCertified, match="p1/r member 9: zeros not certified") as err:
+        _certified("p1/r member 9", moved)
+    assert 1e-4 < err.value.radius < 1.0
+    # one zero reported twice and another left out: every radius is small,
+    # but two disks overlap
+    twice = report._replace(points=report.points[:1] + report.points[:-1])
+    with pytest.raises(NotCertified) as err:
+        _certified("p1/r member 9", twice)
+    assert err.value.radius <= LOCUS_TOL
+
+
+def test_finder_route_refuses_what_it_cannot_certify():
+    # p1 r at n = 30 and 60 get points up to 0.75 and 3.9 away from every
+    # zero; z3 r at n = 30 gets a NaN point
+    for spec, n in ((SpecId.P1, 30), (SpecId.P1, 60), (SpecId.Z3, 30)):
+        with pytest.raises(NotCertified, match=f"{spec.value}/r member {n}: ") as err:
+            zeros_of(spec, "r", n)
+        assert not err.value.radius <= LOCUS_TOL, (spec, n)   # above it, or NaN
 
 
 def test_lucas_polynomial_takes_one_division():
@@ -300,7 +331,7 @@ def test_lucas_polynomial_takes_one_division():
                     while True:
                         expected = up_divide_exact(expected, g)
                 expected = expected * g
-            assert zeros_of(spec, family, n)[1] == expected, (spec, family, n)
+            assert zeros_of(spec, family, n).poly == expected, (spec, family, n)
 
 
 def test_lucas_route_agrees_with_square_free_finder():
@@ -312,7 +343,7 @@ def test_lucas_route_agrees_with_square_free_finder():
                 member = spec_family(spec, family, n)
                 if member.degree() < 1:
                     continue
-                lucas = zeros_of(spec, family, n)[0]
+                lucas = zeros_of(spec, family, n)
                 general = zeros_general(up_square_free(member))
                 assert lucas.origin_multiplicity >= general.origin_multiplicity
                 worst = max(worst, match_multisets(lucas.points, general.points))
@@ -385,7 +416,7 @@ def test_locus_off_locus_zero_is_recorded(monkeypatch):
     # under the family's tag: z1 claims a locus for both families
     row = LOCI[SpecId.Z1, "q"]
     monkeypatch.setitem(LOCI, (SpecId.Z1, "q"), row._replace(distance=lambda z: 1.0))
-    points = zeros_of(SpecId.Z1, "q", 4)[0].points
+    points = zeros_of(SpecId.Z1, "q", 4).points
     assert verify_locus(SpecId.Z1, 4).failures == [f"z1q: zero {z} off the line Re = -2"
                                                    for z in points]
 
@@ -404,9 +435,9 @@ def test_locus_residual_gate_reads_the_report(monkeypatch):
     real_zeros_of = zeros_of
 
     def inflated(spec, family, n):
-        report, poly = real_zeros_of(spec, family, n)
-        report.residuals[0] = 1e6 * backward_scale(poly, report.points[:1])[0]
-        return report, poly
+        report = real_zeros_of(spec, family, n)
+        report.residuals[0] = 1e6 * backward_scale(report.poly, report.points[:1])[0]
+        return report
 
     monkeypatch.setattr("trident.zeros.zeros_of", inflated)
     failures = verify_locus(SpecId.Z3, 5).failures
