@@ -40,6 +40,7 @@ VARIABLE_NAMES = ("w", "x", "y", "z")
 EXP_LIMIT = 0xFFFF       # largest exponent of one variable; also the field mask
 _DEGREE_SHIFT = 64       # the total degree sits above the four 16-bit fields
 _FIELD_SHIFTS = (48, 32, 16, 0)
+_Z_KEY = 1 << _DEGREE_SHIFT | 1   # adding it to a key multiplies the monomial by z
 
 
 class NotDivisible(Exception):
@@ -632,3 +633,36 @@ def poly_substitute(p: MultiPoly, weights: tuple[int, int, int, int]) -> UniPoly
         deg = sum(map(int.__mul__, weights, _unpack(key)))
         out[deg] = out.get(deg, 0) + coeff
     return UniPoly(out.get(d, 0) for d in range(max(out, default=-1) + 1))
+
+
+def mp_pack_z(p: MultiPoly, width: int) -> MultiPoly:
+    """Image of ``p`` under z -> 2^width, the Kronecker substitution of z: each
+    z^l moves into its term's coefficient as 2^(width*l), and the keys keep w,
+    x and y.  While every coefficient is nonnegative and below 2^width, no
+    slot of a product of images carries, and ``mp_unpack_z`` inverts it."""
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in p._terms.items():
+        l = key & EXP_LIMIT
+        key -= l * _Z_KEY
+        out[key] = get(key, 0) + (c << width * l)
+    return MultiPoly._from_dict(out)
+
+
+def mp_unpack_z(p: MultiPoly, width: int) -> MultiPoly:
+    """The inverse of ``mp_pack_z`` on nonnegative coefficients: slot l of each
+    coefficient becomes the term at z^l."""
+    terms = p._terms
+    top = (max(map(int.bit_length, terms.values()), default=0) - 1) // width
+    if top > EXP_LIMIT:   # before its slot would carry into the field of y
+        raise _too_large(top)
+    mask = (1 << width) - 1
+    out: dict[int, int] = {}
+    for key, c in terms.items():
+        while c:
+            slot = c & mask
+            if slot:
+                out[key] = slot
+            c >>= width
+            key += _Z_KEY
+    return MultiPoly._from_dict(out)

@@ -15,9 +15,15 @@ recurrence of the package, serving S, Q and R here and every
 single-variable specialization in ``specialize``.  Its memo keeps S(n-1)
 beside S(n) only for a caller that reads the pair.  ``s_poly_sweep``
 walks 0..N dropping each value no later index reads, and ``repunit_sweep``
-walks the pairs at (3^n - 1)/2 with M1 alone, holding one.  ``s_poly_product``
-expands the defining generating product instead and serves as a
-redundant second path; the enumeration oracle is a third.
+walks the pairs at (3^n - 1)/2 with M1 alone, holding one.
+
+``s_poly``, ``q_poly`` and ``r_poly`` walk with z packed into the
+coefficients: over the images of the matrix entries under z -> 2^B, B the
+bit length of S(n)(1, 1, 1, 1), each key holds w, x and y only and its
+coefficient the z-polynomial in B-bit slots, so a walk merges several
+times fewer terms (``_packed_walk`` shows that no slot carries).
+``s_poly_product`` expands the defining generating product instead and
+serves as a redundant second path; the enumeration oracle is a third.
 
 ``q_poly(n)`` and ``r_poly(n)`` are S at the indices (3^n - 3)/2 and
 (3^n - 1)/2: the pair at the index of n base-3 ones.  The paper's
@@ -29,10 +35,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .polyring import MultiPoly
+from .oracle import count_partitions
+from .polyring import MultiPoly, mp_pack_z, mp_unpack_z
 from .report import Report
 
 PRODUCT_CAP = 500
+PACK_FROM = 3**6   # below it, S has too few terms for the packed walk to pay
 
 VAR_W = MultiPoly.variable("w")
 VAR_X = MultiPoly.variable("x")
@@ -108,11 +116,16 @@ def digit_walk(n: int, coeffs, memo: dict, pair: bool = False):
     return s, b
 
 
-def repunit_pair(n: int, coeffs, memo: dict):
-    """(R_n, Q_n): the pair at (3^n - 1)/2, whose n base-3 digits are all 1."""
+def _repunit(n: int) -> int:
+    """(3^n - 1)/2, whose n base-3 digits are all 1."""
     if n < 0:   # before 3**n, which is a float at negative n
         raise ValueError("n must be non-negative")
-    return digit_walk((3**n - 1) // 2, coeffs, memo, pair=True)
+    return (3**n - 1) // 2
+
+
+def repunit_pair(n: int, coeffs, memo: dict):
+    """(R_n, Q_n): the pair at (3^n - 1)/2."""
+    return digit_walk(_repunit(n), coeffs, memo, pair=True)
 
 
 def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
@@ -127,9 +140,44 @@ def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
         yield r, q
 
 
+def _packed_walk(n: int, pair: bool = False):
+    """``digit_walk(n, DIGIT_COEFFS, _VALUES, pair)``, over the images under
+    z -> 2^B where the walk is long enough to pay for packing.
+
+    B is the bit length of S(n)(1, 1, 1, 1), the partition count of n that
+    the oracle reads off the digits in as many int steps, and no B-bit slot
+    carries: every matrix entry has nonnegative coefficients, and
+    S(m)(1, 1, 1, 1) does not decrease in m, since by the rows of M_d at 1,
+    S(3m+1) - S(3m) = 2 (S(m) - S(m-1)), S(3m+2) - S(3m+1) = S(m) - S(m-1)
+    and S(3m+3) - S(3m+2) = S(m+1) - S(m).  So every coefficient of each
+    value the walk forms, S at a prefix of n or one below it, and of each
+    partial sum of their products, is below 2^B.  A hit, an n below
+    PACK_FROM or one step from a memoized pair walks unpacked; otherwise the
+    starting pair is packed, and S(n), with S(n-1) for a pair that lacks
+    it, unpacked once.
+    """
+    memo = _VALUES
+    if n < PACK_FROM or n in memo and (not pair or n - 1 in memo):
+        return digit_walk(n, DIGIT_COEFFS, memo, pair)
+    m = n // 3
+    while m and (m not in memo or m - 1 not in memo):   # the seeds end it at 0
+        m //= 3
+    if m == n // 3:   # packing the pair would cost more than the step
+        return digit_walk(n, DIGIT_COEFFS, memo, pair)
+    width = count_partitions(n).bit_length()
+    images = tuple(mp_pack_z(c, width) for c in DIGIT_COEFFS)
+    start = {m - 1: mp_pack_z(memo[m - 1], width), m: mp_pack_z(memo[m], width)}
+    before = pair and n - 1 not in memo
+    walked = digit_walk(n, images, start, before)
+    s = memo[n] = mp_unpack_z(walked[0] if before else walked, width)
+    if before:
+        memo[n - 1] = mp_unpack_z(walked[1], width)
+    return (s, memo[n - 1]) if pair else s
+
+
 def s_poly(n: int) -> MultiPoly:
     """The counting polynomial of ``n`` via the base-3 digit walk."""
-    return digit_walk(n, DIGIT_COEFFS, _VALUES)
+    return _packed_walk(n)
 
 
 def s_poly_sweep(upto: int) -> Iterator[MultiPoly]:
@@ -145,12 +193,12 @@ def s_poly_sweep(upto: int) -> Iterator[MultiPoly]:
 
 def q_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 3)/2: S(m - 1) at m = (3^n - 1)/2."""
-    return repunit_pair(n, DIGIT_COEFFS, _VALUES)[1]
+    return _packed_walk(_repunit(n), pair=True)[1]
 
 
 def r_poly(n: int) -> MultiPoly:
     """The subsequence at indices (3^n - 1)/2."""
-    return repunit_pair(n, DIGIT_COEFFS, _VALUES)[0]
+    return _packed_walk(_repunit(n), pair=True)[0]
 
 
 def s_poly_product(n: int) -> MultiPoly:

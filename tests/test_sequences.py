@@ -9,7 +9,8 @@ from fixtures import TABLE1
 from trident import sequences
 from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
-from trident.polyring import EXP_LIMIT, MultiPoly, NotDivisible, mp_divide_exact
+from trident.polyring import (EXP_LIMIT, MultiPoly, NotDivisible, mp_divide_exact, mp_pack_z,
+                              mp_unpack_z)
 from trident.sequences import (PRODUCT_CAP, S1, S2, VAR_W, VAR_X, VAR_Y, VAR_Z, W1, W2,
                                gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr)
 
@@ -104,9 +105,13 @@ def test_three_term_recurrence_reference():
         assert r_poly(n) == two_term(W1, W2, MultiPoly.one(), S1, n), n
 
 
+def seeds():
+    return {-1: MultiPoly.zero(), 0: MultiPoly.one()}
+
+
 def fresh_memo(monkeypatch):
     """Give ``sequences`` an empty value memo for the test, and return it."""
-    memo = {-1: MultiPoly.zero(), 0: MultiPoly.one()}
+    memo = seeds()
     monkeypatch.setattr(sequences, "_VALUES", memo)
     return memo
 
@@ -174,6 +179,67 @@ def test_repunit_sweep_is_the_pair_and_keeps_no_memo(monkeypatch):
     pairs = list(sequences.repunit_sweep(8))
     assert set(memo) == {-1, 0}
     assert pairs == [(r_poly(n), q_poly(n)) for n in range(9)]
+
+
+def plain_walk(n, pair=False):
+    """The unpacked digit walk from the seeds."""
+    return sequences.digit_walk(n, sequences.DIGIT_COEFFS, seeds(), pair)
+
+
+# The s_poly indices of the benchmark's algebra workload, one per half decade.
+ALGEBRA_INDICES = [int(10 ** ((i + 0.5) / 2)) for i in range(20)]
+
+
+def test_packed_walk_matches_the_plain_walk(monkeypatch):
+    # every walk of two or more steps packs here, from the seeds or from a
+    # memoized pair two steps below; a slot too narrow for a coefficient
+    # carries into the next power of z and shows as a difference
+    fresh_memo(monkeypatch)   # the library memo comes back at teardown
+    monkeypatch.setattr(sequences, "PACK_FROM", 0)
+    unpacked = []
+    unpack = sequences.mp_unpack_z
+    monkeypatch.setattr(sequences, "mp_unpack_z",
+                        lambda p, width: unpacked.append(width) or unpack(p, width))
+    indices = [*range(3**7), *ALGEBRA_INDICES]
+    for n in indices:
+        sequences._VALUES = seeds()
+        assert s_poly(n) == plain_walk(n), n
+    # all but the hit at 0 and the single steps to 1 and 2 were packed
+    assert len(unpacked) == sum(n >= 3 for n in indices)
+    for n in range(21):
+        sequences._VALUES = seeds()
+        assert (r_poly(n), q_poly(n)) == plain_walk((3**n - 1) // 2, pair=True), n
+    for first in (0, 1):
+        sequences._VALUES = seeds()
+        for n in range(first, 21, 2):
+            assert (r_poly(n), q_poly(n)) == plain_walk((3**n - 1) // 2, pair=True), n
+
+
+def test_packing_width_bound_rises_with_the_index():
+    # the packed walk to n takes its slot width from count_partitions(n), which
+    # bounds every value the walk forms only while it does not decrease; the
+    # reference is the digit walk over the ints, each M_d at w = x = y = z = 1
+    pairs = [(1, 0)]   # (S(m), S(m - 1)) at 1, from the pair at m // 3
+    for m in range(1, 3**9):
+        s, b = pairs[m // 3]
+        pairs.append(((s + 3 * b, 4 * b), (3 * s + b, s + 3 * b), (4 * s, 3 * s + b))[m % 3])
+    counts = [count_partitions(m) for m in range(3**9)]
+    assert counts == [s for s, _ in pairs]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+def test_packed_walk_refuses_exponent_overflow(monkeypatch):
+    # S2 * S2 * z^EXP_LIMIT reaches z^(EXP_LIMIT + 2): its slot would carry
+    # into the field of y, so the unpack refuses it and stores nothing
+    memo = fresh_memo(monkeypatch)
+    m = sequences.PACK_FROM
+    memo[m - 1], memo[m] = MultiPoly.zero(), VAR_Z ** EXP_LIMIT
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        s_poly(9 * m + 8)
+    assert 9 * m + 8 not in memo
+    top = mp_pack_z(VAR_Z ** EXP_LIMIT * VAR_Y, 16) * 2**16
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        mp_unpack_z(top, 16)
 
 
 def test_w_pair_literals():
