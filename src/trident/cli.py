@@ -51,27 +51,23 @@ class VerificationFailed(Exception):
     """A verify run with a failing check; its one argument is the report lines."""
 
 
-def _indices(args) -> list[int]:
-    """The indices a command covers: 0..``--upto`` if given, else ``--n``."""
-    if getattr(args, "upto", None) is not None:
-        if args.n is not None:
-            raise UsageError("--n and --upto cannot be combined")
-        if args.upto < 0:
-            raise UsageError("upto must be non-negative")
-        return list(range(args.upto + 1))
-    if args.n is None:
+def _per_index(args, compute=None, sweep=None):
+    """The range of indices a command covers, 0..``--upto`` if given, else ``--n``;
+    with ``compute``, ``(n, compute(n))`` per index, or with ``--upto`` the values of
+    ``sweep(upto)`` where one is given.  The first is computed at once: an emitter calls
+    this before its first piece, so that a refusal (a negative ``--n``) writes nothing."""
+    upto = getattr(args, "upto", None)
+    if upto is None and args.n is None:
         raise UsageError("one of --n or --upto is required" if "upto" in args
                          else "--n is required")
-    return [args.n]
-
-
-def _per_index(args, compute, sweep=None) -> Iterator[tuple[int, object]]:
-    """``(n, compute(n))`` per index, or with ``--upto`` the values of ``sweep(upto)``
-    where one is given.  The first is computed at once: an emitter calls this
-    before its first piece, so that a refusal (a negative ``--n``) leaves the output empty.
-    """
-    indices = _indices(args)
-    values = sweep(args.upto) if sweep and args.upto is not None else map(compute, indices)
+    if upto is not None and args.n is not None:
+        raise UsageError("--n and --upto cannot be combined")
+    if upto is not None and upto < 0:
+        raise UsageError("upto must be non-negative")
+    indices = range(args.n, args.n + 1) if upto is None else range(upto + 1)
+    if compute is None:
+        return indices
+    values = sweep(upto) if sweep and upto is not None else map(compute, indices)
     return zip(indices, chain([next(values)], values))
 
 
@@ -142,12 +138,13 @@ def _emit_spec(args) -> Iterator[str]:
 def _digit_check() -> Callable[..., tuple[int, ...]]:
     """A check that returns its int arguments if ``str`` can convert them all,
     and raises OverflowError if not: Python's int-to-str digit limit, read
-    once (none where it is 0, or before Python 3.10.7)."""
+    once (none where it is 0, or before Python 3.10.7); ``above=b``, for an
+    answer known to exceed 2**b, refuses it from b before it is formed."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bound = 10**digits if digits else math.inf
 
-    def check(*values: int) -> tuple[int, ...]:
-        if max(map(abs, values), default=0) >= bound:
+    def check(*values: int, above: int = 0) -> tuple[int, ...]:
+        if (digits and above >= bound.bit_length()) or max(map(abs, values), default=0) >= bound:
             raise OverflowError(f"the answer exceeds the limit ({digits} digits) "
                                 "for integer string conversion")
         return values
@@ -156,7 +153,11 @@ def _digit_check() -> Callable[..., tuple[int, ...]]:
 
 def _emit_scalar(args) -> Iterator[str]:
     check = _digit_check()
-    rows = _per_index(args, lambda n: check(*scalar_qr(n)))
+
+    def pair(n: int) -> tuple[int, ...]:
+        check(above=2 * n - 1)   # R_n = 2^(n-1) (2^n + 1) > 2^(2n-1) for n >= 1
+        return check(*scalar_qr(n))
+    rows = _per_index(args, pair)
     if args.format == "json":
         sep = '{"command": "scalar", "rows": ['
         for n, (q, r) in rows:
@@ -185,7 +186,7 @@ def _list_cap(args) -> int:
 
 def _emit_enumerate(args) -> Iterator[str]:
     cap = _list_cap(args)
-    n, = _indices(args)
+    n, = _per_index(args)
     count, = _digit_check()(count_partitions(n))
     partitions = enumerate_partitions(n, cap=cap) if args.list else None
     if args.format == "json":
@@ -204,7 +205,7 @@ def _emit_enumerate(args) -> Iterator[str]:
 
 
 def _emit_profile(args) -> Iterator[str]:
-    n, = _indices(args)
+    n, = _per_index(args)
     items = sorted(profile(SpecId(args.spec), args.family, n).items())
     _digit_check()(*(c for _, c in items))
     if args.format == "json":
@@ -216,7 +217,7 @@ def _emit_profile(args) -> Iterator[str]:
 
 
 def _emit_zeros(args) -> Iterator[str]:
-    n, = _indices(args)
+    n, = _per_index(args)
     spec = SpecId(args.spec)
     report = zeros_of(spec, args.family, n)
     locus = LOCI.get((spec, args.family)) if args.locus else None

@@ -56,9 +56,6 @@ class ColoredPartition(NamedTuple):
 
     digits: tuple[DigitRecord, ...]
 
-    def total(self) -> int:
-        return sum(d.total() * 3**j for j, d in enumerate(self.digits))
-
     def stats(self) -> "PartitionStats":
         return PartitionStats(
             overlined=sum(d.over for d in self.digits),

@@ -210,12 +210,6 @@ class MultiPoly(_Poly):
     def __len__(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Maximal total degree of a term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(self._terms) >> _DEGREE_SHIFT
-
     def terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """The constructor's ``(i, j, k, l, coeff)`` records, in increasing graded-lex order."""
         terms = self._terms

@@ -185,32 +185,28 @@ def _aberth(coeffs: list[complex]) -> list[complex]:
     raise NoConvergence(len(trace), trace)
 
 
-def _dyadic(z: complex) -> tuple[int, int, int]:
-    # z = (a + ib) * 2**-k exactly; NaN and infinity raise as float.as_integer_ratio does.
+def _exact(coeffs: tuple[int, ...], z: complex) -> tuple[int, ...]:
+    # z = (a + ib) 2^-k exactly (NaN and infinity raise as float.as_integer_ratio
+    # does), then one Gaussian-integer Horner pass for P and P' there: returns
+    # (a, b, k) and 2^(kd) P(z), 2^(k(d-1)) P'(z) as (re, im, re, im), d = len(coeffs) - 1.
     (re_n, re_d), (im_n, im_d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     re_k, im_k = re_d.bit_length() - 1, im_d.bit_length() - 1
     k = max(re_k, im_k)
-    return re_n << (k - re_k), im_n << (k - im_k), k
-
-
-def _dyadic_eval(coeffs: tuple[int, ...], a: int, b: int, k: int) -> tuple[int, int, int, int]:
-    # One Gaussian-integer Horner pass for P and P' at z = (a + ib) 2^-k:
-    # returns 2^(kd) P(z) and 2^(k(d-1)) P'(z) as (re, im, re, im), d = len(coeffs) - 1.
+    a, b = re_n << (k - re_k), im_n << (k - im_k)
     p_re = p_im = d_re = d_im = 0
     shift = 0
     for c in reversed(coeffs):
         d_re, d_im = d_re * a - d_im * b + p_re, d_re * b + d_im * a + p_im
         p_re, p_im = p_re * a - p_im * b + (c << shift), p_re * b + p_im * a
         shift += k
-    return p_re, p_im, d_re, d_im
+    return a, b, k, p_re, p_im, d_re, d_im
 
 
 def _newton_radius(coeffs: tuple[int, ...], z: complex) -> float:
-    # An upper bound on d |P(z) / P'(z)| from the exact values of
-    # _dyadic_eval, d = len(coeffs) - 1: the disk of that radius about z
-    # holds a zero of P.  The quotient r^2 is rounded once, its root once.
-    a, b, k = _dyadic(z)
-    p_re, p_im, d_re, d_im = _dyadic_eval(coeffs, a, b, k)
+    # An upper bound on d |P(z) / P'(z)| from the exact P(z) and P'(z) of
+    # _exact, d = len(coeffs) - 1: the disk of that radius about z holds a
+    # zero of P.  The quotient r^2 is rounded once, its root once.
+    _, _, k, p_re, p_im, d_re, d_im = _exact(coeffs, z)
     d = len(coeffs) - 1
     den = (d_re * d_re + d_im * d_im) << 2 * k
     try:
@@ -251,10 +247,7 @@ def _newton_polish(poly: UniPoly, z: complex) -> complex:
     """
     coeffs = poly.coeffs
     scale = 2 * poly.degree()   # |P|^2 carries 2^(2kd)
-    best = z
-    a, b, k = _dyadic(z)
-    p_re, p_im, d_re, d_im = _dyadic_eval(coeffs, a, b, k)
-    best_res, best_exp = p_re * p_re + p_im * p_im, scale * k
+    best, (a, b, k, p_re, p_im, d_re, d_im) = z, _exact(coeffs, z)
     for _ in range(POLISH_STEPS):
         denom = d_re * d_re + d_im * d_im
         if denom == 0:
@@ -265,15 +258,13 @@ def _newton_polish(poly: UniPoly, z: complex) -> complex:
                             (b * denom - (p_im * d_re - p_re * d_im)) / den)
         if candidate == best:   # the same point cannot have a smaller residual
             break
-        ca, cb, ck = _dyadic(candidate)
-        c_re, c_im, cd_re, cd_im = _dyadic_eval(coeffs, ca, cb, ck)
-        res, exp = c_re * c_re + c_im * c_im, scale * ck
-        top = max(exp, best_exp)
-        if res << (top - exp) < best_res << (top - best_exp):
-            best, best_res, best_exp = candidate, res, exp
-            a, b, k, p_re, p_im, d_re, d_im = ca, cb, ck, c_re, c_im, cd_re, cd_im
-        else:
+        values = _exact(coeffs, candidate)
+        ck, c_re, c_im = values[2:5]
+        top = scale * max(k, ck)
+        if ((c_re * c_re + c_im * c_im) << (top - scale * ck)
+                >= (p_re * p_re + p_im * p_im) << (top - scale * k)):
             break
+        best, (a, b, k, p_re, p_im, d_re, d_im) = candidate, values
     return best
 
 
@@ -374,7 +365,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> ZeroReport:
         square_free = up_square_free(member)
         try:
             report = zeros_general(square_free)
-        except ValueError:   # a NaN point, which _dyadic cannot convert
+        except ValueError:   # a NaN point, which _exact cannot convert
             raise NotCertified(label, math.nan) from None
         return _certified(label, report)
     origin, poly = split_origin(member)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -157,6 +158,40 @@ def test_digit_limit_is_refused_as_a_limit(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 0 and out.startswith("8000\t")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_scalar_refuses_from_the_bit_length(capsys):
+    # R_n > 2^(2n - 1): an index past the digit limit by that bound alone is
+    # refused before its billion-bit answer is formed
+    start = time.perf_counter()
+    refused = run_capture(capsys, ["scalar", "--n", "1000000000"])
+    assert time.perf_counter() - start < 2.0
+    assert refused == run_capture(capsys, ["scalar", "--n", "8000"])
+    assert refused[:2] == (3, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or sys.platform == "win32",
+                    reason="needs the int-to-str digit limit and RLIMIT_AS")
+def test_scalar_sweep_holds_no_list_of_its_indices():
+    # a sweep to 10^8 stops at the digit limit after the same rows as one to
+    # 7200, under an address-space limit that a list of 10^8 ints exceeds
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "trident.cli", "scalar", "--upto", "100000000",
+                           "--format", "csv"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, preexec_fn=limit_memory) as child:
+        digest = hashlib.sha256()   # 30 MB of rows: hashed as they arrive, not kept
+        for chunk in iter(lambda: child.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+        err = child.stderr.read()
+    code, out, _ = run_sunk(["scalar", "--upto", "7200", "--format", "csv"])
+    assert (child.wait(timeout=60), code) == (3, 3), err
+    assert digest.digest() == out.sha256.digest()
 
 
 def test_spec_json_and_pretty(capsys):

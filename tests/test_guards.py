@@ -2,6 +2,8 @@
 foreign operands of the ring classes and the package's export list, on
 paths no other test runs."""
 
+import json
+import math
 import operator
 
 import pytest
@@ -9,8 +11,10 @@ import pytest
 import trident
 from trident.identities import verify_prop61, verify_surprising, verify_telescoping
 from trident.polyring import MultiPoly, UniPoly, up_square_free
+from trident.report import Report
 from trident.sequences import gf_check, s_poly_product, scalar_qr
 from trident.specialize import SpecId, profile_from_oracle, q1_r1_closed
+from trident.zeros import _newton_radius
 
 MULTI = MultiPoly([(1, 0, 0, 0, 2), (0, 0, 1, 1, -1)])
 UNI = UniPoly((1, -2, 3))
@@ -93,3 +97,16 @@ def test_export_list_resolves():
     namespace: dict = {}
     exec("from trident import *", namespace)
     assert set(trident.__all__) <= namespace.keys()
+
+
+def test_newton_radius_is_infinite_where_the_derivative_vanishes():
+    # z^2 at 0 (P = P' = 0) and z^2 + 1 at 0 (P' = 0 only): no disk is certified
+    assert _newton_radius((0, 0, 1), 0j) == math.inf
+    assert _newton_radius((1, 0, 1), 0j) == math.inf
+
+
+def test_report_witness_keeps_plain_operands():
+    # operands that are not polynomials go into the witness as they are
+    report = Report("n <= 1")
+    report.record("sizes agree", False, 3, [1, 2])
+    assert json.loads(report.witness) == {"check": "sizes agree", "lhs": 3, "rhs": [1, 2]}

@@ -65,7 +65,7 @@ def test_enumeration_matches_count():
 def test_partition_invariants():
     for n in (5, 13, 27, 44):
         for part in enumerate_partitions(n):
-            assert part.total() == n
+            assert sum(d.total() * 3**j for j, d in enumerate(part.digits)) == n
             for d in part.digits:
                 assert d.over in (0, 1) and d.tilde in (0, 1) and 0 <= d.plain <= 2
             if part.digits:

@@ -121,7 +121,7 @@ class TestExponentRange:
     def test_constructor_limit(self):
         top = MultiPoly([(0, EXP_LIMIT, 0, 0, 3)])
         assert top.terms()[0][:4] == (0, 65535, 0, 0)
-        assert top.total_degree() == 65535
+        assert max(sum(t[:4]) for t in top.terms()) == 65535
         for exps in ((65536, 0, 0, 0), (0, 0, 0, 65536)):
             with pytest.raises(ValueError, match="65535"):
                 MultiPoly([(*exps, 1)])
@@ -140,7 +140,7 @@ class TestExponentRange:
         # total degree past the limit is fine while every exponent stays in range
         big = V["w"] ** 40000 * (V["x"] ** 40000 + V["y"])
         assert big.terms()[-1][:4] == (40000, 40000, 0, 0)
-        assert big.total_degree() == 80000
+        assert max(sum(t[:4]) for t in big.terms()) == 80000
 
     def test_out_of_range_coefficient_is_zero(self):
         p = (1 + V["w"] + V["x"] + V["y"] + V["z"]) ** 3 + V["y"] ** EXP_LIMIT
@@ -172,7 +172,6 @@ def test_terms_graded_lex_round_trip(records):
     assert MultiPoly(p.terms()) == p
     assert all(type(t) is tuple and len(t) == 5 and all(type(v) is int for v in t)
                for t in p.terms())
-    assert p.total_degree() == max((k[0] for k in keys), default=-1)
 
 
 @settings(max_examples=150)
