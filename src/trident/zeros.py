@@ -5,10 +5,10 @@ Every q family is a Lucas sequence, Q_n = E_{n-1}(a, b) over the images
 a^2 - 4 cos^2(k pi / n) b, 1 <= k < n / 2, times a at even n (Lucas 1878).
 So is every r family with 2 R_n = D_n(a, b), with the angles
 (2k - 1) pi / (2n) and a at odd n.  ``zeros_of`` takes the zeros of these
-families from the factors, and those of every other member from its exact
-square-free part through the Aberth-Ehrlich root finder, which
-``zeros_general`` runs on any polynomial, and returns those only once the
-Newton inclusion test certifies them.  ``LOCI`` is the one table of
+families from the factors, and those of every other member from the
+Aberth-Ehrlich root finder, which ``zeros_general`` runs on any polynomial,
+and returns those only once the Newton inclusion test certifies them (and
+with them that every zero is simple).  ``LOCI`` is the one table of
 zero facts, one row per (spec, family) that claims a locus: its JSON
 parameters, distance, strict margin and real-zero parity.  The claimed
 loci are its rows, and ``verify_locus`` checks them.
@@ -20,11 +20,12 @@ import cmath
 import functools
 import math
 import random
+from contextlib import suppress
 from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
-from .polyring import (UniPoly, horner, poly_substitute, split_origin, up_divide_exact, up_gcd,
-                       up_square_free)
+from .polyring import (NotDivisible, UniPoly, _primitive, horner, poly_substitute, split_origin,
+                       up_divide_exact, up_gcd)
 from .report import Report
 from .sequences import R_CORRECTION
 from .specialize import SpecId, spec_family, spec_images
@@ -270,12 +271,15 @@ def _newton_polish(poly: UniPoly, z: complex) -> complex:
 
 def _zero_report(poly: UniPoly, points: list[complex], origin: int,
                  locus: Optional[Locus]) -> ZeroReport:
-    """The one builder of a ZeroReport: points sorted by (re, im), residuals
-    on ``poly`` by Horner over its coefficients as floats, distances to ``locus``."""
+    """The one builder of a ZeroReport: points sorted by (re, im), residuals on ``poly``
+    by float Horner, each finite or OverflowError, and distances to ``locus``."""
     points = sorted(points, key=lambda z: (z.real, z.imag))
     coeffs = [float(c) for c in poly.coeffs]
+    residuals = [abs(horner(coeffs, z)) for z in points]
+    if not all(map(math.isfinite, residuals)):
+        raise OverflowError("a residual overflows a double")
     distances = None if locus is None else [locus.distance(z) for z in points]
-    return ZeroReport(points, [abs(horner(coeffs, z)) for z in points], distances, origin, poly)
+    return ZeroReport(points, residuals, distances, origin, poly)
 
 
 def zeros_general(p: UniPoly) -> ZeroReport:
@@ -348,27 +352,33 @@ def _lucas_points(spec: SpecId, family: str, n: int) -> list[complex]:
 def zeros_of(spec: SpecId, family: str, n: int) -> ZeroReport:
     """Zeros of one family member.
 
-    The Lucas families take their points from the factors of ``_lucas``,
-    and their polynomial is the member with its zero at the origin split
-    off and each zero of g left simple.  Every other member takes
-    ``zeros_general`` on its square-free part, returned only if
-    ``_certified``, else NotCertified.  The ``LOCI`` rows report the member's
-    multiplicity at the origin, every other row at most 1.  A constant
-    member has no zeros and raises ValueError.
+    Every polynomial is the member with its zero at the origin split off
+    and each zero of g left simple.  The Lucas families take their points
+    from the factors of ``_lucas``.  Every other member takes its integer
+    content out too and its points from the root finder, returned only if
+    ``_certified`` (which proves every zero simple), else NotCertified.  The
+    ``LOCI`` rows report the member's multiplicity at the origin, every
+    other row at most 1.  A constant member has no zeros and raises ValueError.
     """
     member = spec_family(spec, family, n)
     label = f"{spec.value}/{family} member {n}"
     if member.degree() < 1:
         raise ValueError(f"{label} has no zeros")
     *_, g_rest, pure_r = _lucas(spec)
+    origin, poly = split_origin(member)
+    if (spec, family) not in LOCI:
+        origin = min(origin, 1)
     if family == "r" and not pure_r:
-        square_free = up_square_free(member)
+        quotient = poly
+        with suppress(NotDivisible):
+            while g_rest.degree() >= 1:   # g out while it still divides, but once
+                poly, quotient = quotient, up_divide_exact(quotient, g_rest)
+        poly = _primitive(poly)
         try:
-            report = zeros_general(square_free)
+            points = [_newton_polish(poly, z) for z in _aberth([complex(c) for c in poly.coeffs])]
         except ValueError:   # a NaN point, which _exact cannot convert
             raise NotCertified(label, math.nan) from None
-        return _certified(label, report)
-    origin, poly = split_origin(member)
+        return _certified(label, _zero_report(poly, points, origin, None))
     points = _lucas_points(spec, family, n)
     if g_rest.degree() >= 1:
         # g divides every member and its zeros are among the points once:
@@ -378,8 +388,6 @@ def zeros_of(spec: SpecId, family: str, n: int) -> ZeroReport:
             poly = up_divide_exact(poly, g_rest ** extra)
     if len(points) != poly.degree():
         raise AssertionError("Lucas zero count disagrees with the polynomial degree")
-    if (spec, family) not in LOCI:
-        origin = min(origin, 1)
     return _zero_report(poly, points, origin, LOCI.get((spec, family)))
 
 
@@ -441,7 +449,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
                 report.margins["real_zero_min"] = min(reals)
                 report.margins["real_zero_max"] = max(reals)
         for z, res, scale in zip(zr.points, zr.residuals, backward_scale(zr.poly, zr.points)):
-            if res >= LOCUS_TOL * scale:
-                report.record(f"{tag}residual {res:.3e} at {z} exceeds {LOCUS_TOL:.1e} "
+            if not res < LOCUS_TOL * scale < math.inf:
+                report.record(f"{tag}residual {res:.3e} at {z} not shown below {LOCUS_TOL:.1e} "
                               f"* scale {scale:.3e}", False)
     return report

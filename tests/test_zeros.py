@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
@@ -280,8 +284,8 @@ def test_zeros_of_routes():
     assert got.degree() == up_square_free(member).degree() == len(report.points)
     up_divide_exact(member, got)
     assert horner(got.coeffs, -1) == 0 != horner(up_divide_exact(got, UniPoly((1, 1))).coeffs, -1)
-    # the finder route is zeros_general on the square-free part, the root
-    # finder at its default tolerance and seed
+    # the finder route gives what zeros_general gives on the square-free
+    # part, the root finder at its default tolerance and seed
     general = zeros_general(up_square_free(spec_family(SpecId.P1, "r", 9)))
     assert zeros_of(SpecId.P1, "r", 9) == general
     for spec, family, n in ((SpecId.Z1, "q", 1), (SpecId.P1, "q", 1), (SpecId.Z0, "r", 5)):
@@ -313,6 +317,63 @@ def test_finder_route_refuses_what_it_cannot_certify():
         with pytest.raises(NotCertified, match=f"{spec.value}/r member {n}: ") as err:
             zeros_of(spec, "r", n)
         assert not err.value.radius <= LOCUS_TOL, (spec, n)   # above it, or NaN
+
+
+# The first n at which the finder route refused each r family up to n = 30
+# when it took the square-free part (z2 and p4 r answer for every n <= 30).
+FIRST_REFUSED = {SpecId.Z3: 28, SpecId.P1: 27, SpecId.P2: 21, SpecId.P3: 20, SpecId.P5: 27,
+                 SpecId.P6: 27}
+
+
+def test_finder_route_polynomial_is_the_square_free_part():
+    # the member with z^k split off, g kept once and the content divided out
+    # is its square-free part with z split off, and the certificate refuses
+    # where the square-free route did; z3 r at n = 27, whose residual at its
+    # zero near -3^27 / 4 overflows a double, is refused too; z2, p2 and p4 r
+    # at n = 1 and p4 r at n = 2 are z^k c, with no zero but the origin
+    finder = [spec for spec in SpecId if not _lucas(spec)[4]]
+    assert finder == [spec for spec in SpecId if spec not in (SpecId.Z0, SpecId.Z1)]
+    for spec in finder:
+        for n in range(1, 31):
+            if n >= FIRST_REFUSED.get(spec, 31):
+                with pytest.raises(NotCertified, match=f"{spec.value}/r member {n}: "):
+                    zeros_of(spec, "r", n)
+                continue
+            if (spec, n) == (SpecId.Z3, 27):
+                with pytest.raises(OverflowError, match="residual overflows"):
+                    zeros_of(spec, "r", n)
+                continue
+            member = spec_family(spec, "r", n)
+            report = zeros_of(spec, "r", n)
+            assert report.poly == split_origin(up_square_free(member))[1], (spec, n)
+            assert report.origin_multiplicity == min(split_origin(member)[0], 1), (spec, n)
+            assert len(report.points) == report.poly.degree()
+    for spec, n in ((SpecId.Z2, 1), (SpecId.P2, 1), (SpecId.P4, 1), (SpecId.P4, 2)):
+        assert split_origin(spec_family(spec, "r", n))[1].degree() == 0
+        assert zeros_of(spec, "r", n) == ([], [], None, 1, UniPoly((1,)))
+
+
+def test_finder_route_runs_no_remainder_sequence(monkeypatch):
+    # the certificate proves the zeros simple, so no gcd of P and P' is
+    # formed; _lucas, cached per spec, takes the only gcds (of a and b)
+    _lucas(SpecId.P2)
+
+    def refused(*args):
+        raise AssertionError("a pseudo-remainder sequence ran")
+
+    monkeypatch.setattr("trident.polyring._pseudo_remainder", refused)
+    report = zeros_of(SpecId.P2, "r", 20)
+    assert len(report.points) == report.poly.degree() == 37
+
+
+def test_finder_route_refuses_within_its_budget():
+    # p2 r at n = 150 is refused in well under a second; the primitive
+    # remainder sequence of the square-free part took more than 40 s
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "trident.cli", "zeros", "--spec", "p2",
+                           "--family", "r", "--n", "150"], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
 
 
 def test_lucas_polynomial_takes_one_division():
@@ -444,6 +505,14 @@ def test_locus_residual_gate_reads_the_report(monkeypatch):
     assert len(failures) == 1 and failures[0].startswith("residual "), failures
 
 
+def test_locus_residual_gate_fails_an_infinite_scale():
+    # the scale overflows a double before the residual does (z1 at n = 156,
+    # p5 at 260): a gate that cannot be evaluated fails
+    for spec, n in ((SpecId.Z1, 156), (SpecId.P5, 260)):
+        failures = verify_locus(spec, n).failures
+        assert failures and all(label.endswith("* scale inf") for label in failures), failures
+
+
 def test_locus_residual_labels_name_the_family(monkeypatch):
     # with a zero tolerance every residual fails; z1 claims a locus for both
     # families, so each residual label starts with its family's tag
@@ -470,6 +539,13 @@ def test_zero_report_residuals_finite():
     report = zeros_explicit("z1r", 14)
     assert all(math.isfinite(r) for r in report.residuals)
     assert all(math.isfinite(d) for d in report.locus_distances)
+    # a residual that is not finite is refused: the float Horner overflows
+    # far below a coefficient's own limit (n = 515), first at z1 r n = 160
+    # and z1 q n = 182
+    for family, n in (("r", 160), ("q", 182)):
+        assert all(map(math.isfinite, zeros_of(SpecId.Z1, family, n - 1).residuals))
+        with pytest.raises(OverflowError, match="residual overflows a double"):
+            zeros_of(SpecId.Z1, family, n)
 
 
 def locus_points(params):
