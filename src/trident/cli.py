@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
+# The refusals that exit with EXIT_LIMIT; a UsageError or any other ValueError exits 2.
+LIMITS = (CapExceeded, NoConvergence, NotCertified, OverflowError)
+
 
 class UsageError(Exception):
     pass
@@ -299,26 +302,19 @@ VERIFICATIONS = (
 VERIFICATION_GROUPS = tuple(group for group, *_ in VERIFICATIONS)
 
 
-def run_verification(quick: bool = False, only: list[str] | None = None) -> list[dict]:
-    """The full cross-check battery; each entry is {id, ok, detail}.
-
-    The detail is a failing entry's first failure, else its parameter range.
-    """
-    checks: list[dict] = []
-    for group, check_id, check, quick_ranges, full_ranges in VERIFICATIONS:
-        if only is None or group in only:
-            report = check(*(quick_ranges if quick else full_ranges))
-            checks.append({"id": check_id, "ok": report.ok,
-                           "detail": report.param_range if report.ok else report.failures[0]})
-    return checks
-
-
 def _emit_verify(args) -> Iterator[str]:
     only = args.only.split(",") if args.only is not None else None
     unknown = [o for o in only or () if o not in VERIFICATION_GROUPS]
     if unknown:
         raise UsageError(f"unknown check id(s): {', '.join(map(repr, unknown))}")
-    checks = run_verification(quick=args.quick, only=only)
+    # One {id, ok, detail} per check run; the detail is a failing check's
+    # first failure, else its parameter range.
+    checks = []
+    for group, check_id, check, quick_ranges, full_ranges in VERIFICATIONS:
+        if only is None or group in only:
+            report = check(*(quick_ranges if args.quick else full_ranges))
+            checks.append({"id": check_id, "ok": report.ok,
+                           "detail": report.param_range if report.ok else report.failures[0]})
     ok = all(c["ok"] for c in checks) and bool(checks)
     if args.format == "json":
         lines = [json.dumps({"command": "verify", "ok": ok, "checks": checks}) + "\n"]
@@ -453,16 +449,11 @@ def run(argv: list[str]) -> int:
             _write_out(args.out, pieces)
         else:
             sys.stdout.writelines(pieces)
-    except UsageError as exc:
+    except (UsageError, ValueError, *LIMITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        args.print_usage(sys.stderr)   # the usage of the subcommand at fault
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CapExceeded, NoConvergence, NotCertified, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        if isinstance(exc, UsageError):
+            args.print_usage(sys.stderr)   # the usage of the subcommand at fault
+        return EXIT_LIMIT if isinstance(exc, LIMITS) else EXIT_USAGE
     except OSError as exc:
         if not args.out:
             raise   # stdout: a reader that left early is main's to report

@@ -114,9 +114,9 @@ def verify_surprising(n_max: int) -> Report:
     z_plus_3 = UniPoly((3, 1))
     for n in range(n_max + 1):
         q, r = spec_family(SpecId.Z1, "q", n), spec_family(SpecId.Z1, "r", n)
-        diff, total = r - q, r + q
-        report.record(f"difference n={n}", diff == z_plus_1**n, diff, z_plus_1**n)
-        report.record(f"sum n={n}", total == z_plus_3**n, total, z_plus_3**n)
+        diff, total, plus_1, plus_3 = r - q, r + q, z_plus_1**n, z_plus_3**n
+        report.record(f"difference n={n}", diff == plus_1, diff, plus_1)
+        report.record(f"sum n={n}", total == plus_3, total, plus_3)
         square = r * r - q * q
         expected = (z_plus_1 * z_plus_3) ** n
         report.record(f"square-difference n={n}", square == expected, square, expected)

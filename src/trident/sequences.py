@@ -123,11 +123,6 @@ def _repunit(n: int) -> int:
     return (3**n - 1) // 2
 
 
-def repunit_pair(n: int, coeffs, memo: dict):
-    """(R_n, Q_n): the pair at (3^n - 1)/2."""
-    return digit_walk(_repunit(n), coeffs, memo, pair=True)
-
-
 def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
     """(R_n, Q_n) for n = 0, ..., upto in the ring of ``coeffs``, each pair from
     the one before by the rows of M1, since (3^(n+1) - 1)/2 = 3 (3^n - 1)/2 + 1:

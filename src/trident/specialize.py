@@ -16,8 +16,9 @@ monomial's image.
 ``(1, 1, z, 1)`` family additionally has closed binomial forms, which
 double as an independent oracle for the recurrence path.  ``STRUCTURE`` is
 the one table of structural claims: degrees, extreme coefficients,
-palindromes, and the pure odd and even binomials that the z1 members
-become when shifted by -2.
+palindromes, the pure odd and even binomials that the z1 members become
+when shifted by -2, and the z0 members' values 2^(n-1)(2^n -/+ 1), the q
+side an even perfect number where 2^n - 1 is prime.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterator
 from .oracle import PartitionStats, oracle_poly
 from .polyring import UniPoly, poly_substitute, split_origin
 from .report import Report
-from .sequences import DIGIT_COEFFS, W1, W2, repunit_pair, repunit_sweep
+from .sequences import DIGIT_COEFFS, W1, W2, _repunit, digit_walk, repunit_sweep, scalar_qr
 
 
 class SpecId(enum.Enum):
@@ -82,7 +83,7 @@ def _walk(spec: SpecId) -> tuple[tuple[UniPoly, ...], dict]:
 def spec_family(spec: SpecId, family: str, n: int) -> UniPoly:
     """The specialized q- or r-family member at index ``n``, by the digit walk."""
     _validate_family(family)
-    r, q = repunit_pair(n, *_walk(spec))
+    r, q = digit_walk(_repunit(n), *_walk(spec), pair=True)
     return q if family == "q" else r
 
 
@@ -157,8 +158,7 @@ STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], 
                 ("r", "shifted by -2",
                  lambda p, n: (p.shift_argument(-2), _binomial_halves(1, -1, n)[1]))),
     SpecId.Z2: (("q", "degree", lambda p, n: (p.degree(), 3 * (n - 1))),
-                ("q", "lowest degree",
-                 lambda p, n: (next(d for d, c in enumerate(p.coeffs) if c), n - 1)),
+                ("q", "lowest degree", lambda p, n: (split_origin(p)[0], n - 1)),
                 ("q", "palindromic after reduction",
                  lambda p, n: (split_origin(p)[1].is_palindromic(), True)),
                 ("q", "leading", lambda p, n: (p.coeff(3 * (n - 1)), 3 ** (n - 1))),
@@ -169,6 +169,8 @@ STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], 
                 ("q", "constant", lambda p, n: (p.coeff(0), 2 ** (n - 1)))),
     **dict.fromkeys((SpecId.P1, SpecId.P3, SpecId.P5, SpecId.P6),
                     (("q", "palindromic", lambda p, n: (p.is_palindromic(), True)),)),
+    SpecId.Z0: (("q", "all-ones value", lambda p, n: (p.coeffs, scalar_qr(n)[:1])),
+                ("r", "all-ones value", lambda p, n: (p.coeffs, scalar_qr(n)[1:]))),
 }
 
 

@@ -98,19 +98,14 @@ class Locus(NamedTuple):
     real_zero_parity: Optional[int] = None
 
 
-def _circle_or_negative_axis(z: complex) -> float:
-    circle = abs(abs(z) - 1.0)
-    axis = abs(z.imag) if z.real <= 0 else abs(z)
-    return min(circle, axis)
-
-
 _LINE = Locus({"type": "line", "re": -2.0}, "the line Re = -2",
               lambda z: abs(z.real + 2.0))
 _CIRCLE_OR_AXIS = Locus(
     {"type": "union", "components": [
         {"type": "circle", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "segment", "axis": "negative-real"}]},
-    "the unit circle and negative real axis", _circle_or_negative_axis)
+    "the unit circle and negative real axis",
+    lambda z: min(abs(abs(z) - 1.0), abs(z.imag) if z.real <= 0 else abs(z)))
 
 LOCI: dict[tuple[SpecId, str], Locus] = {
     (SpecId.Z1, "q"): _LINE._replace(real_zero_parity=0),

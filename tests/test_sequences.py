@@ -136,7 +136,7 @@ def test_dense_sweep_shares_the_before_entry(monkeypatch):
     assert set(memo) == set(range(-1, 200))
     assert len({id(value) for value in memo.values()}) == len(memo)
     before = memo[39]
-    r, q = sequences.repunit_pair(4, sequences.DIGIT_COEFFS, memo)   # S(40), S(39)
+    r, q = sequences.digit_walk(40, sequences.DIGIT_COEFFS, memo, pair=True)   # S(40), S(39)
     assert q is before and memo[39] is before and r is memo[40]
 
 

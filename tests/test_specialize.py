@@ -8,7 +8,7 @@ import pytest
 
 from fixtures import TABLE2_Q, TABLE2_R, TABLE3, TABLE4
 from trident.polyring import UniPoly, poly_substitute, split_origin
-from trident.sequences import q_poly, r_poly
+from trident.sequences import q_poly, r_poly, scalar_qr
 from trident.specialize import (STRUCTURE, SpecId, _walk, partition_statistic, profile,
                                 profile_from_oracle, q1_r1_closed, spec_family,
                                 spec_family_sweep, spec_images, structural_check)
@@ -214,6 +214,21 @@ def test_shifted_rows_catch_an_added_linear_term(monkeypatch):
         failures = structural_check(SpecId.Z1, n).failures
         assert [f.split(" UniPoly(")[0] for f in failures] == [
             "q shifted by -2", "r shifted by -2"], (n, failures)
+
+
+def test_z0_rows_check_the_perfect_number_closed_forms(monkeypatch):
+    # the z0 members are Q_n(1, 1, 1, 1) = 2^(n-1)(2^n - 1), an even perfect
+    # number where 2^n - 1 is prime, and R_n(1, 1, 1, 1) = 2^(n-1)(2^n + 1);
+    # a closed form for Q off by one fails the q row alone
+    assert spec_family(SpecId.Z0, "q", 7).coeffs == (8128,)
+    for n in range(1, 41):
+        assert structural_check(SpecId.Z0, n).ok, n
+    monkeypatch.setattr("trident.specialize.scalar_qr",
+                        lambda n: (scalar_qr(n)[0] + 1, scalar_qr(n)[1]))
+    for n in range(1, 41):
+        q = scalar_qr(n)[0]
+        assert structural_check(SpecId.Z0, n).failures == [
+            f"q all-ones value ({q},) != ({q + 1},)"], n
 
 
 def test_structural_check_rejects_unclaimed_spec():

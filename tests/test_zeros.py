@@ -14,9 +14,9 @@ from fixtures import match_multisets
 from trident.polyring import (NotDivisible, UniPoly, horner, split_origin, up_divide_exact,
                               up_square_free)
 from trident.specialize import SpecId, spec_family, spec_images
-from trident.zeros import (LOCI, LOCUS_TOL, NoConvergence, NotCertified, _certified, _lucas,
-                           _lucas_points, backward_scale, verify_locus, zeros_explicit,
-                           zeros_general, zeros_of)
+from trident.zeros import (LOCI, LOCUS_TOL, NoConvergence, NotCertified, _aberth, _certified,
+                           _lucas, _lucas_points, backward_scale, verify_locus,
+                           zeros_explicit, zeros_general, zeros_of)
 
 # The rows ``zeros_explicit`` takes by tag.
 EXPLICIT_TAGS = (("z1q", (SpecId.Z1, "q")), ("z1r", (SpecId.Z1, "r")),
@@ -202,6 +202,24 @@ def test_general_no_convergence_reports_trace(monkeypatch):
         zeros_general(UniPoly((1, 3, -2, 5, 1, 1, 4)))
     assert err.value.iterations == 1
     assert len(err.value.trace) == 1
+
+
+def test_aberth_steps_off_a_zero_derivative(monkeypatch):
+    # a point where P' evaluates to 0 is nudged off it rather than divided
+    # by, and the iteration still finds the three cube roots of 2
+    derivative_hits = []
+
+    def first_derivative_zero(coeffs, z):
+        if len(coeffs) == 3 and not derivative_hits:   # P' of the cubic
+            derivative_hits.append(z)
+            return 0j
+        return horner(coeffs, z)
+    monkeypatch.setattr("trident.zeros.horner", first_derivative_zero)
+    roots = _aberth([-2 + 0j, 0j, 0j, 1 + 0j])
+    assert len(derivative_hits) == 1
+    cube_roots = [2 ** (1 / 3) * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    assert match_multisets(roots, cube_roots) < 1e-12
+    assert max(abs(z**3 - 2) for z in roots) < 1e-12
 
 
 def test_general_deterministic():
