@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .polyring import UniPoly
+from .polyring import UniPoly, natural
 from .report import Report
 from .sequences import R_CORRECTION, VAR_W, VAR_X, W1, W2, q_poly, r_poly
 
@@ -41,8 +41,7 @@ def two_term(a, b, u0, u1, n: int):
     Works over any ring whose elements support ``*`` and ``-`` (ints,
     ``UniPoly``, ``MultiPoly``), and keeps nothing once it returns.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     if n == 0:
         return u0
     for _ in range(n - 1):   # n - 1 steps: u_{n+1}, the costliest, is never formed
@@ -58,8 +57,7 @@ def chebyshev(kind: ChebKind, n: int) -> UniPoly:
     No recurrence: ``verify_prop35`` checks ``dickson_E``/``dickson_D`` at
     (2v, 1) against it.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     if n == 0:
         return UniPoly.one()
     first = kind is ChebKind.FIRST
@@ -95,6 +93,7 @@ def verify_prop35(n: int) -> Report:
     the analytic forms in U_n and T_n at W1 / (2 sqrt W2) at every point
     where W2 > 0.  Each failure is recorded under its message.
     """
+    n = natural(n)
     report = Report(f"n={n}")
     if q_poly(n + 1) != dickson_E(n, W1, W2):
         report.record(f"E_{n}(W1, W2) != q-sequence at {n + 1}", False)

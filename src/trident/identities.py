@@ -10,7 +10,7 @@ serialized witness.
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, NotDivisible, UniPoly, up_divide_exact
+from .polyring import MultiPoly, NotDivisible, UniPoly, natural, up_divide_exact
 from .report import Report
 from .sequences import S1, TRIPLE_COEFF, WXZ, q_poly, r_poly
 from .specialize import SpecId, q1_r1_closed, spec_family
@@ -25,8 +25,7 @@ def verify_prop61(n_max: int) -> Report:
     For 1 <= n <= n_max:  wxz * Q_n = R_{n+1} - (w+x+y) R_n  and
     R_n = Q_{n+1} - (wxy+wz+xz) Q_n, exactly in the 4-variable ring.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = natural(n_max, 1, "n_max")
     report = Report(f"1..{n_max}")
     for n in range(1, n_max + 1):
         lhs = WXZ * q_poly(n)
@@ -45,8 +44,7 @@ def verify_telescoping(n_max: int) -> Report:
       R_N = (w+x+y)^N + wxz * sum_{n=1..N} (w+x+y)^(N-n) Q_{n-1}
       Q_N = sum_{n=1..N} (wxy+wz+xz)^(N-n) R_{n-1}
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = natural(n_max, 1, "n_max")
     report = Report(f"1..{n_max}")
     # The sums over n as running sums: sum_N = (w+x+y) sum_{N-1} + Q_{N-1},
     # and likewise with wxy+wz+xz and R.
@@ -80,8 +78,7 @@ def verify_divisibility(spec: SpecId, n_max: int) -> Report:
     partial pattern, recorded as fixtures: index 2 divides index 6 while
     indices 1 and 3 do not.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    n_max = natural(n_max, 2, "n_max")
     if spec not in DIVISIBILITY_SPECS:
         raise ValueError("divisibility is claimed for the "
                          + ", ".join(s.value for s in DIVISIBILITY_SPECS) + " substitutions")
@@ -107,8 +104,7 @@ def verify_surprising(n_max: int) -> Report:
     For 0 <= n <= n_max, exactly:  R - Q = (z+1)^n, R + Q = (z+3)^n,
     R^2 - Q^2 = ((z+1)(z+3))^n, and the product consistency of the three.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    n_max = natural(n_max, name="n_max")
     report = Report(f"0..{n_max}")
     z_plus_1 = UniPoly((1, 1))
     z_plus_3 = UniPoly((3, 1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .polyring import MultiPoly
+from .polyring import MultiPoly, natural
 
 DEFAULT_LIST_CAP = 10_000
 
@@ -101,8 +101,7 @@ def count_partitions(n: int) -> int:
     the loop carries it up the prefixes x = n // 3^j, most significant
     digit first, in as many steps as ``n`` has base-3 digits.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     digits = []
     while n:
         n, d = divmod(n, 3)
@@ -131,8 +130,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_LIST_CAP) -> list[ColoredPar
     Raises CapExceeded when the partition count (known cheaply in advance)
     would exceed ``cap``.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     total = count_partitions(n)
     if total > cap:
         raise CapExceeded(n, total, cap)

@@ -23,7 +23,7 @@ Two representations, chosen for how the polynomials in this package behave:
 
 ``MultiPoly.terms()`` and ``UniPoly.coeffs`` return what the constructors
 take, int coefficients only (a float raises TypeError).  ``horner`` is the
-one evaluator of a ``UniPoly``.
+one evaluator of a ``UniPoly``, and ``natural`` the one check of an index.
 
 All values are immutable after construction and every operation is a pure
 function, so shared instances are safe to use concurrently.
@@ -555,6 +555,15 @@ def split_origin(p: UniPoly) -> tuple[int, UniPoly]:
     """
     k = next(d for d, c in enumerate(p.coeffs) if c)
     return k, UniPoly(p.coeffs[k:])
+
+
+def natural(n, low: int = 0, name: str = "n") -> int:
+    """``n`` as an int, the one index check: a non-integer raises TypeError
+    (an int-like is taken as its int) and a value below ``low`` ValueError."""
+    n = operator.index(n)
+    if n < low:
+        raise ValueError(f"{name} must be " + (f"at least {low}" if low else "non-negative"))
+    return n
 
 
 def _primitive(p: UniPoly) -> UniPoly:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .oracle import count_partitions
-from .polyring import MultiPoly, mp_pack_z, mp_unpack_z
+from .polyring import MultiPoly, mp_pack_z, mp_unpack_z, natural
 from .report import Report
 
 PRODUCT_CAP = 500
@@ -84,15 +84,13 @@ def _digit_row(d: int, s, b, coeffs):
 
 def digit_walk(n: int, coeffs, memo: dict, pair: bool = False):
     """S(n) in the ring of ``coeffs``, the image of ``DIGIT_COEFFS``, or with
-    ``pair`` (S(n), S(n-1)).
+    ``pair`` (S(n), S(n-1)), for an int ``n >= 0`` (each caller ensures it).
 
     Carried digit by digit up the base-3 prefixes of ``n`` from the longest
     prefix m with S(m) and S(m-1) in ``memo``, which maps an index to its
     value and holds indices -1 and 0; S(n) is stored there, and S(n-1) too
     with ``pair``.  Writes are idempotent: no lock.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     if n in memo and (not pair or n - 1 in memo):
         return (memo[n], memo[n - 1]) if pair else memo[n]
     digits = []
@@ -118,9 +116,7 @@ def digit_walk(n: int, coeffs, memo: dict, pair: bool = False):
 
 def _repunit(n: int) -> int:
     """(3^n - 1)/2, whose n base-3 digits are all 1."""
-    if n < 0:   # before 3**n, which is a float at negative n
-        raise ValueError("n must be non-negative")
-    return (3**n - 1) // 2
+    return (3 ** natural(n) - 1) // 2
 
 
 def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
@@ -172,7 +168,7 @@ def _packed_walk(n: int, pair: bool = False):
 
 def s_poly(n: int) -> MultiPoly:
     """The counting polynomial of ``n`` via the base-3 digit walk."""
-    return _packed_walk(n)
+    return _packed_walk(natural(n))
 
 
 def s_poly_sweep(upto: int) -> Iterator[MultiPoly]:
@@ -204,8 +200,7 @@ def s_poly_product(n: int) -> MultiPoly:
     at degree ``PRODUCT_CAP`` because it costs O(n * terms) rather than
     O(log n).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     if n > PRODUCT_CAP:
         raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
     # coeffs[i] is the coefficient of q**i, truncated at degree n
@@ -226,8 +221,7 @@ def s_poly_product(n: int) -> MultiPoly:
 
 def scalar_qr(n: int) -> tuple[int, int]:
     """Closed forms of the all-ones specializations: (2^(n-1)(2^n - 1), 2^(n-1)(2^n + 1))."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     if n == 0:
         return (0, 1)
     return (2 ** (n - 1) * (2**n - 1), 2 ** (n - 1) * (2**n + 1))
@@ -241,8 +235,7 @@ def gf_check(truncation: int) -> Report:
     compares against the claimed numerators q and 1 - (wxy + wz + xz) q,
     degree by degree.  Degrees >= 2 are the three-term recurrence itself.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    truncation = natural(truncation, 1, "truncation")
     report = Report(f"degree <= {truncation}")
     zero, one = MultiPoly.zero(), MultiPoly.one()
     # each claimed numerator by degree; every higher degree is 0

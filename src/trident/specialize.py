@@ -29,7 +29,7 @@ import math
 from typing import Callable, Iterator
 
 from .oracle import PartitionStats, oracle_poly
-from .polyring import UniPoly, poly_substitute, split_origin
+from .polyring import UniPoly, natural, poly_substitute, split_origin
 from .report import Report
 from .sequences import DIGIT_COEFFS, W1, W2, _repunit, digit_walk, repunit_sweep, scalar_qr
 
@@ -100,8 +100,7 @@ def _binomial_halves(c: int, d: int, n: int) -> tuple[UniPoly, UniPoly]:
     Both halves are exact for c and d of one parity: then c^k and d^k agree
     mod 2, and so do the two expansions coefficient-wise.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = natural(n)
     pairs = [(math.comb(n, j) * c ** (n - j), math.comb(n, j) * d ** (n - j))
              for j in range(n + 1)]
     return UniPoly((u - v) // 2 for u, v in pairs), UniPoly((u + v) // 2 for u, v in pairs)
@@ -132,9 +131,7 @@ def profile_from_oracle(spec: SpecId, family: str, n: int) -> dict[int, int]:
     shares nothing with the recurrence path but the spec's weights.
     """
     _validate_family(family)
-    if n < 1:
-        raise ValueError("n must be at least 1 for the oracle path")
-    index = (3**n - 3) // 2 if family == "q" else (3**n - 1) // 2
+    index = (3 ** natural(n, 1) - (3 if family == "q" else 1)) // 2
     counts: dict[int, int] = {}
     for *stats, count in oracle_poly(index).terms():
         k = partition_statistic(spec, PartitionStats(*stats))
@@ -177,8 +174,7 @@ STRUCTURE: dict[SpecId, tuple[tuple[str, str, Callable[[UniPoly, int], tuple]], 
 def structural_check(spec: SpecId, n: int) -> Report:
     """Record each ``STRUCTURE`` row of ``spec`` that fails at index ``n`` as
     "<family> <claim> <found> != <claimed>", reading each family's member once."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = natural(n, 1)
     rows = STRUCTURE.get(spec)
     if rows is None:
         raise ValueError(f"no structural claims for spec {spec.value}")

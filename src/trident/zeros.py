@@ -24,8 +24,8 @@ from contextlib import suppress
 from itertools import zip_longest
 from typing import Callable, NamedTuple, Optional
 
-from .polyring import (NotDivisible, UniPoly, _primitive, horner, poly_substitute, split_origin,
-                       up_divide_exact, up_gcd)
+from .polyring import (NotDivisible, UniPoly, _primitive, horner, natural, poly_substitute,
+                       split_origin, up_divide_exact, up_gcd)
 from .report import Report
 from .sequences import R_CORRECTION
 from .specialize import SpecId, spec_family, spec_images
@@ -355,6 +355,7 @@ def zeros_of(spec: SpecId, family: str, n: int) -> ZeroReport:
     ``LOCI`` rows report the member's multiplicity at the origin, every
     other row at most 1.  A constant member has no zeros and raises ValueError.
     """
+    n = natural(n)
     member = spec_family(spec, family, n)
     label = f"{spec.value}/{family} member {n}"
     if member.degree() < 1:
@@ -412,8 +413,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
     ``real_zero_min``/``real_zero_max``.  Each violation is recorded under
     its message.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = natural(n, 2)
     rows = [(family, locus) for (s, family), locus in LOCI.items() if s is spec]
     if not rows:
         raise ValueError(f"no locus claim for spec {spec.value}")
@@ -422,6 +422,7 @@ def verify_locus(spec: SpecId, n: int) -> Report:
         zr = zeros_of(spec, family, n)
         # Messages name the family where the spec claims a locus for both.
         tag = f"{spec.value}{family}: " if len(rows) > 1 else ""
+        real_zeros = [z for z in zr.points if abs(z.imag) < LOCUS_TOL]
         for z, dist in zip(zr.points, zr.locus_distances):
             if dist >= LOCUS_TOL:
                 report.record(f"{tag}zero {z} off {locus.name}", False)
@@ -432,14 +433,12 @@ def verify_locus(spec: SpecId, n: int) -> Report:
                 report.record(f"{tag}{claim} violated (margin {margin:.3e})", False)
             report.margins[key] = margin
         if locus.real_zero_parity is not None:
-            real_zeros = [z for z in zr.points if z.imag == 0.0]
             expected = 1 if n % 2 == locus.real_zero_parity else 0
             if len(real_zeros) != expected:
                 report.record(f"{tag}expected {expected} real zero(s), found {len(real_zeros)}",
                               False)
         if locus is _CIRCLE_OR_AXIS:
-            reals = [z.real for z in zr.points if abs(z.imag) < LOCUS_TOL and z.real < 0
-                     and abs(abs(z) - 1.0) >= LOCUS_TOL]
+            reals = [z.real for z in real_zeros if z.real < 0 and abs(abs(z) - 1.0) >= LOCUS_TOL]
             if reals:
                 report.margins["real_zero_min"] = min(reals)
                 report.margins["real_zero_max"] = max(reals)

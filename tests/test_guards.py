@@ -9,12 +9,16 @@ import operator
 import pytest
 
 import trident
-from trident.identities import verify_prop61, verify_surprising, verify_telescoping
+from trident.chebyshev import ChebKind, chebyshev, dickson_E, verify_prop35
+from trident.identities import (verify_divisibility, verify_prop61, verify_surprising,
+                                verify_telescoping)
+from trident.oracle import count_partitions, enumerate_partitions
 from trident.polyring import MultiPoly, UniPoly, up_square_free
 from trident.report import Report
-from trident.sequences import gf_check, s_poly_product, scalar_qr
-from trident.specialize import SpecId, profile_from_oracle, q1_r1_closed
-from trident.zeros import _newton_radius
+from trident.sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
+from trident.specialize import (SpecId, profile_from_oracle, q1_r1_closed, spec_family,
+                                structural_check)
+from trident.zeros import _newton_radius, verify_locus, zeros_of
 
 MULTI = MultiPoly([(1, 0, 0, 0, 2), (0, 0, 1, 1, -1)])
 UNI = UniPoly((1, -2, 3))
@@ -30,7 +34,7 @@ REFUSED = {
     "gf_check(0)": (lambda: gf_check(0), "truncation must be at least 1"),
     "q1_r1_closed(-1)": (lambda: q1_r1_closed(-1), "n must be non-negative"),
     "profile_from_oracle(Z1, q, 0)": (lambda: profile_from_oracle(SpecId.Z1, "q", 0),
-                                      "at least 1 for the oracle path"),
+                                      "n must be at least 1"),
     "up_square_free(5)": (lambda: up_square_free(UniPoly((5,))), "degree at least 1"),
     "MultiPoly ** -1": (lambda: MULTI ** -1, "exponent must be a non-negative integer"),
     "UniPoly ** -1": (lambda: UNI ** -1, "exponent must be a non-negative integer"),
@@ -58,6 +62,57 @@ FLOAT_COEFFICIENTS = {
 def test_float_coefficient_is_refused(call):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
+
+
+# An index or range bound must be an int too: a float is refused, not
+# counted (s_poly(2.5) was the zero polynomial) or truncated.
+FLOAT_INDICES = {
+    "s_poly(2.5)": lambda: s_poly(2.5),
+    "q_poly(2.0)": lambda: q_poly(2.0),
+    "r_poly(2.0)": lambda: r_poly(2.0),
+    "spec_family(Z1, q, 2.0)": lambda: spec_family(SpecId.Z1, "q", 2.0),
+    "count_partitions(2.5)": lambda: count_partitions(2.5),
+    "enumerate_partitions(2.0)": lambda: enumerate_partitions(2.0),
+    "scalar_qr(2.5)": lambda: scalar_qr(2.5),
+    "s_poly_product(2.0)": lambda: s_poly_product(2.0),
+    "dickson_E(2.0, 1, 1)": lambda: dickson_E(2.0, 1, 1),
+    "chebyshev(U, 2.0)": lambda: chebyshev(ChebKind.SECOND, 2.0),
+    "q1_r1_closed(2.0)": lambda: q1_r1_closed(2.0),
+    "gf_check(2.0)": lambda: gf_check(2.0),
+    "verify_prop61(2.0)": lambda: verify_prop61(2.0),
+    "verify_telescoping(2.0)": lambda: verify_telescoping(2.0),
+    "verify_divisibility(Z1, 2.0)": lambda: verify_divisibility(SpecId.Z1, 2.0),
+    "verify_surprising(2.0)": lambda: verify_surprising(2.0),
+    "structural_check(Z1, 2.0)": lambda: structural_check(SpecId.Z1, 2.0),
+    "verify_locus(Z1, 2.5)": lambda: verify_locus(SpecId.Z1, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_INDICES.values(), ids=FLOAT_INDICES.keys())
+def test_float_index_is_refused(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+class IntLike:
+    """An int-like with ``__index__`` alone, as numpy's integer scalars have."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_int_like_index_is_taken_as_its_int():
+    # in the int-like's own arithmetic, as in numpy.int64's, 2^79 would wrap
+    found = scalar_qr(IntLike(40))
+    assert found == scalar_qr(40)
+    assert [type(v) for v in found] == [int, int]
+    assert s_poly(IntLike(40)) == s_poly(40)
+    assert enumerate_partitions(IntLike(40)) == enumerate_partitions(40)
+    assert zeros_of(SpecId.Z1, "q", IntLike(12)).points == zeros_of(SpecId.Z1, "q", 12).points
+    assert verify_prop35(IntLike(3)).failures == []
 
 
 def test_multipoly_times_zero_has_no_terms():

@@ -523,6 +523,22 @@ def test_locus_residual_gate_reads_the_report(monkeypatch):
     assert len(failures) == 1 and failures[0].startswith("residual "), failures
 
 
+def test_real_zero_is_counted_within_the_tolerance(monkeypatch):
+    # the real-zero parity counts |Im| < LOCUS_TOL as real, as the range of
+    # the real zeros off the circle does: a real z1 point carried 1e-30 off
+    # the axis is still the one real zero the parity claims
+    real_zeros_of = zeros_of
+
+    def lifted(spec, family, n):
+        report = real_zeros_of(spec, family, n)
+        return report._replace(points=[complex(z.real, 1e-30) if z.imag == 0.0 else z
+                                       for z in report.points])
+
+    monkeypatch.setattr("trident.zeros.zeros_of", lifted)
+    report = verify_locus(SpecId.Z1, 6)
+    assert report.failures == [], report.failures
+
+
 def test_locus_residual_gate_fails_an_infinite_scale():
     # the scale overflows a double before the residual does (z1 at n = 156,
     # p5 at 260): a gate that cannot be evaluated fails
