@@ -23,7 +23,7 @@ Two representations, chosen for how the polynomials in this package behave:
 
 ``MultiPoly.terms()`` and ``UniPoly.coeffs`` return what the constructors
 take, int coefficients only (a float raises TypeError).  ``horner`` is the
-one evaluator of a ``UniPoly``, and ``natural`` the one check of an index.
+one evaluator of a ``UniPoly``, and ``natural`` the one integer check.
 
 All values are immutable after construction and every operation is a pure
 function, so shared instances are safe to use concurrently.
@@ -101,8 +101,7 @@ class _Poly:
         return bool(self._data())
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        n = natural(n, name="exponent")
         result = self.one()
         base = self
         while n:
@@ -160,8 +159,7 @@ class MultiPoly(_Poly):
     def __init__(self, terms: Iterable[tuple] = ()):
         data: dict[int, int] = {}
         for i, j, k, l, c in terms:
-            if i < 0 or j < 0 or k < 0 or l < 0:
-                raise ValueError("negative exponent in monomial")
+            i, j, k, l = (natural(e, name="exponent") for e in (i, j, k, l))
             top = max(i, j, k, l)
             if top > EXP_LIMIT:
                 raise _too_large(top)
@@ -558,7 +556,7 @@ def split_origin(p: UniPoly) -> tuple[int, UniPoly]:
 
 
 def natural(n, low: int = 0, name: str = "n") -> int:
-    """``n`` as an int, the one index check: a non-integer raises TypeError
+    """``n`` as an int, the one integer check: a non-integer raises TypeError
     (an int-like is taken as its int) and a value below ``low`` ValueError."""
     n = operator.index(n)
     if n < low:
@@ -629,8 +627,9 @@ def poly_substitute(p: MultiPoly, weights: tuple[int, int, int, int]) -> UniPoly
     One pass over the packed keys: the coefficient of ``w^i x^j y^k z^l``
     is added at degree ``a*i + b*j + c*k + d*l``.
     """
-    if len(weights) != 4 or min(weights) < 0:
+    if len(weights) != 4:
         raise ValueError("substitution weights must be four non-negative integers")
+    weights = [natural(w, name="weight") for w in weights]
     out: dict[int, int] = {}
     for key, coeff in p._terms.items():
         deg = sum(map(int.__mul__, weights, _unpack(key)))

@@ -122,9 +122,9 @@ def _repunit(n: int) -> int:
 def repunit_sweep(upto: int, coeffs=DIGIT_COEFFS) -> Iterator[tuple]:
     """(R_n, Q_n) for n = 0, ..., upto in the ring of ``coeffs``, each pair from
     the one before by the rows of M1, since (3^(n+1) - 1)/2 = 3 (3^n - 1)/2 + 1:
-    no memo, one pair held."""
-    ring = type(coeffs[0])
-    r, q = ring.one(), ring.zero()
+    no memo, one pair held; a bad ``upto`` is refused at the first ``next``."""
+    upto = natural(upto, name="upto")
+    r, q = coeffs[0].one(), coeffs[0].zero()
     yield r, q
     for _ in range(upto):
         r, q = _digit_row(1, r, q, coeffs), _digit_row(0, r, q, coeffs)
@@ -172,8 +172,9 @@ def s_poly(n: int) -> MultiPoly:
 
 
 def s_poly_sweep(upto: int) -> Iterator[MultiPoly]:
-    """S(0), ..., S(upto) in order, over a memo of its own that drops what no
-    later index reads: the values below n//3 - 1, and each above upto//3."""
+    """S(0), ..., S(upto), over a memo of its own that drops what no later index reads
+    (below n//3 - 1, each above upto//3); a bad ``upto`` is refused at the first ``next``."""
+    upto = natural(upto, name="upto")
     memo = {-1: MultiPoly.zero(), 0: MultiPoly.one()}
     for n in range(upto + 1):
         memo.pop(n // 3 - 2, None)   # n//3 - 1 rises by at most one per index

@@ -13,15 +13,17 @@ from trident.chebyshev import ChebKind, chebyshev, dickson_E, verify_prop35
 from trident.identities import (verify_divisibility, verify_prop61, verify_surprising,
                                 verify_telescoping)
 from trident.oracle import count_partitions, enumerate_partitions
-from trident.polyring import MultiPoly, UniPoly, up_square_free
+from trident.polyring import MultiPoly, UniPoly, poly_substitute, up_square_free
 from trident.report import Report
-from trident.sequences import gf_check, q_poly, r_poly, s_poly, s_poly_product, scalar_qr
+from trident.sequences import (gf_check, q_poly, r_poly, repunit_sweep, s_poly, s_poly_product,
+                               s_poly_sweep, scalar_qr)
 from trident.specialize import (SpecId, profile_from_oracle, q1_r1_closed, spec_family,
-                                structural_check)
+                                spec_family_sweep, structural_check)
 from trident.zeros import _newton_radius, verify_locus, zeros_of
 
 MULTI = MultiPoly([(1, 0, 0, 0, 2), (0, 0, 1, 1, -1)])
 UNI = UniPoly((1, -2, 3))
+Z = MultiPoly.variable("z")
 
 # Each refusal with its own message: a call that fails further in, with
 # another message, does not pass.
@@ -36,8 +38,17 @@ REFUSED = {
     "profile_from_oracle(Z1, q, 0)": (lambda: profile_from_oracle(SpecId.Z1, "q", 0),
                                       "n must be at least 1"),
     "up_square_free(5)": (lambda: up_square_free(UniPoly((5,))), "degree at least 1"),
-    "MultiPoly ** -1": (lambda: MULTI ** -1, "exponent must be a non-negative integer"),
-    "UniPoly ** -1": (lambda: UNI ** -1, "exponent must be a non-negative integer"),
+    "MultiPoly ** -1": (lambda: MULTI ** -1, "exponent must be non-negative"),
+    "UniPoly ** -1": (lambda: UNI ** -1, "exponent must be non-negative"),
+    "MultiPoly([(0, -1, 0, 0, 1)])": (lambda: MultiPoly([(0, -1, 0, 0, 1)]),
+                                      "exponent must be non-negative"),
+    "poly_substitute(z, (0, 0, 1, -2))": (lambda: poly_substitute(Z, (0, 0, 1, -2)),
+                                          "weight must be non-negative"),
+    # a sweep is a generator: it refuses its bound when first advanced
+    "s_poly_sweep(-1)": (lambda: list(s_poly_sweep(-1)), "upto must be non-negative"),
+    "repunit_sweep(-1)": (lambda: list(repunit_sweep(-1)), "upto must be non-negative"),
+    "spec_family_sweep(Z1, q, -1)": (lambda: list(spec_family_sweep(SpecId.Z1, "q", -1)),
+                                     "upto must be non-negative"),
 }
 
 
@@ -64,8 +75,9 @@ def test_float_coefficient_is_refused(call):
         call()
 
 
-# An index or range bound must be an int too: a float is refused, not
-# counted (s_poly(2.5) was the zero polynomial) or truncated.
+# An index, range bound, exponent, weight or sweep bound must be an int
+# too: a float is refused, not counted (s_poly(2.5) was the zero
+# polynomial) or truncated.
 FLOAT_INDICES = {
     "s_poly(2.5)": lambda: s_poly(2.5),
     "q_poly(2.0)": lambda: q_poly(2.0),
@@ -85,6 +97,12 @@ FLOAT_INDICES = {
     "verify_surprising(2.0)": lambda: verify_surprising(2.0),
     "structural_check(Z1, 2.0)": lambda: structural_check(SpecId.Z1, 2.0),
     "verify_locus(Z1, 2.5)": lambda: verify_locus(SpecId.Z1, 2.5),
+    "MultiPoly([(1.0, 0, 0, 0, 1)])": lambda: MultiPoly([(1.0, 0, 0, 0, 1)]),
+    "MultiPoly ** 2.0": lambda: MULTI ** 2.0,
+    "UniPoly ** 2.0": lambda: UNI ** 2.0,
+    "poly_substitute(z, (0, 0, 1, 2.5))": lambda: poly_substitute(Z, (0, 0, 1, 2.5)),
+    "s_poly_sweep(2.0)": lambda: list(s_poly_sweep(2.0)),
+    "spec_family_sweep(Z1, q, 2.0)": lambda: list(spec_family_sweep(SpecId.Z1, "q", 2.0)),
 }
 
 
@@ -113,6 +131,11 @@ def test_int_like_index_is_taken_as_its_int():
     assert enumerate_partitions(IntLike(40)) == enumerate_partitions(40)
     assert zeros_of(SpecId.Z1, "q", IntLike(12)).points == zeros_of(SpecId.Z1, "q", 12).points
     assert verify_prop35(IntLike(3)).failures == []
+    assert MultiPoly([(IntLike(1), 0, 0, 0, 1)]) == MultiPoly.variable("w")
+    assert UNI ** IntLike(2) == UNI * UNI
+    weights = SpecId.P3.weights
+    assert poly_substitute(MULTI, tuple(map(IntLike, weights))) == poly_substitute(MULTI, weights)
+    assert len(list(s_poly_sweep(IntLike(5)))) == 6
 
 
 def test_multipoly_times_zero_has_no_terms():
