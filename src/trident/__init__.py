@@ -25,19 +25,8 @@ from .zeros import NoConvergence, ZeroReport, verify_locus, zeros_explicit, zero
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChebKind", "dickson_D", "dickson_E", "verify_prop35",
-    "Report", "verify_divisibility", "verify_prop61",
-    "verify_surprising", "verify_telescoping",
-    "CapExceeded", "ColoredPartition", "PartitionStats",
-    "count_partitions", "enumerate_partitions", "oracle_poly",
-    "DivisionByZeroPolynomial", "MultiPoly", "NotDivisible",
-    "UniPoly", "mp_divide_exact", "poly_substitute",
-    "up_divide_exact", "up_gcd", "up_square_free",
-    "W1", "W2", "gf_check", "q_poly", "r_poly",
-    "s_poly", "s_poly_product", "s_poly_sweep", "scalar_qr",
-    "SpecId", "partition_statistic", "profile", "profile_from_oracle",
-    "q1_r1_closed", "spec_family", "spec_images", "structural_check",
-    "NoConvergence", "ZeroReport", "verify_locus", "zeros_explicit", "zeros_general",
-    "__version__",
-]
+# Every name the import block binds is public, except the submodules that
+# importing binds beside them (type(report) is the module type, read off a
+# bound submodule so that no "import types" adds a name to the package).
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(report))] + ["__version__"]

@@ -184,9 +184,9 @@ class MultiPoly(_Poly):
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         """The polynomial consisting of the single variable ``w``, ``x``, ``y`` or ``z``."""
-        exps = [0, 0, 0, 0]
-        exps[VARIABLE_NAMES.index(name)] = 1
-        return cls._from_dict({_pack(*exps): 1})
+        if name not in VARIABLE_NAMES:
+            raise ValueError(f"variable must be w, x, y or z, not {name!r}")
+        return cls._from_dict({_pack(*(int(v == name) for v in VARIABLE_NAMES)): 1})
 
     @classmethod
     def _from_dict(cls, data: dict[int, int]) -> "MultiPoly":
@@ -528,7 +528,7 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     ds = den.coeffs
     lead = ds[dd]
     rem = list(num.coeffs)
-    quot = [0] * (dn - dd + 1) if dn >= dd else []
+    quot = [0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
         c = rem[k + dd]
         if c == 0:
@@ -539,18 +539,16 @@ def up_divide_exact(num: UniPoly, den: UniPoly) -> UniPoly:
         quot[k] = q
         for i, d in enumerate(ds):
             rem[k + i] -= q * d
-    for d in range(len(rem) - 1, -1, -1):
-        if rem[d]:
-            raise NotDivisible(d)
+    if any(rem):
+        raise NotDivisible(UniPoly(rem).degree())
     return UniPoly(quot)
 
 
 def split_origin(p: UniPoly) -> tuple[int, UniPoly]:
-    """The power of the variable in the nonzero ``p``, and what is left.
-
-    Returns ``(k, q)`` with ``p = z^k * q`` and ``q(0) != 0``: ``k`` is the
-    multiplicity of the zero of ``p`` at the origin.
-    """
+    """``(k, q)`` with ``p = z^k * q`` and ``q(0) != 0`` for the nonzero ``p``: ``k``
+    is the multiplicity of the zero of ``p`` at the origin."""
+    if not p:
+        raise ValueError("the zero polynomial has no multiplicity at the origin")
     k = next(d for d, c in enumerate(p.coeffs) if c)
     return k, UniPoly(p.coeffs[k:])
 

@@ -26,6 +26,7 @@ from trident.specialize import SpecId, spec_family
 
 with resources.files("trident.schemas").joinpath("cli-output.schema.json").open() as fh:
     SCHEMA = json.load(fh)
+DATA = Path(__file__).parent / "data"
 
 
 def run_capture(capsys, argv):
@@ -255,34 +256,6 @@ def test_zeros_preset_route(capsys):
     assert all(p["locus_distance"] is not None for p in payload["points"])
 
 
-def replay_transcript(capsys, name) -> tuple[int, str, str]:
-    """Replay the "$ trident" lines of a transcript whose commands all exit 0:
-    (number of commands, replayed text, the file's text)."""
-    golden = (Path(__file__).parent / "data" / name).read_text()
-    commands = re.findall(r"^\$ trident (.*)$", golden, flags=re.M)
-    text = ""
-    for command in commands:
-        code, out, _ = run_capture(capsys, command.split())
-        assert code == 0, command
-        text += f"$ trident {command}\n{out}"
-    return len(commands), text, golden
-
-
-def test_zeros_golden_file(capsys):
-    # byte lock on the zero floats of the Lucas factors (z1 q and r, z2, z3,
-    # p1, p3, p5)
-    count, text, golden = replay_transcript(capsys, "zeros_golden.txt")
-    assert count == 7 and text == golden
-
-
-def test_zeros_golden_high_degree_file(capsys):
-    # byte lock at higher degree: Lucas-route members of degree 39 to 59 with
-    # 9 to 14 Lucas factors each, p3 q among them from the index where the
-    # square-free finder once left its zeros off the claimed locus
-    count, text, golden = replay_transcript(capsys, "zeros_golden_high.txt")
-    assert count == 4 and text == golden
-
-
 def test_zeros_z1_r_first_member(capsys):
     # z + 2: the one factor at n = 1 is a / g = 2z + 4, with its zero at -2
     code, out, _ = run_capture(capsys, ["zeros", "--spec", "z1", "--family", "r", "--n", "1"])
@@ -314,27 +287,36 @@ def test_tables_golden_shape(capsys):
 def test_tables_golden_file(capsys):
     # formatting regression lock; the coefficient-level comparison against
     # the reference data lives in the acceptance suite
-    golden = (Path(__file__).parent / "data" / "tables_golden.txt").read_text()
+    golden = (DATA / "tables_golden.txt").read_text()
     code, out, _ = run_capture(capsys, ["tables"])
     assert code == 0
     assert out == golden
 
 
-def test_multipoly_golden_file(capsys):
-    # byte lock on term order and serialization of 4-variable output; the
-    # file's bytes were produced when MultiPoly still keyed its terms by
-    # exponent tuples
-    count, text, golden = replay_transcript(capsys, "multipoly_golden.txt")
-    assert count == 4 and text == golden
+# A transcript is a tests/data/*.txt file with "$ trident" lines, each
+# followed by the command's stdout and "[exit N]"; its argv list is its own
+# "$ trident" lines, which a CI step and tools/argv_diff.py replay too.  The
+# transcripts lock every subcommand in each of its formats; the term order
+# and serialization of 4-variable output, in bytes produced when MultiPoly
+# still keyed its terms by exponent tuples; the zero floats of the Lucas
+# factors (z1 q and r, z2, z3, p1, p3, p5); and Lucas-route members of
+# degree 39 to 59 with 9 to 14 factors each, p3 q among them from the index
+# where the square-free finder once left its zeros off the claimed locus.
+COMMAND_LINE = re.compile(r"^\$ trident (.*)$", flags=re.M)
+TRANSCRIPTS = sorted(path.name for path in DATA.glob("*.txt")
+                     if COMMAND_LINE.search(path.read_text()))
 
 
-def test_cli_golden_file(capsys):
-    # byte lock on stdout and exit code of every subcommand in each of its
-    # formats; the argv list is the file's own "$ trident" lines, which a CI
-    # step also replays through python -m trident.cli
-    golden = (Path(__file__).parent / "data" / "cli_golden.txt").read_text()
+def test_transcripts_are_found():
+    # a search that finds nothing would replay nothing and pass
+    assert len(TRANSCRIPTS) >= 4, TRANSCRIPTS
+
+
+@pytest.mark.parametrize("name", TRANSCRIPTS)
+def test_transcript_replays(capsys, name):
+    golden = (DATA / name).read_text()
     text = ""
-    for command in re.findall(r"^\$ trident (.*)$", golden, flags=re.M):
+    for command in COMMAND_LINE.findall(golden):
         code, out, _ = run_capture(capsys, command.split())
         text += f"$ trident {command}\n{out}[exit {code}]\n"
     assert text == golden

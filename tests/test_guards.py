@@ -5,6 +5,7 @@ paths no other test runs."""
 import json
 import math
 import operator
+import types
 
 import pytest
 
@@ -13,7 +14,7 @@ from trident.chebyshev import ChebKind, chebyshev, dickson_E, verify_prop35
 from trident.identities import (verify_divisibility, verify_prop61, verify_surprising,
                                 verify_telescoping)
 from trident.oracle import count_partitions, enumerate_partitions
-from trident.polyring import MultiPoly, UniPoly, poly_substitute, up_square_free
+from trident.polyring import MultiPoly, UniPoly, poly_substitute, split_origin, up_square_free
 from trident.report import Report
 from trident.sequences import (gf_check, q_poly, r_poly, repunit_sweep, s_poly, s_poly_product,
                                s_poly_sweep, scalar_qr)
@@ -44,6 +45,11 @@ REFUSED = {
                                       "exponent must be non-negative"),
     "poly_substitute(z, (0, 0, 1, -2))": (lambda: poly_substitute(Z, (0, 0, 1, -2)),
                                           "weight must be non-negative"),
+    # a bare StopIteration from next(), which a generator would turn into RuntimeError
+    "split_origin(0)": (lambda: split_origin(UniPoly.zero()),
+                        "the zero polynomial has no multiplicity at the origin"),
+    # tuple.index's "x not in tuple", which names no variable
+    'MultiPoly.variable("q")': (lambda: MultiPoly.variable("q"), "must be w, x, y or z, not 'q'"),
     # a sweep is a generator: it refuses its bound when first advanced
     "s_poly_sweep(-1)": (lambda: list(s_poly_sweep(-1)), "upto must be non-negative"),
     "repunit_sweep(-1)": (lambda: list(repunit_sweep(-1)), "upto must be non-negative"),
@@ -169,12 +175,18 @@ def test_foreign_operand_is_refused(p, other):
 
 
 def test_export_list_resolves():
-    # a stale name passes "import trident" and fails only at a star-import
-    assert len(set(trident.__all__)) == len(trident.__all__)
-    assert [name for name in trident.__all__ if not hasattr(trident, name)] == []
+    # a stale name passes "import trident" and fails only at a star-import;
+    # the list is every name the import block binds, with no submodule, and
+    # __version__ the one name with a leading underscore
+    exported = trident.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(trident, name)] == []
+    assert [name for name in exported
+            if isinstance(getattr(trident, name), types.ModuleType)] == []
+    assert [name for name in exported if name.startswith("_")] == ["__version__"]
     namespace: dict = {}
     exec("from trident import *", namespace)
-    assert set(trident.__all__) <= namespace.keys()
+    assert namespace.keys() - {"__builtins__"} == set(exported)
 
 
 def test_newton_radius_is_infinite_where_the_derivative_vanishes():

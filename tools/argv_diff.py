@@ -7,7 +7,7 @@ worktree, removed again at the end.  Each argv below runs in a fresh
 ``python3 -m trident.cli`` on both trees, with stdin closed and the tree's
 own ``src`` on PYTHONPATH:
 
-* every ``$ trident`` line of the four golden transcripts in tests/data;
+* every ``$ trident`` line of each tests/data/*.txt file (a transcript);
 * ``tables``, and ``verify`` in pretty and in JSON;
 * the cli workload argv of seeds 0-5 with their environments, read from
   perfbench/workloads.py of the working tree.
@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ("cli_golden.txt", "multipoly_golden.txt", "zeros_golden.txt", "zeros_golden_high.txt")
 SEEDS = range(6)
 PROMPT = "$ trident "
 
@@ -35,8 +34,8 @@ PROMPT = "$ trident "
 def argv_list() -> list[tuple[list[str], dict]]:
     """(argv, extra environment) of each run, each distinct pair once, in order."""
     runs = []
-    for name in GOLDEN:
-        for line in (ROOT / "tests" / "data" / name).read_text().splitlines():
+    for path in sorted((ROOT / "tests" / "data").glob("*.txt")):
+        for line in path.read_text().splitlines():
             if line.startswith(PROMPT):
                 runs.append((line[len(PROMPT):].split(), {}))
     runs += [(["tables"], {}), (["verify"], {}), (["verify", "--format", "json"], {})]
