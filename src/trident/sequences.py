@@ -22,8 +22,9 @@ coefficients: over the images of the matrix entries under z -> 2^B, B the
 bit length of S(n)(1, 1, 1, 1), each key holds w, x and y only and its
 coefficient the z-polynomial in B-bit slots, so a walk merges several
 times fewer terms (``_packed_walk`` shows that no slot carries).
-``s_poly_product`` expands the defining generating product instead and
-serves as a redundant second path; the enumeration oracle is a third.
+``s_poly_product`` expands the defining generating product instead, only
+over the coefficients that can still reach q^n, in O(log n) kernel calls;
+it serves as a redundant second path, and the enumeration oracle is a third.
 
 ``q_poly(n)`` and ``r_poly(n)`` are S at the indices (3^n - 3)/2 and
 (3^n - 1)/2: the pair at the index of n base-3 ones.  The paper's
@@ -197,26 +198,36 @@ def s_poly_product(n: int) -> MultiPoly:
     """The coefficient of ``q**n`` in the truncated generating product.
 
     Expands prod_j (1 + w q^(3^j)) (1 + x q^(3^j)) (1 + y q^(3^j) + z q^(2*3^j))
-    over the powers 3^j <= n.  Independent of the recurrence path; capped
-    at degree ``PRODUCT_CAP`` because it costs O(n * terms) rather than
-    O(log n).
+    over the powers 3^j <= n, highest first, keeping only the coefficients
+    that can still reach q^n: after the factors of power p those lie in
+    [n - 2(p - 1), n], and every index there is a multiple of p, so each
+    level forms a bounded number of coefficients and the route costs
+    O(log n) kernel calls.  Independent of the recurrence path.  Capped at
+    degree ``PRODUCT_CAP`` so that the library's refusals stay as they are;
+    lifting the cap is ROADMAP item 7's call.
     """
     n = natural(n)
     if n > PRODUCT_CAP:
         raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
-    # coeffs[i] is the coefficient of q**i, truncated at degree n
     one = MultiPoly.one()
-    coeffs = [one] + [MultiPoly.zero()] * n
     power = 1
     while power <= n:
-        for factor in ([(power, VAR_W)], [(power, VAR_X)], [(power, VAR_Y), (2 * power, VAR_Z)]):
-            # times 1 + sum(c * q**e), in place: highest degree first, so each
-            # coefficient reads the lower ones before they are updated
-            for i in range(n, power - 1, -1):
-                terms = [(c, coeffs[i - e]) for e, c in factor if e <= i and coeffs[i - e]]
-                if terms:
-                    coeffs[i] = MultiPoly.sum_of_products([(one, coeffs[i])] + terms)
         power *= 3
+    # the q-degree the factors still to come can add: 4 (1 + 3 + ... + power/3)
+    reach = 2 * (power - 1)
+    # coeffs maps i to the coefficient of q**i, for each i in [n - reach, n]
+    coeffs = {0: one}
+    while power > 1:
+        power //= 3
+        for factor in ([(power, VAR_W)], [(power, VAR_X)], [(power, VAR_Y), (2 * power, VAR_Z)]):
+            # times 1 + sum(c * q**e), over the support of the product; a
+            # coefficient that only the factor's 1 reaches is kept as it is
+            reach -= factor[-1][0]
+            factor = [(0, one)] + factor
+            terms = {i: [(c, coeffs[i - e]) for e, c in factor if i - e in coeffs]
+                     for i in {k + e for k in coeffs for e, _ in factor} if n - reach <= i <= n}
+            coeffs = {i: t[0][1] if len(t) == 1 and t[0][0] is one else MultiPoly.sum_of_products(t)
+                      for i, t in terms.items()}
     return coeffs[n]
 
 

@@ -1,15 +1,18 @@
-"""Reference implementations over ``fractions.Fraction``.
+"""Reference implementations, kept verbatim as oracles.
 
 The package evaluates and divides in plain integers (dyadic Newton
-polishing, primitive pseudo-remainder sequences).  These are the earlier
-rational-arithmetic versions, kept verbatim as oracles: the integer code
-must reproduce their results exactly, bit for bit on the polished zeros.
+polishing, primitive pseudo-remainder sequences).  Most of these are the
+earlier rational-arithmetic versions over ``fractions.Fraction``: the
+integer code must reproduce their results exactly, bit for bit on the
+polished zeros.  ``s_poly_product`` is the earlier full truncated expansion
+of the generating product, which the windowed one must equal.
 """
 
 import math
 from fractions import Fraction
 
-from trident.polyring import UniPoly
+from trident.polyring import MultiPoly, UniPoly, natural
+from trident.sequences import PRODUCT_CAP, VAR_W, VAR_X, VAR_Y, VAR_Z
 
 
 def _exact_eval_pair(coeffs: list[int], z: complex) -> tuple[Fraction, Fraction]:
@@ -109,3 +112,30 @@ def up_square_free(p: UniPoly) -> UniPoly:
         raise AssertionError("gcd does not divide its polynomial")
     out.reverse()
     return _primitive_from_fractions(out)
+
+
+def s_poly_product(n: int) -> MultiPoly:
+    """The coefficient of ``q**n`` in the truncated generating product.
+
+    Expands prod_j (1 + w q^(3^j)) (1 + x q^(3^j)) (1 + y q^(3^j) + z q^(2*3^j))
+    over the powers 3^j <= n.  Independent of the recurrence path; capped
+    at degree ``PRODUCT_CAP`` because it costs O(n * terms) rather than
+    O(log n).
+    """
+    n = natural(n)
+    if n > PRODUCT_CAP:
+        raise ValueError(f"product expansion capped at degree {PRODUCT_CAP}")
+    # coeffs[i] is the coefficient of q**i, truncated at degree n
+    one = MultiPoly.one()
+    coeffs = [one] + [MultiPoly.zero()] * n
+    power = 1
+    while power <= n:
+        for factor in ([(power, VAR_W)], [(power, VAR_X)], [(power, VAR_Y), (2 * power, VAR_Z)]):
+            # times 1 + sum(c * q**e), in place: highest degree first, so each
+            # coefficient reads the lower ones before they are updated
+            for i in range(n, power - 1, -1):
+                terms = [(c, coeffs[i - e]) for e, c in factor if e <= i and coeffs[i - e]]
+                if terms:
+                    coeffs[i] = MultiPoly.sum_of_products([(one, coeffs[i])] + terms)
+        power *= 3
+    return coeffs[n]

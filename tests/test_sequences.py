@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import fraction_reference as ref
 from fixtures import TABLE1
 from trident import sequences
 from trident.chebyshev import two_term
@@ -62,10 +63,37 @@ def test_product_cap():
 
 
 def test_three_paths_agree():
-    for n in range(61):
+    for n in range(PRODUCT_CAP + 1):
         recurrence = s_poly(n)
         assert recurrence == s_poly_product(n), f"product mismatch at n={n}"
-        assert recurrence == oracle_poly(n), f"oracle mismatch at n={n}"
+        if n <= 60:
+            assert recurrence == oracle_poly(n), f"oracle mismatch at n={n}"
+    assert s_poly_product(PRODUCT_CAP)   # the cap itself answers
+
+
+def test_product_window_matches_full_expansion():
+    # the full truncated expansion at each side of every level boundary 3^j,
+    # where the window first keeps a new power, and at the cap
+    for n in (0, 1, 2, 3, 4, 8, 9, 26, 27, 80, 81, 242, 243, 485, PRODUCT_CAP):
+        assert s_poly_product(n) == ref.s_poly_product(n), f"n={n}"
+
+
+def test_product_kernel_calls_grow_with_log_n(monkeypatch):
+    # a work count, not a timing: at most 9 kernel calls per power of 3 up to
+    # n (the full expansion made 1,969 calls at n = 500)
+    kernel = MultiPoly.sum_of_products.__func__
+    calls = []
+
+    def counted(cls, pairs):
+        calls.append(1)
+        return kernel(cls, pairs)
+
+    monkeypatch.setattr(MultiPoly, "sum_of_products", classmethod(counted))
+    for n in range(PRODUCT_CAP + 1):
+        calls.clear()
+        s_poly_product(n)
+        powers = sum(3**j <= n for j in range(n.bit_length()))
+        assert len(calls) <= 9 * powers, f"n={n}: {len(calls)} calls over {powers} powers of 3"
 
 
 def test_mod_three_shift_identity():
