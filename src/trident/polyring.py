@@ -326,14 +326,44 @@ def _check_product_range(a: dict[int, int], b: dict[int, int]) -> None:
 def mp_divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Exact multivariate quotient over the integers.
 
-    Repeatedly cancels the graded-lex leading term of the remainder against
-    the leading term of ``den``.  When ``num = den * q`` with integer ``q``
-    this reproduces ``q`` exactly; any failure to cancel proves that no such
-    ``q`` exists, and NotDivisible (with the remainder's total degree) is
-    raised.
+    Where z is dense in both operands (the slots z^0 up to the top power of z
+    of their (w, x, y) monomials number at most twice their terms), it first
+    divides the images under z -> 2^B, B = 2 + the bit lengths of max|num| and
+    sum|den|, and keeps the unpacked quotient q only if max|num| + sum|den| *
+    max|q| < 2^(B-1): num - den*q then has image 0 and coefficients below
+    2^(B-1) in absolute value, so it is 0.  Otherwise it cancels leading terms
+    of num against den's, which raises NotDivisible (with the remainder's
+    total degree) where no integer q with num = den * q exists.
     """
     if not den:
         raise DivisionByZeroPolynomial("division by zero polynomial")
+    if _z_dense(num) and _z_dense(den):
+        top = max(map(abs, num._terms.values()), default=0)
+        total = sum(map(abs, den._terms.values()))
+        width = 2 + top.bit_length() + total.bit_length()
+        try:
+            quot = mp_unpack_z(_divide(mp_pack_z(num, width), mp_pack_z(den, width)), width)
+        except (NotDivisible, ValueError):   # or an exponent past the limit, a negative slot
+            pass
+        else:
+            if top + total * max(quot._terms.values(), default=0) < 1 << width - 1:
+                return quot
+    return _divide(num, den)
+
+
+def _z_dense(p: MultiPoly) -> bool:
+    # The density guard of mp_divide_exact.
+    tops: dict[int, int] = {}
+    for key in p._terms:
+        l = key & EXP_LIMIT
+        key -= l * _Z_KEY
+        if tops.get(key, -1) < l:
+            tops[key] = l
+    return sum(tops.values()) + len(tops) <= 2 * len(p._terms)
+
+
+def _divide(num: MultiPoly, den: MultiPoly) -> MultiPoly:
+    # The one division kernel, run on the images under z -> 2^B or on the terms.
     den_terms = den._terms
     lead = max(den_terms)
     lead_coeff = den_terms[lead]
@@ -640,6 +670,7 @@ def mp_pack_z(p: MultiPoly, width: int) -> MultiPoly:
     z^l moves into its term's coefficient as 2^(width*l), and the keys keep w,
     x and y.  While every coefficient is nonnegative and below 2^width, no
     slot of a product of images carries, and ``mp_unpack_z`` inverts it."""
+    width = natural(width, 1, name="width")
     out: dict[int, int] = {}
     get = out.get
     for key, c in p._terms.items():
@@ -651,7 +682,8 @@ def mp_pack_z(p: MultiPoly, width: int) -> MultiPoly:
 
 def mp_unpack_z(p: MultiPoly, width: int) -> MultiPoly:
     """The inverse of ``mp_pack_z`` on nonnegative coefficients: slot l of each
-    coefficient becomes the term at z^l."""
+    coefficient becomes the term at z^l.  A negative one raises ValueError."""
+    width = natural(width, 1, name="width")
     terms = p._terms
     top = (max(map(int.bit_length, terms.values()), default=0) - 1) // width
     if top > EXP_LIMIT:   # before its slot would carry into the field of y
@@ -659,6 +691,8 @@ def mp_unpack_z(p: MultiPoly, width: int) -> MultiPoly:
     mask = (1 << width) - 1
     out: dict[int, int] = {}
     for key, c in terms.items():
+        if c < 0:
+            raise ValueError("a packed coefficient must be non-negative")
         while c:
             slot = c & mask
             if slot:

@@ -14,7 +14,8 @@ from trident.chebyshev import ChebKind, chebyshev, dickson_E, verify_prop35
 from trident.identities import (verify_divisibility, verify_prop61, verify_surprising,
                                 verify_telescoping)
 from trident.oracle import count_partitions, enumerate_partitions
-from trident.polyring import MultiPoly, UniPoly, poly_substitute, split_origin, up_square_free
+from trident.polyring import (MultiPoly, UniPoly, mp_pack_z, mp_unpack_z, poly_substitute,
+                              split_origin, up_square_free)
 from trident.report import Report
 from trident.sequences import (gf_check, q_poly, r_poly, repunit_sweep, s_poly, s_poly_product,
                                s_poly_sweep, scalar_qr)
@@ -45,6 +46,12 @@ REFUSED = {
                                       "exponent must be non-negative"),
     "poly_substitute(z, (0, 0, 1, -2))": (lambda: poly_substitute(Z, (0, 0, 1, -2)),
                                           "weight must be non-negative"),
+    # a width of 0 packed z^2 + z + 1 to 3 and unpacked through a ZeroDivisionError
+    "mp_pack_z(z^2 + z + 1, 0)": (lambda: mp_pack_z(Z * Z + Z + 1, 0), "width must be at least 1"),
+    "mp_unpack_z(z, 0)": (lambda: mp_unpack_z(Z, 0), "width must be at least 1"),
+    # shifting -1 right never reaches 0: the unpack never returned
+    "mp_unpack_z(-1, 8)": (lambda: mp_unpack_z(MultiPoly.constant(-1), 8),
+                           "packed coefficient must be non-negative"),
     # a bare StopIteration from next(), which a generator would turn into RuntimeError
     "split_origin(0)": (lambda: split_origin(UniPoly.zero()),
                         "the zero polynomial has no multiplicity at the origin"),
@@ -81,7 +88,7 @@ def test_float_coefficient_is_refused(call):
         call()
 
 
-# An index, range bound, exponent, weight or sweep bound must be an int
+# An index, range bound, exponent, weight, width or sweep bound must be an int
 # too: a float is refused, not counted (s_poly(2.5) was the zero
 # polynomial) or truncated.
 FLOAT_INDICES = {
@@ -107,6 +114,8 @@ FLOAT_INDICES = {
     "MultiPoly ** 2.0": lambda: MULTI ** 2.0,
     "UniPoly ** 2.0": lambda: UNI ** 2.0,
     "poly_substitute(z, (0, 0, 1, 2.5))": lambda: poly_substitute(Z, (0, 0, 1, 2.5)),
+    "mp_pack_z(z, 2.0)": lambda: mp_pack_z(Z, 2.0),
+    "mp_unpack_z(z, 2.0)": lambda: mp_unpack_z(Z, 2.0),
     "s_poly_sweep(2.0)": lambda: list(s_poly_sweep(2.0)),
     "spec_family_sweep(Z1, q, 2.0)": lambda: list(spec_family_sweep(SpecId.Z1, "q", 2.0)),
 }

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from trident import polyring
 from trident.polyring import (EXP_LIMIT, DivisionByZeroPolynomial, MultiPoly,
                               NotDivisible, UniPoly, horner, mp_divide_exact,
                               poly_substitute, up_divide_exact, up_gcd, up_square_free)
@@ -302,16 +303,43 @@ def test_mp_divide_exact_property(a, b, extra, field):
         return
     assert mp_divide_exact(a * b, b) == a
     *lead, lead_coeff = b.terms()[-1]
+    near = []
     if lead[field] > 0:
         # a monomial the leading monomial of b does not divide
         exps = list(extra)
         exps[field] = lead[field] - 1
-        with pytest.raises(NotDivisible):
-            mp_divide_exact(a * b + MultiPoly([(*exps, 1)]), b)
+        near.append(MultiPoly([(*exps, 1)]))
     if abs(lead_coeff) > 1:
         # the leading monomial itself, with a coefficient lead_coeff does not divide
-        with pytest.raises(NotDivisible):
-            mp_divide_exact(a * b + MultiPoly([(*lead, 1)]), b)
+        near.append(MultiPoly([(*lead, 1)]))
+    for term in near:
+        # refused as the term kernel refuses it, whatever the packed attempt did
+        with pytest.raises(NotDivisible) as err:
+            mp_divide_exact(a * b + term, b)
+        with pytest.raises(NotDivisible) as kernel:
+            polyring._divide(a * b + term, b)
+        assert type(err.value) is type(kernel.value)
+        assert err.value.remainder_degree == kernel.value.remainder_degree
+
+
+def test_mp_divide_exact_keeps_only_a_certified_packed_quotient():
+    # under z -> 2^5 the quotient image of (wz - w)(x + 1) by x + 1 is 31w,
+    # which unpacks to 31w and fails the bound; that of (w - wz)(x + 1) is
+    # -31w, a negative slot; both go to the term division
+    w, x, z = V["w"], V["x"], V["z"]
+    assert mp_divide_exact((w * z - w) * (x + 1), x + 1) == w * z - w
+    assert mp_divide_exact((w - w * z) * (x + 1), x + 1) == w - w * z
+
+
+def test_mp_divide_exact_packs_no_dividend_sparse_in_z(monkeypatch):
+    # one term per power of y, at z^(60000 - 40i): packed, each would take
+    # thousands of slots, nearly all empty
+    def refuse(p, width):
+        raise AssertionError("packed an operand sparse in z")
+
+    monkeypatch.setattr(polyring, "mp_pack_z", refuse)
+    a = MultiPoly([(0, 0, i, 60000 - 40 * i, 1) for i in range(1000)])
+    assert mp_divide_exact(a * (V["y"] + 1), V["y"] + 1) == a
 
 
 # -------------------------------------------------------------- UniPoly

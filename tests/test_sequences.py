@@ -7,7 +7,7 @@ import pytest
 
 import fraction_reference as ref
 from fixtures import TABLE1
-from trident import sequences
+from trident import polyring, sequences
 from trident.chebyshev import two_term
 from trident.oracle import count_partitions, oracle_poly
 from trident.polyring import (EXP_LIMIT, MultiPoly, NotDivisible, mp_divide_exact, mp_pack_z,
@@ -381,7 +381,8 @@ def test_values_pinned_by_digest():
 
 
 # sha256 of json.dumps(q.to_records()) for each exact quotient Q_n / Q_m
-# that a long-lived algebra session divides (m a proper divisor of n).
+# that a long-lived algebra session divides, and Q_18 / Q_9 and Q_24 / Q_12
+# (m a proper divisor of n).
 QUOTIENT_DIGESTS = {
     (4, 2): "5e02e1093cfb1ae7daafaa632abc93dc4dbce928f53cbfcc9a9ccf9ee669e417",
     (6, 2): "da9baa59148cd985cad8d41dbb5e069e1ccb6dc87b6cf129518596eb97ff8087",
@@ -396,6 +397,8 @@ QUOTIENT_DIGESTS = {
     (12, 4): "407896b1a001763328ad6a69efce8f6189b68080a6074487bca8280e609bf203",
     (12, 6): "d9b22b423ed8d79e59e06b9691cb062dbbc2b07b564a7cc33aac1db13333df68",
     (14, 7): "9438b507cc306e165c393394d140dc176c5427866c40460269308cd4a7aaaf7d",
+    (18, 9): "49ea30bfbbb043e8a3ac0391d9e0c9b7f0801b87f726daef33244654a6a1bcb2",
+    (24, 12): "dfd95d9437212385ba39b8f8d3584273f2c3f9b09f96c4efe4f1b53c2eac0d26",
 }
 
 
@@ -403,6 +406,23 @@ def test_quotients_pinned_by_digest():
     for (n, m), digest in QUOTIENT_DIGESTS.items():
         records = json.dumps(mp_divide_exact(q_poly(n), q_poly(m)).to_records())
         assert hashlib.sha256(records.encode()).hexdigest() == digest, (n, m)
+
+
+def test_quotients_take_the_packed_route(monkeypatch):
+    # each pinned quotient is certified on the images under z -> 2^B: one
+    # run of the division kernel, on operands with no z
+    runs = []
+    divide = polyring._divide
+
+    def kernel(num, den):
+        runs.append(all(t[3] == 0 for p in (num, den) for t in p.terms()))
+        return divide(num, den)
+
+    monkeypatch.setattr(polyring, "_divide", kernel)
+    for n, m in QUOTIENT_DIGESTS:
+        runs.clear()
+        mp_divide_exact(q_poly(n), q_poly(m))
+        assert runs == [True], (n, m)
 
 
 def test_remainder_degree_pinned():
